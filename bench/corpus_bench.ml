@@ -5,7 +5,7 @@
    analytic, so its report must be a pure function of the corpus and the
    configuration; the guard re-runs it under every evaluation backend and
    a different domain count and FAILs unless all reports are byte-identical
-   to the incremental single-domain baseline.
+   to the flat single-domain baseline.
 
    Run with: FIG=corpus dune exec bench/main.exe
    Knobs:    CORPUS_DIR     corpus directory (default test/corpus)
@@ -52,7 +52,7 @@ let run () =
       end;
       let base =
         Corpus.sweep
-          ~config:(config ~budget Wfc_core.Eval_engine.Incremental 1)
+          ~config:(config ~budget Wfc_core.Eval_engine.Flat 1)
           instances
       in
       Corpus.print_report base;
@@ -60,9 +60,8 @@ let run () =
       let baseline = fingerprint base in
       let variants =
         [
-          ("flat engine", config ~budget Wfc_core.Eval_engine.Flat 1);
           ("naive engine", config ~budget Wfc_core.Eval_engine.Naive 1);
-          ("4 domains", config ~budget Wfc_core.Eval_engine.Incremental 4);
+          ("4 domains", config ~budget Wfc_core.Eval_engine.Flat 4);
         ]
       in
       let ok =

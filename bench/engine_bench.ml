@@ -1,7 +1,7 @@
-(* End-to-end timing of the evaluation backends against each other on the
-   searches they were built for: naive per-candidate evaluation, the
-   incremental engine, and the flat (bigarray) kernel. Writes the measured
-   speedups to BENCH_engine.json (consumed by EXPERIMENTS.md) and prints a
+(* End-to-end timing of the two evaluation backends against each other on
+   the searches they were built for: naive per-candidate evaluation and the
+   flat (bigarray) kernel. Writes the measured speedups to BENCH_engine.json
+   (consumed by EXPERIMENTS.md and pinned by FIG=obs) and prints a
    human-readable table.
 
    Run with: FIG=engine dune exec bench/main.exe *)
@@ -18,33 +18,16 @@ let instance family n =
   let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
   (g, order)
 
-(* median-of-repeats wall time of one thunk, seconds. The major heap is
-   drained before each sample so the measurement only carries the thunk's own
-   GC work, not slices inherited from whatever ran before — the short
-   engine/flat samples are otherwise dominated by leftover collection debt. *)
-let time ?(repeats = 5) f =
-  let samples =
-    List.init repeats (fun _ ->
-        Gc.full_major ();
-        let t0 = Unix.gettimeofday () in
-        ignore (Sys.opaque_identity (f ()));
-        Unix.gettimeofday () -. t0)
-  in
-  List.nth (List.sort compare samples) (repeats / 2)
-
-(* naive_s and engine_s are optional: the large exact instance is only
-   tractable for the flat branch-and-bound. *)
+(* naive_s is optional: the large exact instance is only tractable for the
+   flat branch-and-bound. *)
 type row = {
   name : string;
   naive_s : float option;
-  engine_s : float option;
   flat_s : float;
   detail : string;
 }
 
-let ratio num den = Option.map (fun n -> n /. den) num
-let flat_vs_naive r = ratio r.naive_s r.flat_s
-let flat_vs_engine r = ratio r.engine_s r.flat_s
+let flat_vs_naive r = Option.map (fun n -> n /. r.flat_s) r.naive_s
 
 let bench_local_search () =
   let g, order = instance P.Ligo 200 in
@@ -54,15 +37,12 @@ let bench_local_search () =
   let seed = Schedule.make g ~order ~checkpointed:flags in
   let run backend () = Local_search.improve ~backend model g seed in
   let naive = run Eval_engine.Naive () in
-  let engine = run Eval_engine.Incremental () in
   let flat = run Eval_engine.Flat () in
-  assert (naive.Local_search.makespan = engine.Local_search.makespan);
   assert (naive.Local_search.makespan = flat.Local_search.makespan);
   {
     name = "local-search/Ligo/n=200";
-    naive_s = Some (time ~repeats:3 (run Eval_engine.Naive));
-    engine_s = Some (time ~repeats:3 (run Eval_engine.Incremental));
-    flat_s = time ~repeats:3 (run Eval_engine.Flat);
+    naive_s = Some (Timing.median (run Eval_engine.Naive));
+    flat_s = Timing.median (run Eval_engine.Flat);
     detail =
       Printf.sprintf "%d evaluations, %d flips" naive.Local_search.evaluations
         naive.Local_search.flips;
@@ -76,43 +56,37 @@ let bench_ckptw_sweep () =
       ~lin:Wfc_dag.Linearize.Depth_first ~ckpt:Heuristics.Ckpt_weight
   in
   let naive = run Eval_engine.Naive () in
-  let engine = run Eval_engine.Incremental () in
   let flat = run Eval_engine.Flat () in
-  assert (naive.Heuristics.makespan = engine.Heuristics.makespan);
   assert (naive.Heuristics.makespan = flat.Heuristics.makespan);
   {
     name = "ckptw-exhaustive/Ligo/n=200";
-    naive_s = Some (time ~repeats:3 (run Eval_engine.Naive));
-    engine_s = Some (time ~repeats:3 (run Eval_engine.Incremental));
-    flat_s = time ~repeats:3 (run Eval_engine.Flat);
+    naive_s = Some (Timing.median (run Eval_engine.Naive));
+    flat_s = Timing.median (run Eval_engine.Flat);
     detail = Printf.sprintf "%d candidates" naive.Heuristics.evaluations;
   }
 
 (* node-for-node identical search: the flat backend is configured for strict
    parity (one domain, no dominance, no memo) so the ratio isolates the kernel
    speed rather than pruning power *)
+let exact_audit_flat g ~order () =
+  Exact_solver.optimal_checkpoints_within ~backend:Eval_engine.Flat ~domains:1
+    ~dominance:false ~memo:false ~max_nodes:200_000 model g ~order
+
 let bench_exact_audit () =
   let g, order = instance P.Genome 20 in
-  let run backend () =
-    Exact_solver.optimal_checkpoints_within ~backend ~max_nodes:200_000 model g
-      ~order
+  let run_naive () =
+    Exact_solver.optimal_checkpoints_within ~backend:Eval_engine.Naive
+      ~max_nodes:200_000 model g ~order
   in
-  let run_flat () =
-    Exact_solver.optimal_checkpoints_within ~backend:Eval_engine.Flat
-      ~domains:1 ~dominance:false ~memo:false ~max_nodes:200_000 model g ~order
-  in
-  let naive, _ = run Eval_engine.Naive () in
-  let engine, _ = run Eval_engine.Incremental () in
+  let run_flat = exact_audit_flat g ~order in
+  let naive, _ = run_naive () in
   let flat, _ = run_flat () in
-  assert (naive.Exact_solver.makespan = engine.Exact_solver.makespan);
-  assert (naive.Exact_solver.nodes = engine.Exact_solver.nodes);
   assert (naive.Exact_solver.makespan = flat.Exact_solver.makespan);
   assert (naive.Exact_solver.nodes = flat.Exact_solver.nodes);
   {
     name = "exact-bnb/Genome/n=20";
-    naive_s = Some (time ~repeats:3 (run Eval_engine.Naive));
-    engine_s = Some (time ~repeats:3 (run Eval_engine.Incremental));
-    flat_s = time ~repeats:3 run_flat;
+    naive_s = Some (Timing.median run_naive);
+    flat_s = Timing.median run_flat;
     detail = Printf.sprintf "%d nodes, parity config" naive.Exact_solver.nodes;
   }
 
@@ -130,8 +104,7 @@ let bench_exact_large () =
   {
     name = "exact-bnb-pruned/Ligo/n=30";
     naive_s = None;
-    engine_s = None;
-    flat_s = time ~repeats:3 run;
+    flat_s = Timing.median run;
     detail =
       Printf.sprintf "%d nodes, dominance+memo, %d domains"
         result.Exact_solver.nodes domains;
@@ -140,24 +113,13 @@ let bench_exact_large () =
 let bench_single_flip () =
   let g, order = instance P.Ligo 200 in
   let n = Array.length order in
-  let engine = Eval_engine.create model g ~order in
-  ignore (Eval_engine.makespan engine);
   let feng = Flat_engine.create model g ~order in
   ignore (Flat_engine.makespan feng);
   let flags = Array.make n false in
-  let i = ref 0 in
   let flips = 1000 in
-  let engine_s =
-    time ~repeats:3 (fun () ->
-        for _ = 1 to flips do
-          ignore (Eval_engine.flip engine (!i mod n));
-          incr i
-        done)
-    /. float_of_int flips
-  in
   let k = ref 0 in
   let flat_s =
-    time ~repeats:3 (fun () ->
+    Timing.median (fun () ->
         for _ = 1 to flips do
           ignore (Flat_engine.flip feng (!k mod n));
           incr k
@@ -166,7 +128,7 @@ let bench_single_flip () =
   in
   let j = ref 0 in
   let naive_s =
-    time ~repeats:3 (fun () ->
+    Timing.median (fun () ->
         for _ = 1 to 20 do
           flags.(!j mod n) <- not flags.(!j mod n);
           incr j;
@@ -179,7 +141,6 @@ let bench_single_flip () =
   {
     name = "single-flip/Ligo/n=200";
     naive_s = Some naive_s;
-    engine_s = Some engine_s;
     flat_s;
     detail = "per-flip cost vs one full evaluation";
   }
@@ -201,17 +162,15 @@ let json_of_rows rows =
                  [
                    ("name", Wfc_io.Json.String r.name);
                    ("naive_seconds", opt_num r.naive_s);
-                   ("engine_seconds", opt_num r.engine_s);
                    ("flat_seconds", Wfc_io.Json.Number r.flat_s);
                    ("flat_vs_naive", opt_num (flat_vs_naive r));
-                   ("flat_vs_engine", opt_num (flat_vs_engine r));
                    ("detail", Wfc_io.Json.String r.detail);
                  ])
              rows) );
     ]
 
 let run () =
-  print_endline "== evaluation backends: naive vs incremental vs flat ==";
+  print_endline "== evaluation backends: naive vs flat ==";
   let rows =
     [
       bench_single_flip (); bench_ckptw_sweep (); bench_local_search ();
@@ -229,8 +188,7 @@ let run () =
   let table =
     Wfc_reporting.Table.create
       ~columns:
-        [ "benchmark"; "naive"; "engine"; "flat"; "vs naive"; "vs engine";
-          "detail" ]
+        [ "benchmark"; "naive"; "flat"; "vs naive"; "detail" ]
   in
   List.iter
     (fun r ->
@@ -238,10 +196,8 @@ let run () =
         [
           r.name;
           fmt_opt r.naive_s;
-          fmt_opt r.engine_s;
           fmt_opt (Some r.flat_s);
           fmt_ratio (flat_vs_naive r);
-          fmt_ratio (flat_vs_engine r);
           r.detail;
         ])
     rows;

@@ -6,7 +6,7 @@
           FIG=ablation dune exec bench/main.exe  extension/ablation studies
           FIG=micro dune exec bench/main.exe     only the micro-benchmarks
           FIG=stress dune exec bench/main.exe    resilience stress micro-campaign
-          FIG=engine dune exec bench/main.exe    incremental engine vs naive timing
+          FIG=engine dune exec bench/main.exe    flat kernel vs naive timing
           FIG=scale dune exec bench/main.exe     flat kernel at scale, exact B&B n~30
           FIG=obs dune exec bench/main.exe       observability overhead guard
           FIG=adaptive dune exec bench/main.exe  adaptive vs static, misspecified lambda

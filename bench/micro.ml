@@ -77,24 +77,9 @@ let heuristic_tests =
                 ~lin:Wfc_dag.Linearize.Depth_first ~ckpt:Heuristics.Ckpt_weight)));
   ]
 
-let engine_tests =
-  (* single-flag flip throughput of the incremental engine, against one full
-     cached-lost-work evaluation (the naive per-candidate cost) above *)
-  List.map
-    (fun n ->
-      let g, s = prepared P.Cybershake n in
-      let engine = Eval_engine.create model g ~order:s.Schedule.order in
-      ignore (Eval_engine.makespan engine);
-      let i = ref 0 in
-      Test.make
-        ~name:(Printf.sprintf "engine/flip/n=%d" n)
-        (Staged.stage (fun () ->
-             incr i;
-             ignore (Eval_engine.flip engine (!i mod n)))))
-    [ 50; 200 ]
-
 let flat_tests =
-  (* flip throughput of the flat kernel, same shape as engine/flip above.
+  (* single-flag flip throughput of the flat kernel, against one full
+     cached-lost-work evaluation (the naive per-candidate cost) above.
      The steady-state flip path must not allocate: the one-time assertion
      below runs a settled flip cycle and checks the minor allocation
      pointer did not move. *)
@@ -147,7 +132,7 @@ let generator_tests =
 let all_tests () =
   Test.make_grouped ~name:"wfc"
     (lost_work_tests @ lost_work_reference_tests @ evaluator_tests
-   @ engine_tests @ flat_tests @ simulator_tests @ heuristic_tests
+   @ flat_tests @ simulator_tests @ heuristic_tests
    @ generator_tests)
 
 let () = Bechamel_notty.Unit.add Instance.monotonic_clock "ns"

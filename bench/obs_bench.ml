@@ -13,8 +13,6 @@ module Json = Wfc_io.Json
 module Metrics = Wfc_obs.Metrics
 module Trace = Wfc_obs.Trace
 module P = Wfc_workflows.Pegasus
-module CM = Wfc_workflows.Cost_model
-module FM = Wfc_platform.Failure_model
 
 (* BENCH_engine.json pins medians measured in a separate process; run-to-run
    scheduler noise on shared machines reaches tens of percent, while the
@@ -23,24 +21,9 @@ module FM = Wfc_platform.Failure_model
    column, measured back to back in this process, is the precise signal. *)
 let tolerance = 0.25
 
-(* Minimum wall time over [repeats] identical executions: the min estimator
-   discards scheduler preemptions and GC pauses instead of averaging them
-   in, so it is the most repeatable point estimate of the true cost. *)
-let time ?(repeats = 5) f =
-  let best = ref infinity in
-  for _ = 1 to repeats do
-    let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (f ()));
-    best := Float.min !best (Unix.gettimeofday () -. t0)
-  done;
-  !best
-
-let model = FM.make ~lambda:1e-3 ()
-
-let instance family n =
-  let g = CM.apply (CM.Proportional 0.1) (P.generate family ~n ~seed:7) in
-  let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
-  (g, order)
+(* the same instances and model as the Engine_bench rows they compare to *)
+let model = Engine_bench.model
+let instance = Engine_bench.instance
 
 (* The four engine-side workloads of Engine_bench, reduced to thunks whose
    state is identical on every execution so min-of-N compares like with
@@ -49,21 +32,21 @@ let workloads () =
   let g200, order200 = instance P.Ligo 200 in
   let g20, order20 = instance P.Genome 20 in
   let n = Array.length order200 in
-  let engine = Eval_engine.create model g200 ~order:order200 in
-  ignore (Eval_engine.makespan engine);
+  let engine = Flat_engine.create model g200 ~order:order200 in
+  ignore (Flat_engine.makespan engine);
   let flips = 2 * n * 5 in
   let single_flip () =
     (* an even number of passes over every position leaves the flag vector
        exactly as it started: every execution times the same flip sequence *)
     let i = ref 0 in
     for _ = 1 to flips do
-      ignore (Eval_engine.flip engine (!i mod n));
+      ignore (Flat_engine.flip engine (!i mod n));
       incr i
     done
   in
   let sweep () =
-    Heuristics.run ~search:Heuristics.Exhaustive
-      ~backend:Eval_engine.Incremental model g200
+    Heuristics.run ~search:Heuristics.Exhaustive ~backend:Eval_engine.Flat
+      model g200
       ~lin:Wfc_dag.Linearize.Depth_first ~ckpt:Heuristics.Ckpt_weight
   in
   let flags =
@@ -72,18 +55,15 @@ let workloads () =
   in
   let seed_sched = Schedule.make g200 ~order:order200 ~checkpointed:flags in
   let local_search () =
-    Local_search.improve ~backend:Eval_engine.Incremental model g200 seed_sched
+    Local_search.improve ~backend:Eval_engine.Flat model g200 seed_sched
   in
-  let exact () =
-    Exact_solver.optimal_checkpoints_within ~backend:Eval_engine.Incremental
-      ~max_nodes:200_000 model g20 ~order:order20
-  in
+  let exact = Engine_bench.exact_audit_flat g20 ~order:order20 in
   [
     ( "single-flip/Ligo/n=200",
-      fun () -> time single_flip /. float_of_int flips );
-    ("ckptw-exhaustive/Ligo/n=200", fun () -> time (fun () -> sweep ()));
-    ("local-search/Ligo/n=200", fun () -> time (fun () -> local_search ()));
-    ("exact-bnb/Genome/n=20", fun () -> time (fun () -> exact ()));
+      fun () -> Timing.best single_flip /. float_of_int flips );
+    ("ckptw-exhaustive/Ligo/n=200", fun () -> Timing.best sweep);
+    ("local-search/Ligo/n=200", fun () -> Timing.best local_search);
+    ("exact-bnb/Genome/n=20", fun () -> Timing.best exact);
   ]
 
 let read_file path =
@@ -92,7 +72,7 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* name -> engine_seconds from BENCH_engine.json *)
+(* name -> flat_seconds from BENCH_engine.json *)
 let baseline () =
   let ( let* ) = Json.( let* ) in
   let decode json =
@@ -103,7 +83,7 @@ let baseline () =
         let* acc = acc in
         let* name = Json.member "name" row in
         let* name = Json.to_string_value name in
-        let* s = Json.member "engine_seconds" row in
+        let* s = Json.member "flat_seconds" row in
         let* s = Json.to_float s in
         Ok ((name, s) :: acc))
       (Ok []) rows

@@ -1,6 +1,6 @@
 (* Scale campaign for the flat kernel: Pegasus-family workflows up to
-   n=2000 through the flat engine (full evaluation + flip throughput, with
-   the incremental engine and the Evaluator oracle as references), the
+   n=2000 through the flat engine (full evaluation + flip throughput, with a
+   fresh engine and the Evaluator oracle as references), the
    dominance-pruned parallel branch and bound at n~30, and a
    parallel-vs-single-domain optimality guard. Writes BENCH_scale.json.
 
@@ -28,29 +28,17 @@ let instance family n =
   let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
   (g, order)
 
-let time ?(repeats = 3) f =
-  let samples =
-    List.init repeats (fun _ ->
-        Gc.full_major ();
-        let t0 = Unix.gettimeofday () in
-        ignore (Sys.opaque_identity (f ()));
-        Unix.gettimeofday () -. t0)
-  in
-  List.nth (List.sort compare samples) (repeats / 2)
-
 type sweep_row = {
   family : string;
   n : int;
   flat_full_ms : float;  (** create + first full evaluation *)
-  engine_full_ms : float;
   flat_flip_us : float;
-  engine_flip_us : float;
   oracle_rel_err : float;
       (** |flat - Evaluator| / Evaluator on the all-off schedule *)
 }
 
-(* One size point: full-evaluation and flip throughput for both engines,
-   plus the bitwise flat==incremental guard and an oracle cross-check.
+(* One size point: full-evaluation and flip throughput of the kernel, plus
+   the bitwise warm==fresh guard and an oracle cross-check.
    The failure rate is scale-invariant: lambda * total_work = 50 at every
    size, so the recurrence stays in floating-point range (a fixed lambda
    overflows exp once total work passes ~709/lambda, e.g. Genome n=1000). *)
@@ -58,22 +46,12 @@ let sweep_point family n =
   let g, order = instance family n in
   let model = FM.make ~lambda:(50. /. Wfc_dag.Dag.total_weight g) () in
   let flat_full_ms =
-    time (fun () -> Flat_engine.makespan (Flat_engine.create model g ~order))
-    *. 1e3
-  in
-  let engine_full_ms =
-    time (fun () -> Eval_engine.makespan (Eval_engine.create model g ~order))
+    Timing.median (fun () ->
+        Flat_engine.makespan (Flat_engine.create model g ~order))
     *. 1e3
   in
   let feng = Flat_engine.create model g ~order in
-  let eng = Eval_engine.create model g ~order in
-  let fm = Flat_engine.makespan feng and em = Eval_engine.makespan eng in
-  (* parity wall: the flat kernel is bit-identical to the incremental
-     engine at every scale, not just the qcheck sizes *)
-  if not (Float.equal fm em) then (
-    Printf.printf "FAIL %s n=%d: flat %.17g <> engine %.17g\n"
-      (P.family_name family) n fm em;
-    exit 1);
+  let fm = Flat_engine.makespan feng in
   let oracle =
     Evaluator.expected_makespan model g
       (Schedule.make g ~order ~checkpointed:(Array.make n false))
@@ -84,29 +62,30 @@ let sweep_point family n =
   let flips = Int.max 16 (Int.min n (40_000 / n)) in
   let i = ref 0 in
   let flat_flip_us =
-    time (fun () ->
+    Timing.median (fun () ->
         for _ = 1 to flips do
           ignore (Flat_engine.flip feng (!i * 17 mod n));
           incr i
         done)
     /. float_of_int flips *. 1e6
   in
-  let j = ref 0 in
-  let engine_flip_us =
-    time (fun () ->
-        for _ = 1 to flips do
-          ignore (Eval_engine.flip eng (!j * 17 mod n));
-          incr j
-        done)
-    /. float_of_int flips *. 1e6
+  (* path-independence wall: after all those flips the warm kernel must
+     score its flags bit-identically to a cold one, at every scale, not just
+     the qcheck sizes *)
+  let warm = Flat_engine.makespan feng in
+  let cold =
+    Flat_engine.makespan
+      (Flat_engine.create ~flags:(Flat_engine.flags feng) model g ~order)
   in
+  if not (Float.equal warm cold) then (
+    Printf.printf "FAIL %s n=%d: warm %.17g <> fresh %.17g\n"
+      (P.family_name family) n warm cold;
+    exit 1);
   {
     family = P.family_name family;
     n;
     flat_full_ms;
-    engine_full_ms;
     flat_flip_us;
-    engine_flip_us;
     oracle_rel_err;
   }
 
@@ -120,12 +99,11 @@ type exact_row = {
 
 let bench_exact ~n ~domains =
   let g, order = instance P.Ligo n in
-  let t0 = Unix.gettimeofday () in
-  let sol, status =
-    Exact_solver.optimal_checkpoints_within ~backend:Eval_engine.Flat ~domains
-      ~max_nodes:50_000_000 model g ~order
+  let (sol, status), seconds =
+    Timing.once (fun () ->
+        Exact_solver.optimal_checkpoints_within ~backend:Eval_engine.Flat
+          ~domains ~max_nodes:50_000_000 model g ~order)
   in
-  let seconds = Unix.gettimeofday () -. t0 in
   {
     exact_n = n;
     domains;
@@ -172,9 +150,7 @@ let json rows exact guard_ok =
                    ("family", String r.family);
                    ("n", Number (float_of_int r.n));
                    ("flat_full_ms", Number r.flat_full_ms);
-                   ("engine_full_ms", Number r.engine_full_ms);
                    ("flat_flip_us", Number r.flat_flip_us);
-                   ("engine_flip_us", Number r.engine_flip_us);
                    ("oracle_rel_err", Number r.oracle_rel_err);
                  ])
              rows) );
@@ -210,8 +186,7 @@ let run () =
   let table =
     Wfc_reporting.Table.create
       ~columns:
-        [ "family"; "n"; "flat full"; "engine full"; "flat flip"; "engine flip";
-          "vs oracle" ]
+        [ "family"; "n"; "flat full"; "flat flip"; "vs oracle" ]
   in
   Stdlib.List.iter
     (fun r ->
@@ -220,14 +195,12 @@ let run () =
           r.family;
           string_of_int r.n;
           Printf.sprintf "%.2f ms" r.flat_full_ms;
-          Printf.sprintf "%.2f ms" r.engine_full_ms;
           Printf.sprintf "%.1f us" r.flat_flip_us;
-          Printf.sprintf "%.1f us" r.engine_flip_us;
           Printf.sprintf "%.1e" r.oracle_rel_err;
         ])
     rows;
   Wfc_reporting.Table.print table;
-  Printf.printf "PASS flat == incremental (bitwise) on %d instances\n"
+  Printf.printf "PASS flat == fresh engine (bitwise) on %d instances\n"
     (Stdlib.List.length rows);
   let guard_ok = parallel_guard ~n:(Int.min exact_n 14) ~domains in
   let exact = bench_exact ~n:exact_n ~domains in

@@ -16,11 +16,6 @@ module Heuristics = Wfc_core.Heuristics
 module P = Wfc_workflows.Pegasus
 module CM = Wfc_workflows.Cost_model
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
 let prepared n =
   let g = CM.apply (CM.Proportional 0.1) (P.generate P.Montage ~n ~seed:7) in
   let nominal = FM.make ~lambda:2e-3 ~downtime:1. () in
@@ -52,7 +47,7 @@ let run () =
       (* fault-injection engine vs. the trusted one *)
       let runs = 2000 in
       let _, clean =
-        time (fun () -> MC.estimate ~runs ~seed:3 nominal g sched)
+        Timing.once (fun () -> MC.estimate ~runs ~seed:3 nominal g sched)
       in
       row "sim (clean)" runs "runs" clean;
       let faulty_params =
@@ -65,14 +60,15 @@ let run () =
         }
       in
       let _, faulty =
-        time (fun () -> MC.estimate_faults ~runs ~seed:3 faulty_params g sched)
+        Timing.once (fun () ->
+            MC.estimate_faults ~runs ~seed:3 faulty_params g sched)
       in
       row "sim (faults)" runs "runs" faulty;
       (* one full default-grid campaign for the schedule *)
       let scenarios = Stress.default_grid nominal in
       let campaign_runs = 500 in
       let report, wall =
-        time (fun () ->
+        Timing.once (fun () ->
             Stress.evaluate ~runs:campaign_runs ~seed:3 ~nominal ~scenarios g
               sched)
       in
@@ -86,7 +82,9 @@ let run () =
   let g, nominal, _ = prepared 60 in
   let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
   let config = { Driver.default_config with Driver.max_nodes = 50_000 } in
-  let result, wall = time (fun () -> Driver.solve ~config nominal g ~order) in
+  let result, wall =
+    Timing.once (fun () -> Driver.solve ~config nominal g ~order)
+  in
   row
     (Printf.sprintf "driver[%s]" (Driver.tier_name result.Driver.tier))
     result.Driver.nodes "nodes" wall;

@@ -245,19 +245,20 @@ let engine_conv =
   let parse s =
     match Wfc_core.Eval_engine.backend_of_string s with
     | Some b -> Ok b
-    | None -> Error (`Msg (Printf.sprintf "unknown engine '%s' (naive, incremental or flat)" s))
+    | None -> Error (`Msg (Printf.sprintf "unknown engine '%s' (naive or flat)" s))
   in
   Arg.conv
     (parse, fun ppf b -> Format.pp_print_string ppf (Wfc_core.Eval_engine.backend_name b))
 
 let engine_t =
-  Arg.(value & opt engine_conv Wfc_core.Eval_engine.Incremental
+  Arg.(value & opt engine_conv Wfc_core.Eval_engine.Flat
        & info [ "engine" ]
-           ~doc:"Evaluation backend for checkpoint searches: incremental \
-                 (cached suffix re-evaluation), flat (the same semantics on \
+           ~doc:"Evaluation backend for checkpoint searches: flat (the \
+                 incremental kernel: cached suffix re-evaluation on \
                  contiguous zero-allocation buffers, with a dominance-pruned \
                  parallel branch and bound) or naive (one full evaluator \
-                 call per candidate). All report oracle makespans.")
+                 call per candidate, the reference path). Both report \
+                 oracle makespans.")
 
 let load_t =
   Arg.(value & opt (some string) None

@@ -1,7 +1,9 @@
 #!/bin/sh
-# CI entry point: build, run the full tier-1 suite, then a reduced-seed
-# chaos soak as a serving-layer smoke guard. Every phase is wall-clock
-# capped so a wedged daemon fails the run instead of hanging CI.
+# CI entry point: build, run the full tier-1 suite, a reduced-seed chaos
+# soak as a serving-layer smoke guard, then a short traced run of each
+# end-to-end benchmark workload, whose replay byte-compares the library's
+# answers with the daemon's and the CLI's. Every phase is wall-clock capped
+# so a wedged daemon fails the run instead of hanging CI.
 #
 #   ./ci.sh            # what CI runs
 #   CHAOS_SEEDS=200 ./ci.sh   # the full soak (what FIG=chaos defaults to)
@@ -16,5 +18,18 @@ timeout 900 dune runtest
 
 echo "== chaos smoke (reduced seeds) =="
 CHAOS_SEEDS="${CHAOS_SEEDS:-30}" FIG=chaos timeout 30 dune exec bench/main.exe
+
+echo "== benchmark byte checks (traced, 3 s per workload) =="
+for w in serve-warm simulate-cold corpus-sweep; do
+  last=$(timeout 300 sh wfcbench/run.sh --workload "$w" --seed 1 --seconds 3 \
+    --trace 1 | tail -n 1)
+  case "$last" in
+  *'"correct": true'*'"failed": 0'*) echo "$w: ok" ;;
+  *)
+    echo "$w: FAILED: $last" >&2
+    exit 1
+    ;;
+  esac
+done
 
 echo "ci: all green"

@@ -60,7 +60,6 @@ let hash k =
       (Int64.of_int
          (match k.backend with
          | Eval_engine.Naive -> 0
-         | Eval_engine.Incremental -> 1
          | Eval_engine.Flat -> 2))
   in
   Int64.to_int (Int64.logand h 0x3fffffffffffffffL)

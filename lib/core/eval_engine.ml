@@ -1,404 +1,24 @@
 module FM = Wfc_platform.Failure_model
-module Metrics = Wfc_obs.Metrics
 
-(* Engine observability. Counters are recorded per [ensure] call (never per
-   row or per inner-loop iteration), so a disabled layer costs one atomic
-   load and branch on the query path. "Hits" and "misses" count cached
-   lost-work rows served vs recomputed; a query hit is an [ensure] whose
-   whole prefix was already valid. *)
-let m_queries = Metrics.counter "engine.queries"
-let m_query_hits = Metrics.counter "engine.query_hits"
-let m_row_hits = Metrics.counter "engine.row_hits"
-let m_rows_recomputed = Metrics.counter "engine.rows_recomputed"
-let m_steps = Metrics.counter "engine.steps"
-let m_restores = Metrics.counter "engine.snapshot_restores"
-let m_flips = Metrics.counter "engine.flips"
-let m_batch = Metrics.counter "engine.batch_candidates"
+type backend = Naive | Flat
 
-type backend = Naive | Incremental | Flat
-
-let backend_name = function
-  | Naive -> "naive"
-  | Incremental -> "incremental"
-  | Flat -> "flat"
+let backend_name = function Naive -> "naive" | Flat -> "flat"
 
 let backend_of_string s =
   match String.lowercase_ascii s with
   | "naive" -> Some Naive
-  | "incremental" | "engine" -> Some Incremental
   | "flat" -> Some Flat
   | _ -> None
 
-type t = {
-  mutable model : FM.t;
-  g : Wfc_dag.Dag.t;
-  n : int;
-  order : int array; (* position -> task *)
-  pos : int array; (* task -> position *)
-  weight : float array; (* by task *)
-  ckpt_cost : float array; (* by task *)
-  recovery : float array; (* by task *)
-  flags : bool array; (* by task, current (possibly uncommitted) *)
-  committed : bool array; (* by task, state restored by [rollback] *)
-  (* replay matrix, same layout and row algorithm as Lost_work *)
-  lost : float array array; (* lost.(k).(i - k) *)
-  row_dirty : bool array;
-  replayed : bool array; (* scratch for Lost_work.compute_row_into *)
-  reach : int array; (* visit-row bound V(x) per task, for current flags *)
-  (* evaluator state: positions [0, eval_valid) are up to date.
-     pex.(k) = exp (-lambda * seg(k)) where seg(k) is the separating work of
-     fault row k, as in Evaluator — kept as a running product so advancing a
-     row costs no transcendental beyond the expm1 the expectation needs *)
-  pex : float array;
-  mutable pfresh : float; (* exp (-lambda * seg_start) *)
-  snap : float array array; (* snap.(i) = pex.(0..i-2) at start of step i *)
-  snap_start : float array; (* pfresh at start of step i *)
-  fp : float array; (* P(F(X_i)) *)
-  pp : float array; (* E[X_i] *)
-  ms : float array; (* ms.(i) = sum of E[X_j], j < i; length n + 1 *)
-  mutable eval_valid : int;
-  (* the position whose start-of-step state [seg]/[seg_start] currently
-     holds; always >= eval_valid. Restoring from a snapshot is only needed
-     (and only sound) when rewinding, i.e. eval_valid < cursor: a partial
-     [ensure] stops at a position it never stepped, whose snapshot slot is
-     stale *)
-  mutable cursor : int;
-  (* span of uncommitted flips: positions > pend_lo may hold dirty state *)
-  mutable pend_lo : int;
-  mutable pend_hi : int;
-}
+(* ---- engine handles --------------------------------------------------- *)
 
-let create ?flags model g ~order =
-  if not (Wfc_dag.Dag.is_linearization g order) then
-    invalid_arg "Eval_engine.create: order is not a linearization";
-  let n = Array.length order in
-  let pos = Array.make n (-1) in
-  Array.iteri (fun p v -> pos.(v) <- p) order;
-  let task v = Wfc_dag.Dag.task g v in
-  let flags =
-    match flags with
-    | None -> Array.make n false
-    | Some f ->
-        if Array.length f <> n then
-          invalid_arg "Eval_engine.create: flags have the wrong size";
-        Array.copy f
-  in
-  {
-    model;
-    g;
-    n;
-    order;
-    pos;
-    weight = Array.init n (fun v -> (task v).Wfc_dag.Task.weight);
-    ckpt_cost = Array.init n (fun v -> (task v).Wfc_dag.Task.checkpoint_cost);
-    recovery = Array.init n (fun v -> (task v).Wfc_dag.Task.recovery_cost);
-    flags;
-    committed = Array.copy flags;
-    lost = Array.init n (fun k -> Array.make (n - k) 0.);
-    row_dirty = Array.make n true;
-    replayed = Array.make n false;
-    reach = Array.make n 0;
-    pex = Array.make (Int.max 1 (n - 1)) 1.;
-    pfresh = 1.;
-    snap = Array.init n (fun i -> Array.make (Int.max 0 (i - 1)) 0.);
-    snap_start = Array.make n 0.;
-    fp = Array.make n 0.;
-    pp = Array.make n 0.;
-    ms = Array.make (n + 1) 0.;
-    eval_valid = 0;
-    cursor = 0;
-    pend_lo = n;
-    pend_hi = -1;
-  }
-
-let n_tasks t = t.n
-let order t = Array.copy t.order
-let flags t = Array.copy t.flags
-let model t = t.model
-
-(* The lost-work matrix depends only on the DAG, order and flags — never on
-   the model — so rebinding lambda/downtime keeps every cached row and only
-   invalidates the evaluator recurrence. *)
-let set_model t model =
-  if model <> t.model then begin
-    t.model <- model;
-    t.eval_valid <- 0
-  end
-
-(* ---- visit-row bound -------------------------------------------------- *)
-
-(* V(x): no row k > V(x) can visit x during the lost-work DFS, under the
-   current flags. A task is visited either as the DFS start of its own
-   position (rows k <= pos x) or by recursion from a visited successor when
-   it is not checkpointed. Flipping the flag of [v] therefore only changes
-   rows k in (pos v, max over successors of V], because both v's own charge
-   and any recursion through v into its ancestors require v to be charged. *)
-let refresh_reach t =
-  for p = t.n - 1 downto 0 do
-    let x = t.order.(p) in
-    let m = ref p in
-    if not t.flags.(x) then
-      Array.iter
-        (fun y -> if t.reach.(y) > !m then m := t.reach.(y))
-        (Wfc_dag.Dag.succs_array t.g x);
-    t.reach.(x) <- !m
-  done
-
-let charge_bound t v =
-  let m = ref t.pos.(v) in
-  Array.iter
-    (fun y -> if t.reach.(y) > !m then m := t.reach.(y))
-    (Wfc_dag.Dag.succs_array t.g v);
-  !m
-
-let mark t ~p ~hi =
-  for k = p + 1 to hi do
-    t.row_dirty.(k) <- true
-  done;
-  if p < t.eval_valid then t.eval_valid <- p;
-  if p < t.pend_lo then t.pend_lo <- p;
-  if hi > t.pend_hi then t.pend_hi <- hi
-
-(* ---- evaluator steps -------------------------------------------------- *)
-
-let restore t p =
-  if p = 0 then begin
-    Array.fill t.pex 0 (Array.length t.pex) 1.;
-    t.pfresh <- 1.
-  end
-  else begin
-    (* rows >= p - 1 are (re)assigned at their creation step before any read,
-       so only the live prefix needs restoring *)
-    Array.blit t.snap.(p) 0 t.pex 0 (p - 1);
-    t.pfresh <- t.snap_start.(p)
-  end
-
-(* One position of the Theorem 3 recurrence, algebraically equal to
-   Evaluator.evaluate's loop body but with the expectation rearranged so each
-   fault row costs a single transcendental:
-
-     E[t(l + w; c; rf - l)] = K e^{lambda rf} (expm1 (lambda (w+c))
-                                               - expm1 (-lambda l))
-
-   for l <= rf (the common case; both summands are non-negative, so the form
-   is cancellation-free for any lambda), with K = 1/lambda + D. The row
-   probability reuses the same expm1: advancing a row multiplies its
-   exp (-lambda * seg) by exp (-lambda * (l + w + c)), and exp (-lambda * l)
-   is (expm1 (-lambda * l)) + 1 in the l <= rf branch and
-   1 / (expm1 (lambda * l) + 1) in the other. A row whose probability has
-   underflowed to 0. stays 0. (seg only grows) and is skipped outright. *)
-let step t i =
-  let snap_len = Int.max 0 (i - 1) in
-  Array.blit t.pex 0 t.snap.(i) 0 snap_len;
-  t.snap_start.(i) <- t.pfresh;
-  let v = t.order.(i) in
-  let w_i = t.weight.(v) in
-  let c_i = if t.flags.(v) then t.ckpt_cost.(v) else 0. in
-  let wc = w_i +. c_i in
-  let lambda = t.model.FM.lambda in
-  if lambda = 0. then begin
-    (* failure-free platform: every fault probability is zero, and pfresh
-       stays at exp 0 = 1, so no row state needs advancing *)
-    if i >= 1 then t.fp.(i - 1) <- 0.;
-    t.pp.(i) <- wc;
-    t.ms.(i + 1) <- t.ms.(i) +. wc
-  end
-  else begin
-    let kk = (1. /. lambda) +. t.model.FM.downtime in
-    let rf = t.lost.(i).(0) in
-    let am1 = Float.expm1 (lambda *. wc) in
-    let base = kk *. Float.exp (lambda *. rf) in
-    let a = am1 +. 1. in
-    let ewc = Float.exp (-.lambda *. wc) in
-    let pf = t.pfresh in
-    let e_xi = ref (if pf > 0. then pf *. (base *. am1) else 0.) in
-    let sum_p = ref pf in
-    let row = t.lost in
-    let fp = t.fp in
-    let pex = t.pex in
-    for k = 0 to i - 2 do
-      let px = Array.unsafe_get pex k in
-      if px > 0. then begin
-        let l = Array.unsafe_get (Array.unsafe_get row k) (i - k) in
-        let p = px *. Array.unsafe_get fp k in
-        sum_p := !sum_p +. p;
-        if l <= rf then begin
-          let u = Float.expm1 (-.lambda *. l) in
-          if p > 0. then e_xi := !e_xi +. (p *. (base *. (am1 -. u)));
-          Array.unsafe_set pex k (px *. (u +. 1.) *. ewc)
-        end
-        else begin
-          let x = Float.expm1 (lambda *. l) in
-          if p > 0. then e_xi := !e_xi +. (p *. (kk *. ((x *. a) +. am1)));
-          Array.unsafe_set pex k (px *. ewc /. (x +. 1.))
-        end
-      end
-    done;
-    if i >= 1 then begin
-      let p_last = Float.max 0. (1. -. !sum_p) in
-      t.fp.(i - 1) <- p_last;
-      let l = t.lost.(i - 1).(1) in
-      if l <= rf then begin
-        let u = Float.expm1 (-.lambda *. l) in
-        if p_last > 0. then e_xi := !e_xi +. (p_last *. (base *. (am1 -. u)));
-        t.pex.(i - 1) <- (u +. 1.) *. ewc
-      end
-      else begin
-        let x = Float.expm1 (lambda *. l) in
-        if p_last > 0. then
-          e_xi := !e_xi +. (p_last *. (kk *. ((x *. a) +. am1)));
-        t.pex.(i - 1) <- ewc /. (x +. 1.)
-      end
-    end;
-    t.pp.(i) <- !e_xi;
-    t.ms.(i + 1) <- t.ms.(i) +. !e_xi;
-    t.pfresh <- pf *. ewc
-  end
-
-let ensure t upto =
-  if t.eval_valid < upto then begin
-    let limit = upto - 1 in
-    let recomputed = ref 0 in
-    for k = 0 to limit do
-      if t.row_dirty.(k) then begin
-        Lost_work.compute_row_into t.g ~order:t.order ~pos:t.pos
-          ~checkpointed:t.flags ~weight:t.weight ~recovery:t.recovery
-          ~replayed:t.replayed ~k t.lost.(k);
-        t.row_dirty.(k) <- false;
-        incr recomputed
-      end
-    done;
-    let rewound = t.eval_valid < t.cursor in
-    if rewound then restore t t.eval_valid;
-    let steps = upto - t.eval_valid in
-    for i = t.eval_valid to limit do
-      step t i
-    done;
-    t.eval_valid <- upto;
-    t.cursor <- upto;
-    if Metrics.enabled () then begin
-      Metrics.incr m_queries;
-      Metrics.add m_rows_recomputed !recomputed;
-      Metrics.add m_row_hits (upto - !recomputed);
-      Metrics.add m_steps steps;
-      if rewound then Metrics.incr m_restores
-    end
-  end
-  else begin
-    Metrics.incr m_queries;
-    Metrics.incr m_query_hits
-  end
-
-(* ---- queries ---------------------------------------------------------- *)
-
-let makespan t =
-  ensure t t.n;
-  t.ms.(t.n)
-
-let prefix_makespan t ~upto =
-  if upto < 0 || upto > t.n then
-    invalid_arg "Eval_engine.prefix_makespan: position out of range";
-  ensure t upto;
-  t.ms.(upto)
-
-let suffix_makespan t ~from =
-  if from < 0 || from > t.n then
-    invalid_arg "Eval_engine.suffix_makespan: position out of range";
-  ensure t t.n;
-  t.ms.(t.n) -. t.ms.(from)
-
-let per_position t =
-  ensure t t.n;
-  Array.copy t.pp
-
-let fault_probability t =
-  ensure t t.n;
-  (* the loop only fills fp up to n-2; one virtual step past the last
-     position, exactly as in Evaluator.evaluate. With lambda = 0 every
-     fp.(k) is 0 and pfresh is 1, so this correctly yields 0. *)
-  if t.n >= 1 then begin
-    let sum_p = ref t.pfresh in
-    for k = 0 to t.n - 2 do
-      sum_p := !sum_p +. (t.pex.(k) *. t.fp.(k))
-    done;
-    t.fp.(t.n - 1) <- Float.max 0. (1. -. !sum_p)
-  end;
-  Array.copy t.fp
-
-(* ---- mutations -------------------------------------------------------- *)
-
-let apply_flip t v =
-  t.flags.(v) <- not t.flags.(v);
-  refresh_reach t;
-  mark t ~p:t.pos.(v) ~hi:(charge_bound t v)
-
-let flip t v =
-  if v < 0 || v >= t.n then invalid_arg "Eval_engine.flip: no such task";
-  Metrics.incr m_flips;
-  apply_flip t v;
-  makespan t
-
-let set_flag_at t ~pos:p b =
-  if p < 0 || p >= t.n then
-    invalid_arg "Eval_engine.set_flag_at: position out of range";
-  let v = t.order.(p) in
-  if t.flags.(v) <> b then begin
-    t.flags.(v) <- b;
-    (* conservative row bound: callers of the prefix API never evaluate past
-       their horizon, so the extra dirty rows are never recomputed *)
-    mark t ~p ~hi:(t.n - 1)
-  end
-
-let set_flags t target =
-  if Array.length target <> t.n then
-    invalid_arg "Eval_engine.set_flags: flags have the wrong size";
-  let diffs = ref 0 in
-  for v = 0 to t.n - 1 do
-    if target.(v) <> t.flags.(v) then incr diffs
-  done;
-  if !diffs > 4 then begin
-    (* many flips: one conservative interval beats per-flip reach bounds *)
-    let lo = ref t.n in
-    for v = 0 to t.n - 1 do
-      if target.(v) <> t.flags.(v) then begin
-        t.flags.(v) <- target.(v);
-        if t.pos.(v) < !lo then lo := t.pos.(v)
-      end
-    done;
-    refresh_reach t;
-    mark t ~p:!lo ~hi:(t.n - 1)
-  end
-  else
-    for v = 0 to t.n - 1 do
-      if target.(v) <> t.flags.(v) then apply_flip t v
-    done
-
-let commit t =
-  Array.blit t.flags 0 t.committed 0 t.n;
-  t.pend_lo <- t.n;
-  t.pend_hi <- -1
-
-let rollback t =
-  if t.pend_lo < t.n then begin
-    Array.blit t.committed 0 t.flags 0 t.n;
-    refresh_reach t;
-    mark t ~p:t.pend_lo ~hi:t.pend_hi;
-    t.pend_lo <- t.n;
-    t.pend_hi <- -1
-  end
-
-(* ---- backend dispatch ------------------------------------------------- *)
-
-(* The two engine representations behind one value, so search loops write a
-   single code path covering Incremental and Flat. Makespans are
-   bit-identical across the two (Flat_engine replays this engine's float
-   operations verbatim), which keeps every search decision — and therefore
-   every reported flag vector — backend-independent. *)
-(* A replicated schedule re-derives the lost-work matrix from surcharged
-   weights, so none of the incremental structure applies yet: the replicated
-   handle caches one full [Replication.evaluate] per flag vector and replays
-   the engines' prefix accounting on top. Replica counts are fixed for the
-   handle's lifetime, like the order. *)
+(* Search loops hold a handle so one code path covers the plain kernel and
+   replicated schedules. A replicated schedule re-derives the lost-work
+   matrix from surcharged weights, so none of the kernel's incremental
+   structure applies yet: the replicated handle caches one full
+   [Replication.evaluate] per flag vector and replays the kernel's prefix
+   accounting on top. Replica counts are fixed for the handle's lifetime,
+   like the order. *)
 type repl = {
   mutable p_model : FM.t;
   p_g : Wfc_dag.Dag.t;
@@ -432,7 +52,7 @@ let repl_makespan p =
   repl_ensure p;
   p.p_ms.(p.p_n)
 
-type handle = H_inc of t | H_flat of Flat_engine.t | H_repl of repl
+type handle = H_flat of Flat_engine.t | H_repl of repl
 
 let all_ones = Array.for_all (fun r -> r = 1)
 
@@ -471,20 +91,17 @@ let handle ?flags ?replicas ?replica_cost backend model g ~order =
           p_valid = false;
         }
       in
-      (* validate the order eagerly, like [create] *)
+      (* validate the order eagerly, like [Flat_engine.create] *)
       repl_ensure p;
       H_repl p
-  | Incremental -> H_inc (create ?flags model g ~order)
   | Flat -> H_flat (Flat_engine.create ?flags model g ~order)
 
 let h_makespan = function
-  | H_inc e -> makespan e
   | H_flat e -> Flat_engine.makespan e
   | H_repl p -> repl_makespan p
 
 let h_prefix_makespan h ~upto =
   match h with
-  | H_inc e -> prefix_makespan e ~upto
   | H_flat e -> Flat_engine.prefix_makespan e ~upto
   | H_repl p ->
       if upto < 0 || upto > p.p_n then
@@ -494,7 +111,6 @@ let h_prefix_makespan h ~upto =
 
 let h_suffix_makespan h ~from =
   match h with
-  | H_inc e -> suffix_makespan e ~from
   | H_flat e -> Flat_engine.suffix_makespan e ~from
   | H_repl p ->
       if from < 0 || from > p.p_n then
@@ -504,7 +120,6 @@ let h_suffix_makespan h ~from =
 
 let h_flip h v =
   match h with
-  | H_inc e -> flip e v
   | H_flat e -> Flat_engine.flip e v
   | H_repl p ->
       if v < 0 || v >= p.p_n then
@@ -515,7 +130,6 @@ let h_flip h v =
 
 let h_set_flag_at h ~pos b =
   match h with
-  | H_inc e -> set_flag_at e ~pos b
   | H_flat e -> Flat_engine.set_flag_at e ~pos b
   | H_repl p ->
       if pos < 0 || pos >= p.p_n then
@@ -528,7 +142,6 @@ let h_set_flag_at h ~pos b =
 
 let h_set_flags h target =
   match h with
-  | H_inc e -> set_flags e target
   | H_flat e -> Flat_engine.set_flags e target
   | H_repl p ->
       if Array.length target <> p.p_n then
@@ -539,12 +152,10 @@ let h_set_flags h target =
       end
 
 let h_commit = function
-  | H_inc e -> commit e
   | H_flat e -> Flat_engine.commit e
   | H_repl p -> Array.blit p.p_flags 0 p.p_committed 0 p.p_n
 
 let h_rollback = function
-  | H_inc e -> rollback e
   | H_flat e -> Flat_engine.rollback e
   | H_repl p ->
       if p.p_committed <> p.p_flags then begin
@@ -554,29 +165,25 @@ let h_rollback = function
 
 let h_set_model h m =
   match h with
-  | H_inc e -> set_model e m
   | H_flat e -> Flat_engine.set_model e m
   | H_repl p ->
       p.p_model <- m;
       p.p_valid <- false
 
 let h_order = function
-  | H_inc e -> order e
   | H_flat e -> Flat_engine.order e
   | H_repl p -> Array.copy p.p_order
 
 let h_flags = function
-  | H_inc e -> flags e
   | H_flat e -> Flat_engine.flags e
   | H_repl p -> Array.copy p.p_flags
 
 let h_n_tasks = function
-  | H_inc e -> n_tasks e
   | H_flat e -> Flat_engine.n_tasks e
   | H_repl p -> p.p_n
 
 let h_replicas = function
-  | H_inc _ | H_flat _ -> None
+  | H_flat _ -> None
   | H_repl p -> Some (Array.copy p.p_replicas)
 
 (* ---- batch evaluation ------------------------------------------------- *)
@@ -603,13 +210,12 @@ let batch_evaluate ?domains ?replicas ?replica_cost model g ~order candidates =
     let parts =
       Wfc_platform.Domain_pool.run ~domains:(Array.length slices) (fun s ->
           let start, len = slices.(s) in
-          Metrics.add m_batch len;
           match replicas with
           | None ->
-              let e = create model g ~order in
+              let e = Flat_engine.create model g ~order in
               Array.init len (fun j ->
-                  set_flags e cands.(start + j);
-                  makespan e)
+                  Flat_engine.set_flags e cands.(start + j);
+                  Flat_engine.makespan e)
           | Some r ->
               Array.init len (fun j ->
                   let sched =

@@ -1,130 +1,33 @@
-(** Incremental makespan evaluation for checkpoint search.
+(** Evaluation backends and engine handles for checkpoint search.
 
     {!Evaluator.evaluate} recomputes the full Theorem 3 recurrence — and the
-    whole {!Lost_work} matrix — from scratch on every call, which makes every
-    search loop (threshold sweeps, local search, branch-and-bound) pay
-    [O(n^2 + n |E|)] per candidate even when consecutive candidates differ by
-    a single checkpoint flag. This engine binds a fixed [(model, dag, order)]
-    triple and keeps both the replay matrix and the evaluator's running state
-    cached so that a one-flag change costs only the suffix it can affect:
+    whole {!Lost_work} matrix — from scratch on every call. The search
+    modules instead bind one {!Flat_engine} kernel to a fixed
+    [(model, dag, order)] triple and mutate its checkpoint flags, so a
+    one-flag change costs only the suffix it can affect. This module selects
+    between that kernel and the oracle, and wraps the kernel (or a
+    replicated schedule) behind one {!handle} type so every search loop is a
+    single code path.
 
-    - replay row [k] depends only on the flags of tasks at positions [< k],
-      so flipping the task at position [p] invalidates rows [> p] — and only
-      those up to a reachability bound computed from the DAG (a flipped task
-      is only ever charged to rows from which a successor's replay cone can
-      reach it);
-    - the evaluator's position [i] depends only on flags at positions [<= i],
-      so evaluation restarts at [p] from a per-position snapshot of the
-      segment sums instead of from position 0.
-
-    The expectation inner loop uses an [expm1]-based rearrangement of the
-    oracle's formula (one transcendental per fault row instead of four). The
-    results are therefore equal to {!Evaluator.expected_makespan} only up to
-    floating-point rearrangement — a relative [1e-12]-ish agreement, pinned
-    at [1e-9] by the differential test suite — not bit-identical. Searches
-    that must report oracle-exact numbers re-evaluate their final winner once
-    through {!Evaluator}.
-
-    For a fixed engine, [makespan] is a pure function of the current flag
-    vector: any interleaving of {!flip}, {!set_flags} and {!rollback} ending
+    For a fixed engine, the makespan is a pure function of the current flag
+    vector: any interleaving of flips, flag assignments and rollbacks ending
     in the same flags yields bit-identical results, which is what makes
     {!batch_evaluate} deterministic regardless of the domain split. *)
 
-type t
-
-type backend = Naive | Incremental | Flat
+type backend = Naive | Flat
 (** Selector used by the search modules: [Naive] calls {!Evaluator} per
-    candidate (the pre-engine behaviour), [Incremental] uses this engine,
-    [Flat] the {!Flat_engine} kernel (same semantics on flat buffers,
-    bit-identical makespans to [Incremental]). *)
+    candidate (the oracle-backed reference path), [Flat] uses the
+    {!Flat_engine} kernel. *)
 
 val backend_name : backend -> string
+
 val backend_of_string : string -> backend option
+(** Inverse of {!backend_name}, case-insensitive: ["naive"] or ["flat"]. *)
 
-val create :
-  ?flags:bool array ->
-  Wfc_platform.Failure_model.t ->
-  Wfc_dag.Dag.t ->
-  order:int array ->
-  t
-(** [create model g ~order] builds an engine for the given linearization,
-    with no checkpoints unless [flags] (indexed by task id, copied) says
-    otherwise. All caches start cold; the first query pays one full
-    evaluation.
-
-    @raise Invalid_argument if [order] is not a linearization of [g] or
-      [flags] has the wrong length. *)
-
-val n_tasks : t -> int
-val order : t -> int array
-val flags : t -> bool array
-(** Copies of the bound order and the current flag vector. *)
-
-val model : t -> Wfc_platform.Failure_model.t
-(** The currently bound failure model. *)
-
-val set_model : t -> Wfc_platform.Failure_model.t -> unit
-(** Rebinds the failure model, e.g. to a re-estimated lambda during adaptive
-    replanning. Cheap: the lost-work matrix is model-independent, so every
-    cached row survives and only the evaluator recurrence is invalidated
-    (the next query pays [O(n)] steps, no row recomputation). *)
-
-val makespan : t -> float
-(** Expected makespan under the current flags. Lazy: cost is proportional to
-    the dirty suffix, [O(1)] when nothing changed since the last query. *)
-
-val prefix_makespan : t -> upto:int -> float
-(** [prefix_makespan t ~upto] is the sum of [E(X_i)] for positions
-    [i < upto] — the exact prefix cost used by branch-and-bound. Only
-    validates caches up to [upto], so a depth-[i] tree node pays [O(n)]
-    instead of a full evaluation.
-
-    @raise Invalid_argument unless [0 <= upto <= n]. *)
-
-val suffix_makespan : t -> from:int -> float
-(** [suffix_makespan t ~from] is the sum of [E(X_i)] for positions
-    [i >= from] — the expected time to finish the schedule from position
-    [from] given the checkpoints recorded by the prefix flags. This is the
-    objective of a suffix replan: candidates sharing the prefix flags differ
-    only in these terms, so comparing suffixes is comparing makespans.
-
-    @raise Invalid_argument unless [0 <= from <= n]. *)
-
-val per_position : t -> float array
-(** [E(X_i)] by position, as {!Evaluator.per_position}. Fresh copy. *)
-
-val fault_probability : t -> float array
-(** [P(F(X_i))] by position, as {!Evaluator.fault_probability}. Fresh
-    copy. *)
-
-val flip : t -> int -> float
-(** [flip t v] toggles the checkpoint flag of task [v] and returns the new
-    expected makespan, revalidating only the affected suffix. *)
-
-val set_flag_at : t -> pos:int -> bool -> unit
-(** [set_flag_at t ~pos b] sets the flag of the task at position [pos]
-    without forcing any recomputation, invalidating conservatively (all rows
-    past [pos]). Meant for the branch-and-bound cursor, which only ever asks
-    for {!prefix_makespan} at horizons where the conservative and exact
-    invalidation agree. *)
-
-val set_flags : t -> bool array -> unit
-(** [set_flags t target] flips whatever differs between the current vector
-    and [target] (indexed by task id). Lazy like {!set_flag_at}. *)
-
-val commit : t -> unit
-(** Makes the current flags the rollback point. *)
-
-val rollback : t -> unit
-(** Restores the flags of the last {!commit} (or the creation flags),
-    invalidating only the span touched since then. *)
-
-(** {1 Backend dispatch}
+(** {1 Engine handles}
 
     Search loops hold a [handle] instead of a concrete engine so one code
-    path serves both engine-backed backends. Flat and Incremental handles
-    return bit-identical makespans for every flag vector, so search
-    decisions are backend-independent. *)
+    path serves plain and replicated schedules. *)
 
 type handle
 
@@ -143,10 +46,10 @@ val handle :
     {!Replication.default_cost}) with one full evaluation cached per flag
     vector — every [h_*] operation below keeps its meaning, replica counts
     stay fixed for the handle's lifetime. [replicas] absent or all-ones
-    builds the ordinary backend engine, bit-identical to before.
+    builds a plain {!Flat_engine}.
 
     @raise Invalid_argument on [Naive] (which has no engine state), or on
-      the conditions of {!create}. *)
+      the conditions of {!Flat_engine.create}. *)
 
 val h_makespan : handle -> float
 val h_prefix_makespan : handle -> upto:int -> float
@@ -160,12 +63,12 @@ val h_set_model : handle -> Wfc_platform.Failure_model.t -> unit
 val h_order : handle -> int array
 val h_flags : handle -> bool array
 val h_n_tasks : handle -> int
-(** Each [h_*] is the corresponding operation of the underlying engine
-    ({!flip}, {!set_flags}, … or their {!Flat_engine} counterparts). *)
+(** Each [h_*] is the corresponding {!Flat_engine} operation
+    ({!Flat_engine.flip}, {!Flat_engine.set_flags}, …). *)
 
 val h_replicas : handle -> int array option
-(** The per-task replica counts of a replicated handle, [None] for the
-    ordinary backends. *)
+(** The per-task replica counts of a replicated handle, [None] for a plain
+    kernel. *)
 
 val batch_evaluate :
   ?domains:int ->
@@ -180,7 +83,7 @@ val batch_evaluate :
     vector and returns their expected makespans in order, fanning the
     candidates across [domains] OCaml domains ({!Wfc_platform.Domain_pool},
     default {!Wfc_platform.Domain_pool.default_domains}). Each domain walks
-    its contiguous slice with a private engine, so the output is
+    its contiguous slice with a private {!Flat_engine}, so the output is
     bit-identical for every value of [domains]. With replicated [replicas]
     each candidate is scored by {!Replication.evaluate} instead (same
     determinism guarantee); all-ones [replicas] is the unchanged engine

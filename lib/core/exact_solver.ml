@@ -337,46 +337,31 @@ let flat_bnb ~max_nodes ~should_stop ~cancel ~domains ~dominance ~memo model g
   let makespan = Evaluator.expected_makespan model g schedule in
   ({ schedule; makespan; nodes }, status)
 
-(* ---- sequential search (naive and incremental backends) ---------------- *)
+(* ---- sequential search (naive backend) --------------------------------- *)
 
-let sequential_bnb ~max_nodes ~should_stop ~cancel ~backend model g ~order =
+let sequential_bnb ~max_nodes ~should_stop ~cancel model g ~order =
   let n = Array.length order in
   Trace.with_span "exact.bnb"
     ~args:
       [ ("n", string_of_int n);
-        ("backend", Eval_engine.backend_name backend) ]
+        ("backend", Eval_engine.backend_name Eval_engine.Naive) ]
   @@ fun () ->
   let tail = tail_bound model g ~order in
   let flags = Array.make n false in
   (* E[X_j] for j < i only depends on flags at positions < i, so evaluating
-     with the suffix left untouched yields exact prefix costs. The engine
-     backend keeps an incremental cursor over the search tree's flags: a
-     child evaluation at depth i then only re-runs position i instead of a
-     full evaluation, O(n) per node. *)
-  let engine =
-    match backend with
-    | Eval_engine.Naive | Eval_engine.Flat -> None
-    | Eval_engine.Incremental -> Some (Eval_engine.create model g ~order)
-  in
-  let set_flag p b =
-    flags.(order.(p)) <- b;
-    match engine with
-    | None -> ()
-    | Some e -> Eval_engine.set_flag_at e ~pos:p b
-  in
+     with the suffix left untouched yields exact prefix costs: one oracle
+     evaluation per child, the reference the flat search is pinned
+     against node for node. *)
+  let set_flag p b = flags.(order.(p)) <- b in
   let prefix_cost upto =
-    match engine with
-    | Some e -> Eval_engine.prefix_makespan e ~upto
-    | None ->
-        let r =
-          Evaluator.evaluate model g
-            (Schedule.make g ~order ~checkpointed:flags)
-        in
-        let acc = ref 0. in
-        for j = 0 to upto - 1 do
-          acc := !acc +. r.Evaluator.per_position.(j)
-        done;
-        !acc
+    let r =
+      Evaluator.evaluate model g (Schedule.make g ~order ~checkpointed:flags)
+    in
+    let acc = ref 0. in
+    for j = 0 to upto - 1 do
+      acc := !acc +. r.Evaluator.per_position.(j)
+    done;
+    !acc
   in
   (* warm start: best searched heuristic as the incumbent *)
   let incumbent_flags = ref (Array.make n false) in
@@ -446,19 +431,12 @@ let sequential_bnb ~max_nodes ~should_stop ~cancel ~backend model g ~order =
       (match status with `Optimal -> m_completed | `Budget_exhausted -> m_exhausted)
   end;
   let schedule = Schedule.make g ~order ~checkpointed:!incumbent_flags in
-  let makespan =
-    (* engine leaf costs differ from the oracle by rearrangement ulps; the
-       reported value is always the oracle's *)
-    match engine with
-    | None -> !incumbent
-    | Some _ -> Evaluator.expected_makespan model g schedule
-  in
-  ({ schedule; makespan; nodes = !nodes }, status)
+  ({ schedule; makespan = !incumbent; nodes = !nodes }, status)
 
 let optimal_checkpoints_within ?(max_nodes = 1_000_000)
     ?(should_stop = fun () -> false)
     ?(cancel = Wfc_platform.Cancel.never)
-    ?(backend = Eval_engine.Incremental) ?(domains = 1) ?(dominance = true)
+    ?(backend = Eval_engine.Flat) ?(domains = 1) ?(dominance = true)
     ?(memo = true) model g ~order =
   if domains < 1 then
     invalid_arg "Exact_solver.optimal_checkpoints: domains < 1";
@@ -468,8 +446,8 @@ let optimal_checkpoints_within ?(max_nodes = 1_000_000)
   | Eval_engine.Flat ->
       flat_bnb ~max_nodes ~should_stop ~cancel ~domains ~dominance ~memo model
         g ~order
-  | Eval_engine.Naive | Eval_engine.Incremental ->
-      sequential_bnb ~max_nodes ~should_stop ~cancel ~backend model g ~order
+  | Eval_engine.Naive ->
+      sequential_bnb ~max_nodes ~should_stop ~cancel model g ~order
 
 let optimal_checkpoints ?max_nodes ?cancel ?backend ?domains ?dominance ?memo
     model g ~order =

@@ -51,11 +51,12 @@ val optimal_checkpoints_within :
     incumbent. Use [should_stop] for "give me your best under a budget",
     [cancel] for "stop computing, the caller no longer wants any answer".
 
-    [backend] (default [Incremental]) selects how prefix costs are computed:
-    an {!Eval_engine} cursor tracking the tree's flag assignments
-    ({!Eval_engine.prefix_makespan} — [O(n)] per node), a full
-    {!Evaluator.evaluate} per child ([Naive]), or the {!Flat_engine} kernel
-    ([Flat]). The reported makespan is an oracle value in all cases.
+    [backend] (default [Flat]) selects how prefix costs are computed: a
+    {!Flat_engine} cursor tracking the tree's flag assignments
+    ({!Flat_engine.prefix_makespan} — [O(n)] per node), or a full
+    {!Evaluator.evaluate} per child in a sequential search ([Naive], the
+    reference path). The reported makespan is an oracle value in both
+    cases.
 
     The remaining options apply to the [Flat] backend only (ignored
     otherwise):
@@ -75,7 +76,7 @@ val optimal_checkpoints_within :
       warm-start incumbent candidates when an equal frontier recurs.
 
     With [~domains:1 ~dominance:false ~memo:false], the flat search expands
-    exactly the same nodes in the same order as the sequential engine
+    exactly the same nodes in the same order as the sequential [Naive]
     search — the parity configuration used by the test suite.
 
     @raise Invalid_argument if [order] is not a linearization of [g] or

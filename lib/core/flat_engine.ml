@@ -2,7 +2,9 @@ module FM = Wfc_platform.Failure_model
 module Metrics = Wfc_obs.Metrics
 module A1 = Bigarray.Array1
 
-(* Kernel observability, flushed once per [ensure] like Eval_engine's. *)
+(* Kernel observability. Counters are staged in the engine and flushed once
+   per [ensure] (never per row or per inner-loop iteration), so a disabled
+   layer costs one atomic load and branch on the query path. *)
 let m_queries = Metrics.counter "flat.queries"
 let m_rows = Metrics.counter "flat.rows_rebuilt"
 let m_expm1 = Metrics.counter "flat.expm1_calls"
@@ -10,6 +12,13 @@ let m_steps = Metrics.counter "flat.steps"
 let m_flips = Metrics.counter "flat.flips"
 
 type vec = FM.vec
+
+(* Task ids, positions and journal offsets stored per replay-matrix entry
+   or per journal slot: Θ(n²) of them on dense DAGs, so they are kept at
+   32 bits (n is far below 2^31). Reads and writes unbox in native code. *)
+type ivec = (int32, Bigarray.int32_elt, Bigarray.c_layout) A1.t
+
+let ivec len = A1.create Bigarray.Int32 Bigarray.C_layout (Int.max 1 len)
 
 (* Everything float lives on contiguous float64 buffers; everything the hot
    loops mutate that is not a buffer element is an immediate int or bool.
@@ -42,27 +51,20 @@ type t = {
   ewc_off : float array;
   flags : bool array; (* by task, current (possibly uncommitted) *)
   committed : bool array;
-  (* replay matrix in transposed triangular storage: entry (k, i) for
-     k <= i sits at coloff.(i) + k, so the step-i inner loop over fault
-     rows k walks one contiguous span. [u]/[x] cache
-     expm1 (-+ lambda * lost) per entry, computed batched at row-rebuild
-     time: the step loop itself runs transcendental-free. *)
+  (* replay matrix in transposed skyline storage. Column i (the entries
+     (k, i) the step-i loop reads) keeps only rows [col_lo mp_pos i, i]:
+     the step skips the structural-zero head below that, and every entry
+     the rebuild writes lies inside it (see [mp_pos]). Entry (k, i) sits at
+     coloff.(i) + k, where coloff.(i) is the column's virtual base (its
+     skyline offset minus its first row), so the step-i inner loop over
+     fault rows k walks one contiguous span. [u]/[x] cache
+     expm1 (-+ lambda * lost) per entry, computed at row-rebuild time: the
+     step loop itself runs transcendental-free. *)
   lt : vec;
   u : vec;
   x : vec;
   e_rf : vec; (* by row i: exp (lambda * lost (i, i)) *)
-  (* one-deep previous-value cache per entry: the lost value each slot held
-     before its last change, with the transforms that were computed for it.
-     When a rebuild lands back on the cached value (flip/rollback cycles,
-     local-search revert trials) the transforms are swapped in instead of
-     recomputed — bit-identical, since expm1/exp are functions of the input
-     bits. [lt_prev] starts as (and is invalidated to) NaN, which compares
-     equal to nothing. *)
-  lt_prev : vec;
-  u_prev : vec;
-  x_prev : vec;
-  e_rf_prev : vec;
-  coloff : int array; (* length n + 1; coloff.(n) = slot count *)
+  coloff : int array; (* virtual column bases *)
   row_dirty : bool array;
   mutable trans_valid : bool; (* u/x/e_rf match the current lambda *)
   (* Structural sparsity of the replay matrix. Entry (k, i) is trivially
@@ -77,7 +79,7 @@ type t = {
      walks exactly the entries that can ever be non-zero. *)
   mp_pos : int array; (* by position *)
   nz_off : int array; (* length n + 1 *)
-  nz_col : int array; (* columns i of row k, ascending, at nz_off.(k).. *)
+  nz_col : ivec; (* columns i of row k, ascending, at nz_off.(k).. *)
   replayed : int array; (* DFS scratch: task visited iff slot = dfs_epoch *)
   mutable dfs_epoch : int;
   (* Selective rebuild. Each row keeps a journal of its last DFS: the tasks
@@ -99,22 +101,32 @@ type t = {
 
      The log is reset whenever every row is clean (the steady flip/query
      state), and saturates into full rebuilds if it overflows. *)
-  vl : int array array; (* row k: tasks visited by the last DFS, in order *)
+  vl : ivec array; (* row k: tasks visited by the last DFS, in order *)
   vl_len : int array;
-  es : int array; (* per CSR slot: offset of the entry's segment in vl *)
+  es : ivec; (* per CSR slot: offset of the entry's segment in vl *)
   chg_log : int array;
   chg_scratch : int array; (* rebuild_row's pending filter, log-sized *)
   mutable chg_len : int;
   mutable log_sat : bool;
   mutable n_dirty : int;
   row_wm : int array;
-  reach : int array; (* visit-row bound V(x), as Eval_engine *)
+  (* V(x): no row k > V(x) can visit x during the replay DFS, under the
+     current flags. A task is visited either as the DFS start of its own
+     position (rows k <= pos x) or by recursion from a visited successor
+     when it is not checkpointed. Flipping the flag of [v] therefore only
+     changes rows k in (pos v, max over successors of V], because both v's
+     own charge and any recursion through v into its ancestors require v to
+     be charged. *)
+  reach : int array;
   mutable reach_dirty : int;
       (* highest position whose reach entry may be stale (-1 = clean).
          set_flag_at only records staleness here: the branch-and-bound never
          reads reach, so it must not pay for refreshing it. apply_flip heals
          up to the watermark before consulting charge_bound. *)
-  (* evaluator state, layouts as Eval_engine but flattened *)
+  (* evaluator state: positions [0, eval_valid) are up to date.
+     pex.(k) = exp (-lambda * seg(k)) where seg(k) is the separating work of
+     fault row k, as in Evaluator — kept as a running product so advancing a
+     row costs no transcendental *)
   pex : vec;
   (* evaluation-restart snapshots of the [pex] prefix, kept sparse: only
      positions that are multiples of 8 get a slot (snapoff.(i), length
@@ -135,7 +147,11 @@ type t = {
   scal : float array; (* 0: pfresh; 1: e_xi; 2: sum_p; 3: DFS acc *)
   iscal : int array; (* 0: DFS stack ptr; 1: int acc; 2: journal cursor *)
   mutable eval_valid : int;
+  (* the position whose start-of-step state [pex]/[scal.(0)] currently
+     holds; always >= eval_valid. A snapshot restore is only needed (and
+     only sound) when rewinding, i.e. eval_valid < cursor *)
   mutable cursor : int;
+  (* span of uncommitted flips: positions > pend_lo may hold dirty state *)
   mutable pend_lo : int;
   mutable pend_hi : int;
   (* counter staging, flushed per ensure when metrics are enabled *)
@@ -144,13 +160,14 @@ type t = {
   mutable c_steps : int;
 }
 
+(* First stored row of column i: the step reads rows above
+   min mp_pos.(i) (i - 2), and the rebuild writes rows above mp_pos.(i). *)
+let col_lo mp_pos i = Int.max 0 (Int.min mp_pos.(i) (i - 2) + 1)
+
 let vec len =
   let v = A1.create Bigarray.Float64 Bigarray.C_layout (Int.max 1 len) in
   A1.fill v 0.;
   v
-
-(* uninitialized variant for scratch only ever read after being written *)
-let vec_raw len = A1.create Bigarray.Float64 Bigarray.C_layout (Int.max 1 len)
 
 let refresh_tables t =
   let lambda = t.model.FM.lambda in
@@ -158,8 +175,6 @@ let refresh_tables t =
     for v = 0 to t.n - 1 do
       let w = t.weight.(v) in
       let wc = w +. t.ckpt_cost.(v) in
-      (* same expressions as Eval_engine.step evaluates inline, so the cached
-         values are bit-identical to its per-step recomputation *)
       t.am1_off.(v) <- Float.expm1 (lambda *. w);
       t.am1_on.(v) <- Float.expm1 (lambda *. wc);
       t.ewc_off.(v) <- Float.exp (-.lambda *. w);
@@ -203,10 +218,6 @@ let create ?flags model g ~order =
           invalid_arg "Flat_engine.create: flags have the wrong size";
         Array.copy f
   in
-  let coloff = Array.make (n + 1) 0 in
-  for i = 1 to n do
-    coloff.(i) <- coloff.(i - 1) + i
-  done;
   let snapoff = Array.make (n + 1) 0 in
   for i = 1 to n do
     snapoff.(i) <-
@@ -220,6 +231,14 @@ let create ?flags model g ~order =
           max_int
           (Wfc_dag.Dag.preds_array g order.(i)))
   in
+  let coloff = Array.make n 0 in
+  let nslots = ref 0 in
+  for i = 0 to n - 1 do
+    let lo = col_lo mp_pos i in
+    coloff.(i) <- !nslots - lo;
+    nslots := !nslots + (i - lo + 1)
+  done;
+  let nslots = !nslots in
   (* CSR of the non-trivial entries: column i appears in rows
      mp_pos.(i) + 1 .. i, filled with i ascending so each row list is
      sorted by column. *)
@@ -233,12 +252,12 @@ let create ?flags model g ~order =
   for k = 0 to n - 1 do
     nz_off.(k + 1) <- nz_off.(k) + nz_off.(k + 1)
   done;
-  let nz_col = Array.make (Int.max 1 nz_off.(n)) 0 in
+  let nz_col = ivec nz_off.(n) in
   let fill = Array.copy nz_off in
   for i = 0 to n - 1 do
     if mp_pos.(i) < i then
       for k = mp_pos.(i) + 1 to i do
-        nz_col.(fill.(k)) <- i;
+        A1.set nz_col fill.(k) (Int32.of_int i);
         fill.(k) <- fill.(k) + 1
       done
   done;
@@ -271,19 +290,13 @@ let create ?flags model g ~order =
       ewc_off = Array.make n 0.;
       flags;
       committed = Array.copy flags;
-      lt = vec coloff.(n);
-      u = vec coloff.(n);
-      x = vec coloff.(n);
+      lt = vec nslots;
+      u = vec nslots;
+      x = vec nslots;
       (* exp (lambda * 0) for the zero matrix the lt buffer starts as, so the
          unchanged-diagonal skip in rebuild_row is correct from the first
          build on *)
       e_rf = (let v = vec n in A1.fill v 1.; v);
-      lt_prev = (let v = vec_raw coloff.(n) in A1.fill v Float.nan; v);
-      (* a NaN in lt_prev guards every read of the paired slots, so their
-         initial contents never escape *)
-      u_prev = vec_raw coloff.(n);
-      x_prev = vec_raw coloff.(n);
-      e_rf_prev = vec_raw n;
       coloff;
       row_dirty = Array.make n true;
       trans_valid = true;
@@ -292,9 +305,9 @@ let create ?flags model g ~order =
       nz_col;
       replayed = Array.make n (-1);
       dfs_epoch = 0;
-      vl = Array.init n (fun k -> Array.make (Int.max 1 k) 0);
+      vl = Array.init n ivec;
       vl_len = Array.make n 0;
-      es = Array.make (Int.max 1 nz_off.(n)) 0;
+      es = ivec nz_off.(n);
       chg_log = Array.make 64 0;
       chg_scratch = Array.make 64 0;
       chg_len = 0;
@@ -343,7 +356,7 @@ let set_model t model =
     t.eval_valid <- 0
   end
 
-(* ---- visit-row bound, as Eval_engine but closure-free ------------------ *)
+(* ---- visit-row bound ---------------------------------------------------- *)
 
 let charge_bound t v =
   let iscal = t.iscal in
@@ -409,7 +422,10 @@ let mark t ~p ~hi ~wm =
      value that compares equal to the cached one is the same bits (the
      matrix never holds [-0.]), and the expm1 transforms of an unchanged
      entry — pure functions of those bits — are still valid: only entries
-     that actually changed pay transcendental calls. *)
+     that actually changed pay transcendental calls.
+
+   Every entry written here lies in its column's skyline: a non-trivial
+   entry (k, i) has k > mp_pos.(i) >= col_lo mp_pos i - 1. *)
 (* Fused pending-scan / prefix-replay pass: walk the journal from offset
    [o] looking for the first occurrence of a pending task, marking every
    entry passed over as already-visited under epoch [ep]. On a hit the
@@ -418,20 +434,20 @@ let mark t ~p ~hi ~wm =
    stray marks die with the epoch. One journal load serves both the scan
    and the replay. The one- and two-pending cases (single flip; local-search
    revert + next trial) are specialized so the compare rides registers. *)
-let rec scan_mark1 (vl : int array) (rp : int array) ep v1 o len =
+let rec scan_mark1 (vl : ivec) (rp : int array) ep v1 o len =
   if o >= len then len
   else
-    let u = Array.unsafe_get vl o in
+    let u = Int32.to_int (A1.unsafe_get vl o) in
     if u = v1 then o
     else begin
       Array.unsafe_set rp u ep;
       scan_mark1 vl rp ep v1 (o + 1) len
     end
 
-let rec scan_mark2 (vl : int array) (rp : int array) ep v1 v2 o len =
+let rec scan_mark2 (vl : ivec) (rp : int array) ep v1 v2 o len =
   if o >= len then len
   else
-    let u = Array.unsafe_get vl o in
+    let u = Int32.to_int (A1.unsafe_get vl o) in
     if u = v1 || u = v2 then o
     else begin
       Array.unsafe_set rp u ep;
@@ -441,11 +457,10 @@ let rec scan_mark2 (vl : int array) (rp : int array) ep v1 v2 o len =
 let rec memb (ps : int array) u j pc =
   j < pc && (Array.unsafe_get ps j = u || memb ps u (j + 1) pc)
 
-let rec scan_markn (vl : int array) (rp : int array) ep (ps : int array) pc o
-    len =
+let rec scan_markn (vl : ivec) (rp : int array) ep (ps : int array) pc o len =
   if o >= len then len
   else
-    let u = Array.unsafe_get vl o in
+    let u = Int32.to_int (A1.unsafe_get vl o) in
     if memb ps u 0 pc then o
     else begin
       Array.unsafe_set rp u ep;
@@ -453,8 +468,9 @@ let rec scan_markn (vl : int array) (rp : int array) ep (ps : int array) pc o
     end
 
 (* CSR slot in [e, b1) whose journal segment contains offset o *)
-let rec seg_of (es : int array) e b1 o =
-  if e + 1 < b1 && Array.unsafe_get es (e + 1) <= o then seg_of es (e + 1) b1 o
+let rec seg_of (es : ivec) e b1 o =
+  if e + 1 < b1 && Int32.to_int (A1.unsafe_get es (e + 1)) <= o then
+    seg_of es (e + 1) b1 o
   else e
 
 (* Pre-order replay DFS over the flattened predecessor CSR. [pi, pend) is
@@ -467,7 +483,7 @@ let rec seg_of (es : int array) e b1 o =
    charged when first reached, and a non-checkpointed one is descended
    into immediately, before its later siblings. *)
 let rec dfs t (pf : int array) (pos : int array) (rp : int array)
-    (vl : int array) k ep pi pend sp =
+    (vl : ivec) k ep pi pend sp =
   if pi >= pend then begin
     if sp > 0 then
       let sp = sp - 1 in
@@ -482,7 +498,7 @@ let rec dfs t (pf : int array) (pos : int array) (rp : int array)
     if Array.unsafe_get pos uu < k && Array.unsafe_get rp uu <> ep then begin
       Array.unsafe_set rp uu ep;
       let c = Array.unsafe_get t.iscal 2 in
-      Array.unsafe_set vl c uu;
+      A1.unsafe_set vl c (Int32.of_int uu);
       Array.unsafe_set t.iscal 2 (c + 1);
       if Array.unsafe_get t.flags uu then begin
         Array.unsafe_set t.scal 3
@@ -550,29 +566,30 @@ let rebuild_row t k =
     and iscal = t.iscal
     and lt = t.lt
     and uvec = t.u
-    and xvec = t.x
-    and lt_prev = t.lt_prev
-    and u_prev = t.u_prev
-    and x_prev = t.x_prev in
+    and xvec = t.x in
     let lambda = t.model.FM.lambda in
     (* entries before [start] never consulted a pending flag, so their visit
        marks (and values) carry over. The fused scan already wrote epoch
        marks up to the hit offset; a full pass ([wm] < 0) marks the prefix
        here, a partial one only needs the overshoot into the restart
        segment unmarked (the restart re-visits those tasks itself). *)
-    let pre = if start = b0 then 0 else Array.unsafe_get es start in
+    let pre =
+      if start = b0 then 0 else Int32.to_int (A1.unsafe_get es start)
+    in
     if marked = 0 then
       for o = 0 to pre - 1 do
-        Array.unsafe_set replayed (Array.unsafe_get vl o) ep
+        Array.unsafe_set replayed (Int32.to_int (A1.unsafe_get vl o)) ep
       done
     else
       for o = pre to marked - 1 do
-        Array.unsafe_set replayed (Array.unsafe_get vl o) (ep - 1)
+        Array.unsafe_set replayed
+          (Int32.to_int (A1.unsafe_get vl o))
+          (ep - 1)
       done;
     iscal.(2) <- pre;
     for idx = start to b1 - 1 do
-      let i = Array.unsafe_get nz_col idx in
-      Array.unsafe_set es idx iscal.(2);
+      let i = Int32.to_int (A1.unsafe_get nz_col idx) in
+      A1.unsafe_set es idx (Int32.of_int iscal.(2));
       scal.(3) <- 0.;
       let rt = Array.unsafe_get order i in
       dfs t pre_flat pos replayed vl k ep
@@ -582,33 +599,12 @@ let rebuild_row t k =
       let s = coloff.(i) + k in
       let nv = scal.(3) in
       if not (nv = A1.unsafe_get lt s) then begin
-        if lambda > 0. then
-          if nv = A1.unsafe_get lt_prev s then begin
-            (* the slot bounced back to its previous value: the cached
-               transforms are the exact bits a fresh expm1 would produce *)
-            let cu = A1.unsafe_get uvec s and cx = A1.unsafe_get xvec s in
-            A1.unsafe_set uvec s (A1.unsafe_get u_prev s);
-            A1.unsafe_set xvec s (A1.unsafe_get x_prev s);
-            A1.unsafe_set u_prev s cu;
-            A1.unsafe_set x_prev s cx;
-            if i = k then begin
-              let ce = A1.unsafe_get t.e_rf k in
-              A1.unsafe_set t.e_rf k (A1.unsafe_get t.e_rf_prev k);
-              A1.unsafe_set t.e_rf_prev k ce
-            end
-          end
-          else begin
-            A1.unsafe_set u_prev s (A1.unsafe_get uvec s);
-            A1.unsafe_set x_prev s (A1.unsafe_get xvec s);
-            A1.unsafe_set uvec s (Float.expm1 (-.lambda *. nv));
-            A1.unsafe_set xvec s (Float.expm1 (lambda *. nv));
-            t.c_expm1 <- t.c_expm1 + 2;
-            if i = k then begin
-              A1.unsafe_set t.e_rf_prev k (A1.unsafe_get t.e_rf k);
-              A1.unsafe_set t.e_rf k (Float.exp (lambda *. nv))
-            end
-          end;
-        A1.unsafe_set lt_prev s (A1.unsafe_get lt s);
+        if lambda > 0. then begin
+          A1.unsafe_set uvec s (Float.expm1 (-.lambda *. nv));
+          A1.unsafe_set xvec s (Float.expm1 (lambda *. nv));
+          t.c_expm1 <- t.c_expm1 + 2;
+          if i = k then A1.unsafe_set t.e_rf k (Float.exp (lambda *. nv))
+        end;
         A1.unsafe_set lt s nv
       end
     done;
@@ -617,13 +613,10 @@ let rebuild_row t k =
   end
 
 (* Rebinding lambda keeps every replay value: one batched sweep over the
-   whole triangle refreshes the cached transforms. *)
+   whole skyline refreshes the cached transforms. *)
 let refresh_trans t =
-  let nslots = t.coloff.(t.n) in
+  let nslots = A1.dim t.lt in
   FM.expm1_span t.model ~lost:t.lt ~u:t.u ~x:t.x ~lo:0 ~len:nslots;
-  (* the prev-value cache pairs lost values with transforms for the *old*
-     lambda: poison it so no stale pair can be swapped back in *)
-  A1.fill t.lt_prev Float.nan;
   t.c_expm1 <- t.c_expm1 + (2 * nslots);
   let lambda = t.model.FM.lambda in
   for i = 0 to t.n - 1 do
@@ -649,12 +642,22 @@ let restore t p =
     t.scal.(0) <- A1.unsafe_get t.snap_start p
   end
 
-(* The Theorem 3 step of Eval_engine.step, same operation order term for
-   term — the difference is only where each value comes from: the expm1
-   transforms are read from the row caches instead of being recomputed, so
-   the loop does no transcendental work. Bit-identical results by
-   construction (cached values are the same bits the inline calls produce,
-   and float-array stores round-trip doubles exactly). *)
+(* One position of the Theorem 3 recurrence, algebraically equal to
+   Evaluator.evaluate's loop body but with the expectation rearranged so each
+   fault row needs a single transcendental:
+
+     E[t(l + w; c; rf - l)] = K e^{lambda rf} (expm1 (lambda (w+c))
+                                               - expm1 (-lambda l))
+
+   for l <= rf (the common case; both summands are non-negative, so the form
+   is cancellation-free for any lambda), with K = 1/lambda + D. The row
+   probability reuses the same expm1: advancing a row multiplies its
+   exp (-lambda * seg) by exp (-lambda * (l + w + c)), and exp (-lambda * l)
+   is (expm1 (-lambda * l)) + 1 in the l <= rf branch and
+   1 / (expm1 (lambda * l) + 1) in the other. Those transforms are read from
+   the per-entry caches, so the loop itself does no transcendental work; the
+   results agree with the oracle up to floating-point rearrangement (pinned
+   at 1e-9 by the differential suites). *)
 let step t i =
   let real_snap = i land 7 = 0 in
   let snap = if real_snap then t.snap else t.snap_null in
@@ -941,7 +944,8 @@ let lost_entry t ~last_fault:k ~position:i =
     invalid_arg
       (Printf.sprintf "Flat_engine.lost_entry: invalid pair k=%d i=%d" k i);
   ensure t (i + 1);
-  A1.get t.lt (t.coloff.(i) + k)
+  (* rows below the column's skyline are structural zeros *)
+  if k < col_lo t.mp_pos i then 0. else A1.get t.lt (t.coloff.(i) + k)
 
 (* ---- mutations --------------------------------------------------------- *)
 

@@ -1,14 +1,30 @@
-(** Flat-memory incremental evaluator: {!Eval_engine} semantics at hardware
-    speed.
+(** Incremental makespan evaluation for checkpoint search: the one
+    evaluation engine behind every search.
 
-    Same contract as {!Eval_engine} — bind a [(model, dag, order)] triple,
-    mutate checkpoint flags, query Theorem 3 makespans lazily — with the hot
-    state rebuilt for the machine instead of the garbage collector:
+    {!Evaluator.evaluate} recomputes the full Theorem 3 recurrence — and the
+    whole {!Lost_work} matrix — from scratch on every call. This engine
+    binds a fixed [(model, dag, order)] triple and keeps both the replay
+    matrix and the recurrence state cached, so a one-flag change costs only
+    the suffix it can affect:
+
+    - replay row [k] depends only on the flags of tasks at positions [< k],
+      so flipping the task at position [p] invalidates rows [> p] — and only
+      those up to a reachability bound computed from the DAG;
+    - position [i] of the recurrence depends only on flags at positions
+      [<= i], so evaluation restarts at [p] from a snapshot instead of from
+      position 0.
+
+    The hot state is laid out for the machine instead of the garbage
+    collector:
 
     - the replay matrix, per-row survival products, snapshots and prefix
       sums live on contiguous [Bigarray.float64] buffers; the matrix is
-      stored transposed (entry [(k, i)] at [i*(i+1)/2 + k]) so the step-[i]
-      fault-row loop walks one contiguous span;
+      stored transposed, column by column, so the step-[i] fault-row loop
+      walks one contiguous span. Column [i] keeps only its skyline, the
+      fault rows [k] from the position after its task's earliest direct
+      predecessor (at the latest [i - 1]) up to [i]: every entry of an
+      earlier row is a structural zero that the kernel never reads or
+      writes;
     - each matrix entry carries its two cached [expm1] transforms, filled by
       a batched row-wise sweep ({!Wfc_platform.Failure_model.expm1_span}) at
       row-rebuild time, so the recurrence inner loop — the code executed
@@ -18,12 +34,16 @@
       {!prefix_makespan} path allocates nothing, which the micro bench
       asserts in minor words per flip.
 
-    Results are bit-identical to {!Eval_engine} for every query on every
-    flag vector (the step executes the same float operations in the same
-    order; only the source of each transform changes), hence equal to the
-    {!Evaluator} oracle up to the same [1e-9] pinned by the differential
-    suites. Searches that must report oracle-exact numbers re-evaluate their
-    winner through {!Evaluator}, exactly as with {!Eval_engine}. *)
+    The expectation inner loop uses an [expm1]-based rearrangement of the
+    oracle's formula, so results equal {!Evaluator.expected_makespan} only
+    up to floating-point rearrangement — pinned at [1e-9] by the
+    differential suites — not bit for bit. Searches that must report
+    oracle-exact numbers re-evaluate their winner through {!Evaluator}.
+
+    For a fixed engine, every query is a pure function of the current flag
+    vector: any interleaving of {!flip}, {!set_flags}, {!set_flag_at} and
+    {!rollback} ending in the same flags yields results bit-identical to a
+    fresh engine created with those flags. *)
 
 type t
 
@@ -33,8 +53,10 @@ val create :
   Wfc_dag.Dag.t ->
   order:int array ->
   t
-(** As {!Eval_engine.create}. All caches cold; the first query pays one full
-    evaluation (and the batched transform fill).
+(** [create model g ~order] builds an engine for the given linearization,
+    with no checkpoints unless [flags] (indexed by task id, copied) says
+    otherwise. All caches cold; the first query pays one full evaluation
+    (and the batched transform fill).
 
     @raise Invalid_argument if [order] is not a linearization of [g] or
       [flags] has the wrong length. *)
@@ -42,6 +64,8 @@ val create :
 val n_tasks : t -> int
 val order : t -> int array
 val flags : t -> bool array
+(** Copies of the bound order and the current flag vector. *)
+
 val model : t -> Wfc_platform.Failure_model.t
 
 val set_model : t -> Wfc_platform.Failure_model.t -> unit
@@ -50,11 +74,31 @@ val set_model : t -> Wfc_platform.Failure_model.t -> unit
     the whole triangle on the next query (no row recomputation). *)
 
 val makespan : t -> float
+(** Expected makespan under the current flags. Lazy: cost is proportional
+    to the dirty suffix, [O(1)] when nothing changed since the last
+    query. *)
+
 val prefix_makespan : t -> upto:int -> float
+(** [prefix_makespan t ~upto] is the sum of [E(X_i)] for positions
+    [i < upto] — the exact prefix cost used by branch-and-bound. Only
+    validates caches up to [upto], so a depth-[i] tree node pays [O(n)]
+    instead of a full evaluation.
+
+    @raise Invalid_argument unless [0 <= upto <= n]. *)
+
 val suffix_makespan : t -> from:int -> float
+(** [suffix_makespan t ~from] is the sum of [E(X_i)] for positions
+    [i >= from] — the objective of a suffix replan: candidates sharing the
+    prefix flags differ only in these terms.
+
+    @raise Invalid_argument unless [0 <= from <= n]. *)
+
 val per_position : t -> float array
+(** [E(X_i)] by position, as {!Evaluator.per_position}. Fresh copy. *)
+
 val fault_probability : t -> float array
-(** As the {!Eval_engine} queries, bit-identical results. *)
+(** [P(F(X_i))] by position, as {!Evaluator.fault_probability}. Fresh
+    copy. *)
 
 val flip : t -> int -> float
 (** [flip t v] toggles task [v]'s flag and returns the new makespan. *)
@@ -71,15 +115,28 @@ val current_makespan : t -> float
     {!suffix_makespan}; does not itself validate anything. *)
 
 val set_flag_at : t -> pos:int -> bool -> unit
+(** [set_flag_at t ~pos b] sets the flag of the task at position [pos]
+    without forcing any recomputation, invalidating conservatively (all rows
+    past [pos]). Meant for the branch-and-bound cursor, which only ever asks
+    for {!prefix_makespan} at horizons where the conservative and exact
+    invalidation agree. *)
+
 val set_flags : t -> bool array -> unit
+(** [set_flags t target] flips whatever differs between the current vector
+    and [target] (indexed by task id). Lazy like {!set_flag_at}. *)
+
 val commit : t -> unit
+(** Makes the current flags the rollback point. *)
+
 val rollback : t -> unit
-(** As the {!Eval_engine} mutations. *)
+(** Restores the flags of the last {!commit} (or the creation flags),
+    invalidating only the span touched since then. *)
 
 val lost_entry : t -> last_fault:int -> position:int -> float
 (** [lost_entry t ~last_fault:k ~position:i] is the replay value the kernel
     holds for fault row [k] at position [i] (validating rows up to [i]
-    first) — bit-identical to {!Lost_work.replay_time} on the same flags.
-    Test and introspection hook, not a hot-path API.
+    first) — bit-identical to {!Lost_work.replay_time} on the same flags,
+    including the structural zeros below the column's stored skyline. Test
+    and introspection hook, not a hot-path API.
 
     @raise Invalid_argument unless [0 <= k <= i < n]. *)

@@ -156,7 +156,7 @@ let record_outcome ckpt (o : outcome) =
   end;
   o
 
-let run ?(search = Exhaustive) ?(backend = Eval_engine.Incremental) ?rand
+let run ?(search = Exhaustive) ?(backend = Eval_engine.Flat) ?rand
     ?engine ?(cancel = Wfc_platform.Cancel.never) model g ~lin ~ckpt =
   Wfc_obs.Trace.with_span "heuristics.run" ~args:[ ("heuristic", name lin ckpt) ]
   @@ fun () ->
@@ -217,15 +217,14 @@ let run ?(search = Exhaustive) ?(backend = Eval_engine.Incremental) ?rand
                 | _ -> best := Some (m, n_ckpt))
               counts;
             snd (Option.get !best)
-        | Eval_engine.Incremental | Eval_engine.Flat ->
+        | Eval_engine.Flat ->
             (* one engine across the sweep: consecutive candidate flag
                vectors differ in a handful of tasks, so each step costs a
-               suffix re-evaluation instead of a full one. Flat and
-               incremental handles score bit-identically, so the winner is
-               backend-independent. A warm [engine] (the serving layer's
-               LRU) skips the build; the sweep only ever sets whole flag
-               vectors, so a warm engine scores every candidate bit-identically
-               to a cold one whatever flags it was left holding. *)
+               suffix re-evaluation instead of a full one. A warm [engine]
+               (the serving layer's LRU) skips the build; the sweep only
+               ever sets whole flag vectors, so a warm engine scores every
+               candidate bit-identically to a cold one whatever flags it was
+               left holding. *)
             let engine =
               match engine with
               | Some h ->

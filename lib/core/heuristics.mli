@@ -76,9 +76,9 @@ val run :
   outcome
 (** [run model g ~lin ~ckpt] linearizes [g] with [lin] then optimizes the
     checkpoint placement with [ckpt]. [search] defaults to [Exhaustive];
-    [backend] (default [Incremental]) selects whether the [N]-sweep is
-    evaluated through {!Eval_engine} or one {!Evaluator} call per candidate;
-    [rand] seeds the RF linearization. [cancel] (default
+    [backend] (default [Flat]) selects whether the [N]-sweep is evaluated
+    through a {!Flat_engine} or one {!Evaluator} call per candidate; [rand]
+    seeds the RF linearization. [cancel] (default
     {!Wfc_platform.Cancel.never}) is polled once per candidate: a cancelled
     token makes the sweep raise {!Wfc_platform.Cancel.Cancelled} instead of
     returning a partial best.

@@ -93,7 +93,7 @@ let improve_replicated ~max_evaluations ~replica_cost ~max_replicas ~cancel
       flips = !flips;
     }
 
-let improve ?(max_evaluations = 4000) ?(backend = Eval_engine.Incremental)
+let improve ?(max_evaluations = 4000) ?(backend = Eval_engine.Flat)
     ?replica_cost ?max_replicas ?(cancel = Wfc_platform.Cancel.never) model g
     seed =
   if Schedule.is_replicated seed || Option.is_some max_replicas then
@@ -146,7 +146,7 @@ let improve ?(max_evaluations = 4000) ?(backend = Eval_engine.Incremental)
           evaluations = !evaluations;
           flips = !flips;
         }
-  | Eval_engine.Incremental | Eval_engine.Flat ->
+  | Eval_engine.Flat ->
       let engine = Eval_engine.handle ~flags backend model g ~order in
       let initial_makespan =
         Evaluator.expected_makespan model g
@@ -154,8 +154,7 @@ let improve ?(max_evaluations = 4000) ?(backend = Eval_engine.Incremental)
       in
       incr evaluations;
       (* decisions run on engine values throughout; only the reported
-         makespans go through the oracle. Flat and incremental handles score
-         bit-identically, so the accepted move sequence is the same *)
+         makespans go through the oracle *)
       let best = ref (Eval_engine.h_makespan engine) in
       let improved = ref true in
       let sweeps = ref 0 in

@@ -31,8 +31,8 @@ val improve :
     full sweep yields no improvement or [max_evaluations] (default [4000])
     evaluator calls have been spent. The result never degrades the seed.
 
-    [backend] (default [Incremental]) selects how candidate flips are
-    evaluated: through {!Eval_engine.flip} — each flip then costs a suffix
+    [backend] (default [Flat]) selects how candidate flips are
+    evaluated: through {!Flat_engine.flip} — each flip then costs a suffix
     re-evaluation instead of a full one — or through one {!Evaluator} call
     per flip. Reported makespans are oracle values in both cases.
 

@@ -5,8 +5,8 @@ let n_positions t = Array.length t.lost
 (* One row k of the replay matrix: row.(i - k) <- W^i_k + R^i_k for
    i = k..n-1. [replayed] is scratch of length n, reset here: a task charged
    at some position is in memory for all later positions (no further failure
-   until X_i ends). Shared with Eval_engine so incremental row refreshes are
-   bit-identical to a from-scratch {!compute}. *)
+   until X_i ends). Shared with Replication, which re-derives rows from
+   surcharged weights. *)
 let compute_row_into g ~order ~pos ~checkpointed ~weight ~recovery ~replayed ~k
     row =
   let n = Array.length order in

@@ -48,6 +48,6 @@ val compute_row_into :
     [pos] is the inverse permutation of [order]; [checkpointed], [weight] and
     [recovery] are indexed by task id; [replayed] is caller-provided scratch
     of length [n] (clobbered). Row [k] only depends on the checkpoint flags
-    of tasks at positions [< k] — the locality {!Eval_engine} exploits to
-    refresh single rows after a flag flip, with values bit-identical to a
-    fresh {!compute}. *)
+    of tasks at positions [< k] — the locality {!Flat_engine} exploits to
+    refresh single rows after a flag flip (with its own iterative image of
+    this DFS, bit-identical to a fresh {!compute}). *)

@@ -95,7 +95,7 @@ let default_config =
         (fun ckpt -> (Linearize.Depth_first, ckpt))
         Heuristics.all_ckpt_strategies;
     search = Heuristics.Grid 16;
-    backend = Wfc_core.Eval_engine.Incremental;
+    backend = Wfc_core.Eval_engine.Flat;
     replication = Wfc_core.Replication.No_replication;
     replica_cost = Wfc_core.Replication.default_cost;
     downtime = 0.;

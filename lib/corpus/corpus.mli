@@ -90,7 +90,7 @@ type config = {
 
 val default_config : config
 (** Default scenarios, the paper's six checkpoint strategies under DF,
-    [Grid 16] search, incremental backend, no replication, no downtime,
+    [Grid 16] search, flat backend, no replication, no downtime,
     [exact_budget = 0], [exact_max_n = 24], one domain, seed 42. *)
 
 type cell = {

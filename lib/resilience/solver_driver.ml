@@ -33,7 +33,7 @@ let default_config =
     max_nodes = 1_000_000;
     deadline = None;
     search = Heuristics.Exhaustive;
-    backend = Eval_engine.Incremental;
+    backend = Eval_engine.Flat;
     bnb_domains = 1;
     fallbacks =
       List.map
@@ -160,7 +160,7 @@ let default_suffix_budget = 256
    is a pure function of the flag vector — and at ~1e-12 for the oracle),
    so the search path and the returned flags are backend-independent. *)
 let solve_suffix ?(budget = default_suffix_budget) ?engine
-    ?(backend = Eval_engine.Incremental) model g ~order ~flags ~from =
+    ?(backend = Eval_engine.Flat) model g ~order ~flags ~from =
   Trace.with_span "driver.solve_suffix" @@ fun () ->
   let n = Array.length order in
   if budget < 1 then invalid_arg "Solver_driver.solve_suffix: budget < 1";
@@ -179,7 +179,7 @@ let solve_suffix ?(budget = default_suffix_budget) ?engine
             sum := !sum +. r.Evaluator.per_position.(i)
           done;
           !sum
-    | Eval_engine.Incremental | Eval_engine.Flat ->
+    | Eval_engine.Flat ->
         let e =
           match engine with
           | None -> Eval_engine.handle backend model g ~order
@@ -240,7 +240,7 @@ let solve_suffix ?(budget = default_suffix_budget) ?engine
   done;
   (* leave a reused engine holding the chosen flags *)
   (match (backend, engine) with
-  | (Eval_engine.Incremental | Eval_engine.Flat), Some e ->
+  | Eval_engine.Flat, Some e ->
       Eval_engine.h_set_flags e best_flags
   | _ -> ());
   if Metrics.enabled () then begin
@@ -256,13 +256,13 @@ let solve_suffix ?(budget = default_suffix_budget) ?engine
    the first, and [set_model] inside [solve_suffix] rebinds the estimated
    rate without losing the cached lost-work rows. *)
 let replanner ?(budget = default_suffix_budget)
-    ?(backend = Eval_engine.Incremental) ?relinearize g =
+    ?(backend = Eval_engine.Flat) ?relinearize g =
   let cache = ref [] in
   let max_cached = 4 in
   let engine_for model order =
     match backend with
     | Eval_engine.Naive -> None
-    | Eval_engine.Incremental | Eval_engine.Flat -> (
+    | Eval_engine.Flat -> (
         match List.find_opt (fun (o, _) -> o = order) !cache with
         | Some (_, e) -> Some e
         | None ->

@@ -33,13 +33,13 @@ type config = {
       (** evaluation backend threaded through every tier *)
   bnb_domains : int;
       (** domains for the exact tier's parallel branch and bound (flat
-          backend only; the sequential backends ignore it) *)
+          backend only; the naive backend ignores it) *)
 }
 
 val default_config : config
 (** [max_nodes = 1_000_000], [deadline = None], exhaustive search, the
     paper's four searched strategies under DF as fallbacks,
-    [ls_evaluations = 2000], incremental backend, [bnb_domains = 1]. *)
+    [ls_evaluations = 2000], flat backend, [bnb_domains = 1]. *)
 
 type result = {
   schedule : Wfc_core.Schedule.t;
@@ -102,7 +102,7 @@ val solve_suffix :
     earliest position) and spends at most [budget] (default 256) candidate
     evaluations — the per-replan budget of the adaptive executor.
 
-    With an engine backend ([Incremental], default, or [Flat]), [engine]
+    With the [Flat] backend (the default), [engine]
     supplies an {!Wfc_core.Eval_engine.handle} already bound to
     [(g, order)] to reuse across replans: the model is rebound with
     {!Wfc_core.Eval_engine.h_set_model} (cached lost-work rows survive) and
@@ -129,7 +129,7 @@ val replanner :
     {!Wfc_simulator.Sim_adaptive}'s callback slot, caching evaluation
     engines per order so successive replans reuse their lost-work rows
     (the re-estimated model is rebound with
-    {!Wfc_core.Eval_engine.set_model}).
+    {!Wfc_core.Eval_engine.h_set_model}).
 
     With [relinearize], each replan also builds a second candidate order —
     the executed prefix followed by the given strategy's linearization

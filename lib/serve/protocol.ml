@@ -166,7 +166,7 @@ let default_solve =
     lin = Lin.Depth_first;
     ckpt = H.Ckpt_weight;
     grid = 0;
-    backend = E.Incremental;
+    backend = E.Flat;
     deadline = None;
   }
 
@@ -378,7 +378,7 @@ let request_of_line line =
                     let* b = parse_with "engine" E.backend_of_string v in
                     Ok ((dir, ratios, grid, b), rest)
                 | _ -> Ok ((dir, ratios, grid, backend), (k, v) :: rest))
-              (Ok ((None, [ 0.1; 1.; 10. ], 16, E.Incremental), []))
+              (Ok ((None, [ 0.1; 1.; 10. ], 16, E.Flat), []))
               kvs
           in
           no_extras cmd rest (fun () ->

@@ -128,7 +128,7 @@ val spec_source : workflow_spec -> string
 
 val default_solve : solve_params
 (** Text-mode defaults: montage n=30 seed=42 cost=0.1w mtbf=1000 downtime=0
-    lin=DF ckpt=CkptW grid=0 engine=incremental, no deadline. *)
+    lin=DF ckpt=CkptW grid=0 engine=flat, no deadline. *)
 
 val request_of_line : string -> (request, string) result
 (** Parse one text-mode line, e.g.

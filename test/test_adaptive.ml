@@ -69,15 +69,12 @@ let prop_suffix_backends_agree =
       let model = FM.make ~lambda:0.08 ~downtime:0.5 () in
       (* the reused engine starts bound to another model and warm rows:
          set_model must rebind it without corrupting the cache *)
-      let engine = E.handle ~flags E.Incremental planning g ~order in
+      let engine = E.handle ~flags E.Flat planning g ~order in
       ignore (E.h_makespan engine);
       let reused =
         SD.solve_suffix ~budget:64 ~engine model g ~order ~flags ~from
       in
       let fresh = SD.solve_suffix ~budget:64 model g ~order ~flags ~from in
-      let flat =
-        SD.solve_suffix ~budget:64 ~backend:E.Flat model g ~order ~flags ~from
-      in
       let naive =
         SD.solve_suffix ~budget:64 ~backend:E.Naive model g ~order ~flags ~from
       in
@@ -85,9 +82,6 @@ let prop_suffix_backends_agree =
       reused.SD.flags = fresh.SD.flags
       && reused.SD.expected_remaining = fresh.SD.expected_remaining
       && reused.SD.evaluations = fresh.SD.evaluations
-      && flat.SD.flags = fresh.SD.flags
-      && flat.SD.expected_remaining = fresh.SD.expected_remaining
-      && flat.SD.evaluations = fresh.SD.evaluations
       && Wfc_test_util.close reused.SD.expected_remaining
            naive.SD.expected_remaining
       && reused.SD.evaluations <= 64
@@ -107,8 +101,8 @@ let prop_suffix_never_worse =
       let order = Array.init n (Wfc_core.Schedule.task_at s) in
       let flags = Array.init n (Wfc_core.Schedule.is_checkpointed s) in
       let model = FM.make ~lambda:0.05 ~downtime:1. () in
-      let e = E.create ~flags model g ~order in
-      let incumbent = E.suffix_makespan e ~from:0 in
+      let e = Wfc_core.Flat_engine.create ~flags model g ~order in
+      let incumbent = Wfc_core.Flat_engine.suffix_makespan e ~from:0 in
       let r = SD.solve_suffix ~budget:32 model g ~order ~flags ~from:0 in
       r.SD.expected_remaining <= incumbent)
 

@@ -1,8 +1,13 @@
-(* Differential harness for the flat kernel. The contract is stronger than
-   the incremental engine's: Flat_engine must agree with the Evaluator
-   oracle at 1e-9 AND with Eval_engine bit for bit — same float operations
-   in the same order, only the storage changes — after any interleaving of
-   flips, batch assignments, rollbacks, commits and prefix queries. *)
+(* Differential harness for the flat kernel, the one evaluation engine behind
+   every search. Two contracts, checked after any interleaving of flips,
+   batch assignments, rollbacks, commits and prefix queries:
+
+   - against the Evaluator oracle at 1e-9 (the kernel's expm1 rearrangement
+     costs a few ulps, not more);
+   - against a fresh engine created at the same flags, bit for bit: a
+     makespan is a pure function of the flag vector, whatever mutation path
+     led there. Warm-engine serving and the domain-split invariance of batch
+     evaluation both rest on this. *)
 
 open Wfc_core
 module Builders = Wfc_dag.Builders
@@ -14,7 +19,23 @@ let oracle model g ~order flags =
   Evaluator.expected_makespan model g
     (Schedule.make g ~order:(Array.copy order) ~checkpointed:(Array.copy flags))
 
-(* ---- differential qcheck suite: flat = incremental (bitwise) = oracle --- *)
+let oracle_prefix model g ~order flags upto =
+  let r =
+    Evaluator.evaluate model g
+      (Schedule.make g ~order:(Array.copy order)
+         ~checkpointed:(Array.copy flags))
+  in
+  let acc = ref 0. in
+  for j = 0 to upto - 1 do
+    acc := !acc +. r.Evaluator.per_position.(j)
+  done;
+  !acc
+
+(* a cold engine at the current flags of [e] *)
+let fresh model g ~order e =
+  Flat_engine.create ~flags:(Flat_engine.flags e) model g ~order
+
+(* ---- differential qcheck suite ---- *)
 
 type op =
   | Flip of int
@@ -60,55 +81,117 @@ let print_scenario (g, model_idx, ops) =
             | Prefix i -> Printf.sprintf "prefix %d" i)
           ops))
 
-let run_scenario (g, model_idx, ops) =
+let apply flat = function
+  | Flip v -> ignore (Flat_engine.flip flat v)
+  | Quiet_flip v -> Flat_engine.flip_quiet flat v
+  | Set_all f -> Flat_engine.set_flags flat f
+  | Rollback -> Flat_engine.rollback flat
+  | Commit -> Flat_engine.commit flat
+  | Prefix upto -> ignore (Flat_engine.prefix_makespan flat ~upto)
+
+(* warm = cold, bit for bit, on every value an op returns and on the
+   makespan after it *)
+let run_scenario_fresh (g, model_idx, ops) =
   let model = List.nth Wfc_test_util.models model_idx in
   let order = Wfc_dag.Dag.topological_order g in
   let flat = Flat_engine.create model g ~order in
-  let inc = Eval_engine.create model g ~order in
   List.iter
     (fun op ->
       (match op with
       | Flip v ->
           let mf = Flat_engine.flip flat v in
-          let mi = Eval_engine.flip inc v in
-          if mf <> mi then
-            Alcotest.failf "flip %d: flat %.17g <> inc %.17g" v mf mi
+          let mc = Flat_engine.makespan (fresh model g ~order flat) in
+          if mf <> mc then
+            Alcotest.failf "flip %d: warm %.17g <> fresh %.17g" v mf mc
       | Quiet_flip v ->
           Flat_engine.flip_quiet flat v;
-          let mi = Eval_engine.flip inc v in
           let mf = Flat_engine.current_makespan flat in
-          if mf <> mi then
-            Alcotest.failf "quiet flip %d: flat %.17g <> inc %.17g" v mf mi
-      | Set_all f ->
-          Flat_engine.set_flags flat f;
-          Eval_engine.set_flags inc f
-      | Rollback ->
-          Flat_engine.rollback flat;
-          Eval_engine.rollback inc
-      | Commit ->
-          Flat_engine.commit flat;
-          Eval_engine.commit inc
+          let mc = Flat_engine.makespan (fresh model g ~order flat) in
+          if mf <> mc then
+            Alcotest.failf "quiet flip %d: warm %.17g <> fresh %.17g" v mf mc
       | Prefix upto ->
           let pf = Flat_engine.prefix_makespan flat ~upto in
-          let pi = Eval_engine.prefix_makespan inc ~upto in
-          if pf <> pi then
-            Alcotest.failf "prefix %d: flat %.17g <> inc %.17g" upto pf pi);
-      if Flat_engine.flags flat <> Eval_engine.flags inc then
-        Alcotest.fail "flag vectors diverged";
+          let pc =
+            Flat_engine.prefix_makespan (fresh model g ~order flat) ~upto
+          in
+          if pf <> pc then
+            Alcotest.failf "prefix %d: warm %.17g <> fresh %.17g" upto pf pc
+      | op -> apply flat op);
       let mf = Flat_engine.makespan flat in
-      let mi = Eval_engine.makespan inc in
-      if mf <> mi then
-        Alcotest.failf "makespan: flat %.17g <> inc %.17g" mf mi;
+      let mc = Flat_engine.makespan (fresh model g ~order flat) in
+      if mf <> mc then
+        Alcotest.failf "makespan: warm %.17g <> fresh %.17g" mf mc;
       let m' = oracle model g ~order (Flat_engine.flags flat) in
       if not (rel_close mf m') then
         Alcotest.failf "flat %.17g oracle %.17g" mf m')
     ops;
   true
 
-let differential =
+let differential_fresh =
   Wfc_test_util.qtest ~count:500
-    "any flip/set/rollback interleaving: flat = incremental (bitwise) = oracle"
-    gen_scenario print_scenario run_scenario
+    "any flip/set/rollback interleaving: flat = fresh engine (bitwise) = \
+     oracle"
+    gen_scenario print_scenario run_scenario_fresh
+
+(* the oracle side on its own: prefix queries against the oracle's prefix
+   sums, and rollback restoring exactly the committed flags *)
+let run_scenario_oracle (g, model_idx, ops) =
+  let model = List.nth Wfc_test_util.models model_idx in
+  let order = Wfc_dag.Dag.topological_order g in
+  let flat = Flat_engine.create model g ~order in
+  let committed = ref (Array.make (Wfc_dag.Dag.n_tasks g) false) in
+  List.iter
+    (fun op ->
+      (match op with
+      | Prefix upto ->
+          let p = Flat_engine.prefix_makespan flat ~upto in
+          let p' = oracle_prefix model g ~order (Flat_engine.flags flat) upto in
+          if not (rel_close p p') then
+            Alcotest.failf "prefix %d: engine %.17g oracle %.17g" upto p p'
+      | Commit ->
+          Flat_engine.commit flat;
+          committed := Flat_engine.flags flat
+      | Rollback ->
+          Flat_engine.rollback flat;
+          if Flat_engine.flags flat <> !committed then
+            Alcotest.fail "rollback did not restore committed flags"
+      | op -> apply flat op);
+      let m = Flat_engine.makespan flat in
+      let m' = oracle model g ~order (Flat_engine.flags flat) in
+      if not (rel_close m m') then
+        Alcotest.failf "engine %.17g oracle %.17g" m m')
+    ops;
+  true
+
+let differential_oracle =
+  Wfc_test_util.qtest ~count:500 "any flip/set/rollback interleaving = oracle"
+    gen_scenario print_scenario run_scenario_oracle
+
+let vectors_against_oracle =
+  Wfc_test_util.qtest ~count:200 "per-position and fault vectors = oracle"
+    gen_scenario print_scenario (fun (g, model_idx, ops) ->
+      let model = List.nth Wfc_test_util.models model_idx in
+      let order = Wfc_dag.Dag.topological_order g in
+      let flat = Flat_engine.create model g ~order in
+      List.iter (apply flat) ops;
+      let r =
+        Evaluator.evaluate model g
+          (Schedule.make g ~order:(Array.copy order)
+             ~checkpointed:(Flat_engine.flags flat))
+      in
+      let check what got want =
+        Array.iteri
+          (fun i e ->
+            if not (rel_close e want.(i)) then
+              Alcotest.failf "%s.(%d): %.17g <> %.17g" what i e want.(i))
+          got
+      in
+      check "per_position" (Flat_engine.per_position flat)
+        r.Evaluator.per_position;
+      check "fault_probability"
+        (Flat_engine.fault_probability flat)
+        r.Evaluator.fault_probability;
+      true)
 
 let vectors_bitwise =
   Wfc_test_util.qtest ~count:200 "per-position and fault vectors bitwise"
@@ -116,29 +199,31 @@ let vectors_bitwise =
       let model = List.nth Wfc_test_util.models model_idx in
       let order = Wfc_dag.Dag.topological_order g in
       let flat = Flat_engine.create model g ~order in
-      let inc = Eval_engine.create model g ~order in
-      List.iter
-        (function
-          | Flip v | Quiet_flip v ->
-              Flat_engine.flip_quiet flat v;
-              ignore (Eval_engine.flip inc v)
-          | Set_all f ->
-              Flat_engine.set_flags flat f;
-              Eval_engine.set_flags inc f
-          | Rollback ->
-              Flat_engine.rollback flat;
-              Eval_engine.rollback inc
-          | Commit ->
-              Flat_engine.commit flat;
-              Eval_engine.commit inc
-          | Prefix _ -> ())
-        ops;
-      Flat_engine.per_position flat = Eval_engine.per_position inc
-      && Flat_engine.fault_probability flat = Eval_engine.fault_probability inc
+      List.iter (apply flat) ops;
+      let cold = fresh model g ~order flat in
+      Flat_engine.per_position flat = Flat_engine.per_position cold
+      && Flat_engine.fault_probability flat
+         = Flat_engine.fault_probability cold
       && Flat_engine.suffix_makespan flat ~from:0
-         = Eval_engine.suffix_makespan inc ~from:0)
+         = Flat_engine.suffix_makespan cold ~from:0)
 
-(* the kernel's replay entries must be Lost_work's, bit for bit *)
+(* The kernel's replay entries must be Lost_work's, bit for bit, at every
+   (k, i) — the rows below a column's stored skyline included, which the
+   kernel reports as the structural zeros they are. *)
+let check_lost_entries ?(msg = "") flat g flags =
+  let n = Wfc_dag.Dag.n_tasks g in
+  let order = Flat_engine.order flat in
+  let lw = Lost_work.compute g (Schedule.make g ~order ~checkpointed:flags) in
+  for i = 0 to n - 1 do
+    for k = 0 to i do
+      let a = Flat_engine.lost_entry flat ~last_fault:k ~position:i in
+      let b = Lost_work.replay_time lw ~last_fault:k ~position:i in
+      if a <> b then
+        Alcotest.failf "%s entry (%d, %d): kernel %.17g Lost_work %.17g" msg
+          k i a b
+    done
+  done
+
 let lost_entries_bitwise =
   Wfc_test_util.qtest ~count:200 "replay matrix bitwise = Lost_work"
     QCheck2.Gen.(
@@ -149,20 +234,50 @@ let lost_entries_bitwise =
       let order = Wfc_dag.Dag.topological_order g in
       let flags = Array.init n (fun v -> (bits lsr (v mod 30)) land 1 = 1) in
       let model = List.hd Wfc_test_util.models in
-      let flat = Flat_engine.create ~flags model g ~order in
-      let lw =
-        Lost_work.compute g (Schedule.make g ~order ~checkpointed:flags)
-      in
-      let ok = ref true in
-      for i = 0 to n - 1 do
-        for k = 0 to i do
-          if
-            Flat_engine.lost_entry flat ~last_fault:k ~position:i
-            <> Lost_work.replay_time lw ~last_fault:k ~position:i
-          then ok := false
-        done
-      done;
-      !ok)
+      check_lost_entries (Flat_engine.create ~flags model g ~order) g flags;
+      true)
+
+(* the same on structured DAGs, across flag vectors reached both cold and
+   through the rebuild path (flips after a full build) *)
+let test_lost_entries_structured () =
+  let chain =
+    Builders.chain
+      ~weights:[| 6.; 2.; 8.; 4.; 5.; 3. |]
+      ~checkpoint_cost:(fun _ w -> 0.2 *. w)
+      ~recovery_cost:(fun _ w -> 0.15 *. w)
+      ()
+  in
+  let fork_join =
+    Builders.fork_join ~source_weight:4. ~middle_weights:[| 2.; 6.; 1.; 3. |]
+      ~sink_weight:3.
+      ~checkpoint_cost:(fun _ w -> 0.25 *. w)
+      ~recovery_cost:(fun _ w -> 0.2 *. w)
+      ()
+  in
+  let montage =
+    Wfc_workflows.Pegasus.generate Wfc_workflows.Pegasus.Montage ~n:20 ~seed:5
+  in
+  let model = FM.make ~lambda:0.01 ~downtime:0.5 () in
+  List.iter
+    (fun (name, g) ->
+      let n = Wfc_dag.Dag.n_tasks g in
+      let order = Wfc_dag.Dag.topological_order g in
+      List.iter
+        (fun stride ->
+          let flags = Array.init n (fun v -> v mod stride = 0) in
+          let msg = Printf.sprintf "%s stride %d" name stride in
+          check_lost_entries ~msg
+            (Flat_engine.create ~flags model g ~order)
+            g flags;
+          (* warm: build all-off, then flip into [flags] *)
+          let warm = Flat_engine.create model g ~order in
+          ignore (Flat_engine.makespan warm);
+          Array.iteri
+            (fun v b -> if b then Flat_engine.flip_quiet warm v)
+            flags;
+          check_lost_entries ~msg:(msg ^ " (warm)") warm g flags)
+        [ 1; 2; 3; n + 1 ])
+    [ ("chain", chain); ("fork-join", fork_join); ("montage-20", montage) ]
 
 (* ---- structured fixed cases ---- *)
 
@@ -170,23 +285,22 @@ let flip_walk model g =
   let order = Wfc_dag.Dag.topological_order g in
   let n = Wfc_dag.Dag.n_tasks g in
   let flat = Flat_engine.create model g ~order in
-  let inc = Eval_engine.create model g ~order in
   let check msg =
-    let mf = Flat_engine.makespan flat and mi = Eval_engine.makespan inc in
-    if mf <> mi then Alcotest.failf "%s: flat %.17g <> inc %.17g" msg mf mi;
+    let mf = Flat_engine.makespan flat in
+    let mc = Flat_engine.makespan (fresh model g ~order flat) in
+    if mf <> mc then Alcotest.failf "%s: warm %.17g <> fresh %.17g" msg mf mc;
     let m' = oracle model g ~order (Flat_engine.flags flat) in
     if not (rel_close mf m') then
       Alcotest.failf "%s: flat %.17g oracle %.17g" msg mf m'
   in
   check "initial";
+  (* walk every single flip on, then every one off again *)
   for v = 0 to n - 1 do
     Flat_engine.flip_quiet flat v;
-    ignore (Eval_engine.flip inc v);
     check (Printf.sprintf "flip on %d" v)
   done;
   for v = n - 1 downto 0 do
     Flat_engine.flip_quiet flat v;
-    ignore (Eval_engine.flip inc v);
     check (Printf.sprintf "flip off %d" v)
   done
 
@@ -226,6 +340,7 @@ let test_single_task () =
   List.iter (fun model -> flip_walk model g) Wfc_test_util.models
 
 let test_lambda_zero () =
+  (* failure-free platform: makespan is exactly the flagged work sum *)
   let g =
     Builders.chain
       ~weights:[| 2.; 3.; 4. |]
@@ -241,6 +356,7 @@ let test_lambda_zero () =
   Alcotest.(check (float 1e-12)) "all flags" 10.5 (Flat_engine.makespan engine)
 
 let test_rollback_is_bitwise () =
+  (* same flags reached by different paths give bit-identical makespans *)
   let g =
     Builders.fork_join ~source_weight:4. ~middle_weights:[| 2.; 6. |]
       ~sink_weight:3.
@@ -257,16 +373,16 @@ let test_rollback_is_bitwise () =
   Flat_engine.rollback engine;
   Alcotest.(check (float 0.)) "rollback restores bitwise" m0
     (Flat_engine.makespan engine);
-  let fresh = Flat_engine.create model g ~order in
-  ignore (Flat_engine.flip fresh 3);
+  let cold = Flat_engine.create model g ~order in
+  ignore (Flat_engine.flip cold 3);
   ignore (Flat_engine.flip engine 3);
-  Alcotest.(check (float 0.)) "path-independent" (Flat_engine.makespan fresh)
+  Alcotest.(check (float 0.)) "path-independent" (Flat_engine.makespan cold)
     (Flat_engine.makespan engine)
 
 let test_prefix_cursor () =
   (* the branch-and-bound access pattern: assign flags left to right asking
-     only for prefix costs, with backtracking; flat and incremental cursors
-     must hold bit-equal values at every horizon *)
+     only for prefix costs, with backtracking; every horizon must match the
+     oracle's prefix sums and a fresh engine's prefix bit for bit *)
   let g =
     let rng = Wfc_platform.Rng.create 11 in
     Builders.layered
@@ -282,19 +398,20 @@ let test_prefix_cursor () =
   let order = Wfc_dag.Dag.topological_order g in
   let n = Array.length order in
   let flat = Flat_engine.create model g ~order in
-  let inc = Eval_engine.create model g ~order in
   let check_prefix upto =
-    let pf = Flat_engine.prefix_makespan flat ~upto in
-    let pi = Eval_engine.prefix_makespan inc ~upto in
-    if pf <> pi then
-      Alcotest.failf "prefix %d: flat %.17g <> inc %.17g" upto pf pi
+    let p = Flat_engine.prefix_makespan flat ~upto in
+    let pc = Flat_engine.prefix_makespan (fresh model g ~order flat) ~upto in
+    if p <> pc then
+      Alcotest.failf "prefix %d: warm %.17g <> fresh %.17g" upto p pc;
+    let p' = oracle_prefix model g ~order (Flat_engine.flags flat) upto in
+    if not (rel_close p p') then
+      Alcotest.failf "prefix %d: engine %.17g oracle %.17g" upto p p'
   in
   let rec walk i =
     if i < n then begin
       List.iter
         (fun b ->
           Flat_engine.set_flag_at flat ~pos:i b;
-          Eval_engine.set_flag_at inc ~pos:i b;
           check_prefix (i + 1);
           if i < 3 then walk (i + 1))
         [ true; false ]
@@ -316,24 +433,156 @@ let test_set_model () =
   let m0 = FM.make ~lambda:1e-3 ~downtime:1. () in
   let m1 = FM.make ~lambda:0.07 ~downtime:0.4 () in
   let flat = Flat_engine.create m0 g ~order in
-  let inc = Eval_engine.create m0 g ~order in
+  let cold model = Flat_engine.makespan (fresh model g ~order flat) in
   ignore (Flat_engine.flip flat 1);
-  ignore (Eval_engine.flip inc 1);
   Flat_engine.set_model flat m1;
-  Eval_engine.set_model inc m1;
   ignore (Flat_engine.flip flat 3);
-  ignore (Eval_engine.flip inc 3);
-  Alcotest.(check (float 0.)) "post-rebind bitwise" (Eval_engine.makespan inc)
+  Alcotest.(check (float 0.)) "post-rebind bitwise" (cold m1)
     (Flat_engine.makespan flat);
   (* and a rebind to lambda = 0 and back *)
-  Flat_engine.set_model flat (FM.make ~lambda:0. ());
-  Eval_engine.set_model inc (FM.make ~lambda:0. ());
-  Alcotest.(check (float 0.)) "lambda 0 bitwise" (Eval_engine.makespan inc)
+  let free = FM.make ~lambda:0. () in
+  Flat_engine.set_model flat free;
+  Alcotest.(check (float 0.)) "lambda 0 bitwise" (cold free)
     (Flat_engine.makespan flat);
   Flat_engine.set_model flat m1;
-  Eval_engine.set_model inc m1;
-  Alcotest.(check (float 0.)) "back again" (Eval_engine.makespan inc)
-    (Flat_engine.makespan flat)
+  Alcotest.(check (float 0.)) "back again" (cold m1) (Flat_engine.makespan flat)
+
+(* ---- engine handles ---- *)
+
+let test_flat_handle () =
+  (* a plain handle is the kernel: every h_* op returns its bits *)
+  let g =
+    Builders.fork_join ~source_weight:3. ~middle_weights:[| 2.; 5.; 1. |]
+      ~sink_weight:4.
+      ~checkpoint_cost:(fun _ w -> 0.2 *. w)
+      ()
+  in
+  let model = FM.make ~lambda:0.04 ~downtime:0.2 () in
+  let order = Wfc_dag.Dag.topological_order g in
+  let n = Array.length order in
+  let h = Eval_engine.handle Eval_engine.Flat model g ~order in
+  let e = Flat_engine.create model g ~order in
+  let same msg a b = Alcotest.(check (float 0.)) msg a b in
+  same "initial" (Flat_engine.makespan e) (Eval_engine.h_makespan h);
+  same "flip" (Flat_engine.flip e 1) (Eval_engine.h_flip h 1);
+  Eval_engine.h_commit h;
+  Flat_engine.commit e;
+  Eval_engine.h_set_flag_at h ~pos:0 true;
+  Flat_engine.set_flag_at e ~pos:0 true;
+  same "prefix" (Flat_engine.prefix_makespan e ~upto:2)
+    (Eval_engine.h_prefix_makespan h ~upto:2);
+  Eval_engine.h_rollback h;
+  Flat_engine.rollback e;
+  same "suffix" (Flat_engine.suffix_makespan e ~from:2)
+    (Eval_engine.h_suffix_makespan h ~from:2);
+  let m1 = FM.make ~lambda:0.1 () in
+  Eval_engine.h_set_model h m1;
+  Flat_engine.set_model e m1;
+  let target = Array.init n (fun v -> v mod 2 = 0) in
+  Eval_engine.h_set_flags h target;
+  Flat_engine.set_flags e target;
+  same "set_flags" (Flat_engine.makespan e) (Eval_engine.h_makespan h);
+  Alcotest.(check (array bool)) "flags" target (Eval_engine.h_flags h);
+  Alcotest.(check (array int)) "order" order (Eval_engine.h_order h);
+  Alcotest.(check int) "n_tasks" n (Eval_engine.h_n_tasks h);
+  Alcotest.(check bool) "no replicas" true (Eval_engine.h_replicas h = None)
+
+let test_replicated_handle () =
+  (* a replicated handle scores through Replication.evaluate, with the same
+     prefix/suffix accounting and flag-state semantics as the kernel *)
+  let g =
+    Builders.fork_join ~source_weight:3. ~middle_weights:[| 2.; 5.; 1. |]
+      ~sink_weight:4.
+      ~checkpoint_cost:(fun _ w -> 0.2 *. w)
+      ~recovery_cost:(fun _ w -> 0.1 *. w)
+      ()
+  in
+  let model = FM.make ~lambda:0.04 ~downtime:0.2 () in
+  let order = Wfc_dag.Dag.topological_order g in
+  let n = Array.length order in
+  let replicas = Array.init n (fun v -> if v = 2 then 3 else 1) in
+  let cost = 0.3 in
+  let h =
+    Eval_engine.handle ~replicas ~replica_cost:cost Eval_engine.Flat model g
+      ~order
+  in
+  let reference model flags =
+    Replication.evaluate ~cost model g
+      (Schedule.make ~replicas g ~order ~checkpointed:flags)
+  in
+  let check msg model =
+    let flags = Eval_engine.h_flags h in
+    let r = reference model flags in
+    Wfc_test_util.check_close (msg ^ " makespan") r.Replication.makespan
+      (Eval_engine.h_makespan h);
+    let prefix = ref 0. in
+    for upto = 0 to n do
+      Wfc_test_util.check_close
+        (Printf.sprintf "%s prefix %d" msg upto)
+        !prefix
+        (Eval_engine.h_prefix_makespan h ~upto);
+      Wfc_test_util.check_close
+        (Printf.sprintf "%s suffix %d" msg upto)
+        (Eval_engine.h_makespan h -. !prefix)
+        (Eval_engine.h_suffix_makespan h ~from:upto);
+      if upto < n then prefix := !prefix +. r.Replication.per_position.(upto)
+    done
+  in
+  check "initial" model;
+  let m = Eval_engine.h_flip h order.(1) in
+  Alcotest.(check bool) "flip toggles" true (Eval_engine.h_flags h).(order.(1));
+  Alcotest.(check (float 0.)) "flip returns the makespan" m
+    (Eval_engine.h_makespan h);
+  check "after flip" model;
+  Eval_engine.h_commit h;
+  let committed = Eval_engine.h_flags h in
+  Eval_engine.h_set_flag_at h ~pos:0 true;
+  Alcotest.(check bool) "set_flag_at" true (Eval_engine.h_flags h).(order.(0));
+  check "after set_flag_at" model;
+  Eval_engine.h_set_flags h (Array.make n true);
+  check "after set_flags" model;
+  Eval_engine.h_rollback h;
+  Alcotest.(check (array bool)) "rollback" committed (Eval_engine.h_flags h);
+  check "after rollback" model;
+  let m1 = FM.make ~lambda:0.1 ~downtime:0.5 () in
+  Eval_engine.h_set_model h m1;
+  check "after set_model" m1;
+  Alcotest.(check (array int)) "order" order (Eval_engine.h_order h);
+  Alcotest.(check int) "n_tasks" n (Eval_engine.h_n_tasks h);
+  Alcotest.(check bool) "replicas" true
+    (Eval_engine.h_replicas h = Some replicas)
+
+(* ---- batch evaluation ---- *)
+
+let test_batch_matches_oracle_and_split () =
+  let g =
+    Builders.fork_join ~source_weight:2. ~middle_weights:[| 3.; 1.; 4. |]
+      ~sink_weight:2.
+      ~checkpoint_cost:(fun _ w -> 0.2 *. w)
+      ()
+  in
+  let model = FM.make ~lambda:0.06 ~downtime:0.2 () in
+  let order = Wfc_dag.Dag.topological_order g in
+  let n = Array.length order in
+  let rng = Wfc_platform.Rng.create 7 in
+  let candidates =
+    List.init 23 (fun _ ->
+        Array.init n (fun _ -> Wfc_platform.Rng.int rng 2 = 0))
+  in
+  let results = Eval_engine.batch_evaluate ~domains:1 model g ~order candidates in
+  List.iter2
+    (fun flags m ->
+      let m' = oracle model g ~order flags in
+      if not (rel_close m m') then
+        Alcotest.failf "batch vs oracle: %.17g <> %.17g" m m')
+    candidates results;
+  (* bit-identical whatever the parallelism degree *)
+  List.iter
+    (fun domains ->
+      let r = Eval_engine.batch_evaluate ~domains model g ~order candidates in
+      if not (List.for_all2 (fun a b -> a = b) results r) then
+        Alcotest.failf "batch not deterministic at %d domains" domains)
+    [ 2; 3; 4; 5; 64 ]
 
 (* ---- allocation guard ---- *)
 
@@ -374,11 +623,47 @@ let test_flip_allocates_nothing () =
       Alcotest.failf "flip_quiet allocates %.2f minor words per flip" per_flip
   end
 
+(* ---- validation ---- *)
+
+let test_validation () =
+  let g = Builders.chain ~weights:[| 1.; 2. |] () in
+  let model = FM.make ~lambda:0.1 () in
+  let expect_invalid f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.fail "expected Invalid_argument"
+  in
+  expect_invalid (fun () -> Flat_engine.create model g ~order:[| 1; 0 |]);
+  expect_invalid (fun () ->
+      Flat_engine.create ~flags:[| true |] model g ~order:[| 0; 1 |]);
+  let engine = Flat_engine.create model g ~order:[| 0; 1 |] in
+  expect_invalid (fun () -> Flat_engine.flip engine 2);
+  expect_invalid (fun () -> Flat_engine.flip_quiet engine (-1));
+  expect_invalid (fun () -> Flat_engine.prefix_makespan engine ~upto:3);
+  expect_invalid (fun () -> Flat_engine.suffix_makespan engine ~from:(-1));
+  expect_invalid (fun () -> Flat_engine.set_flag_at engine ~pos:(-1) false);
+  expect_invalid (fun () -> Flat_engine.set_flags engine [| true |]);
+  expect_invalid (fun () ->
+      Flat_engine.lost_entry engine ~last_fault:1 ~position:0);
+  expect_invalid (fun () ->
+      Eval_engine.handle Eval_engine.Naive model g ~order:[| 0; 1 |]);
+  expect_invalid (fun () ->
+      Eval_engine.batch_evaluate ~domains:0 model g ~order:[| 0; 1 |]
+        [ [| false; false |] ])
+
 let () =
   Alcotest.run "flat_engine"
     [
       ( "differential",
-        [ differential; vectors_bitwise; lost_entries_bitwise ] );
+        [
+          differential_fresh;
+          differential_oracle;
+          vectors_against_oracle;
+          vectors_bitwise;
+          lost_entries_bitwise;
+          Alcotest.test_case "replay matrix on chain, fork-join, montage"
+            `Quick test_lost_entries_structured;
+        ] );
       ( "structures",
         [
           Alcotest.test_case "chain" `Quick test_chain;
@@ -392,9 +677,21 @@ let () =
           Alcotest.test_case "prefix cursor" `Quick test_prefix_cursor;
           Alcotest.test_case "set_model" `Quick test_set_model;
         ] );
+      ( "handles",
+        [
+          Alcotest.test_case "flat handle = kernel" `Quick test_flat_handle;
+          Alcotest.test_case "replicated handle ops" `Quick
+            test_replicated_handle;
+        ] );
+      ( "batch",
+        [
+          Alcotest.test_case "oracle + split invariance" `Quick
+            test_batch_matches_oracle_and_split;
+        ] );
       ( "allocation",
         [
           Alcotest.test_case "flip_quiet is allocation-free" `Quick
             test_flip_allocates_nothing;
         ] );
+      ("validation", [ Alcotest.test_case "arguments" `Quick test_validation ]);
     ]

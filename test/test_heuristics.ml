@@ -253,9 +253,9 @@ let test_candidate_counts_edges () =
 
 (* ---- backend invariance ---- *)
 
-(* The incremental engine must not change what the search finds: same order,
-   same flags, same reported makespan (bitwise), same bookkeeping, on a
-   realistic 50-task instance. *)
+(* The flat engine must not change what the search finds: same order, same
+   flags, same reported makespan (bitwise), same bookkeeping as the naive
+   oracle path, on a realistic 50-task instance. *)
 let test_backend_invariance () =
   let module P = Wfc_workflows.Pegasus in
   let module CM = Wfc_workflows.Cost_model in
@@ -271,34 +271,28 @@ let test_backend_invariance () =
                 Heuristics.run ~search ~backend:Eval_engine.Naive model g
                   ~lin:Linearize.Depth_first ~ckpt
               in
-              List.iter
-                (fun backend ->
-                  let engine =
-                    Heuristics.run ~search ~backend model g
-                      ~lin:Linearize.Depth_first ~ckpt
-                  in
-                  let name =
-                    Heuristics.ckpt_strategy_name ckpt ^ "/"
-                    ^ Eval_engine.backend_name backend
-                  in
-                  Alcotest.(check bool)
-                    (name ^ " same order") true
-                    (naive.Heuristics.schedule.Schedule.order
-                    = engine.Heuristics.schedule.Schedule.order);
-                  Alcotest.(check bool)
-                    (name ^ " same flags") true
-                    (naive.Heuristics.schedule.Schedule.checkpointed
-                    = engine.Heuristics.schedule.Schedule.checkpointed);
-                  Alcotest.(check (float 0.))
-                    (name ^ " same makespan") naive.Heuristics.makespan
-                    engine.Heuristics.makespan;
-                  Alcotest.(check int)
-                    (name ^ " same n_ckpt") naive.Heuristics.n_ckpt
-                    engine.Heuristics.n_ckpt;
-                  Alcotest.(check int)
-                    (name ^ " same evaluations") naive.Heuristics.evaluations
-                    engine.Heuristics.evaluations)
-                [ Eval_engine.Incremental; Eval_engine.Flat ])
+              let flat =
+                Heuristics.run ~search ~backend:Eval_engine.Flat model g
+                  ~lin:Linearize.Depth_first ~ckpt
+              in
+              let name = Heuristics.ckpt_strategy_name ckpt ^ "/flat" in
+              Alcotest.(check bool)
+                (name ^ " same order") true
+                (naive.Heuristics.schedule.Schedule.order
+                = flat.Heuristics.schedule.Schedule.order);
+              Alcotest.(check bool)
+                (name ^ " same flags") true
+                (naive.Heuristics.schedule.Schedule.checkpointed
+                = flat.Heuristics.schedule.Schedule.checkpointed);
+              Alcotest.(check (float 0.))
+                (name ^ " same makespan") naive.Heuristics.makespan
+                flat.Heuristics.makespan;
+              Alcotest.(check int)
+                (name ^ " same n_ckpt") naive.Heuristics.n_ckpt
+                flat.Heuristics.n_ckpt;
+              Alcotest.(check int)
+                (name ^ " same evaluations") naive.Heuristics.evaluations
+                flat.Heuristics.evaluations)
             [ Heuristics.Exhaustive; Heuristics.Grid 8 ])
         Heuristics.all_ckpt_strategies)
     [ (P.Montage, 5); (P.Ligo, 9) ]

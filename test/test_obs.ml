@@ -329,17 +329,17 @@ let test_solver_counters_nonzero () =
   let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
   let sol, status =
     Exact_solver.optimal_checkpoints_within ~max_nodes:100_000
-      ~backend:Eval_engine.Incremental fm g ~order
+      ~backend:Eval_engine.Flat fm g ~order
   in
   Alcotest.(check bool) "solved" true (status = `Optimal);
   let s = Metrics.snapshot () in
   Alcotest.(check int) "bnb.nodes matches the solver's own count"
     sol.Exact_solver.nodes (counter_at s "bnb.nodes");
   Alcotest.(check bool) "bnb nodes recorded" true (counter_at s "bnb.nodes" > 0);
-  Alcotest.(check bool) "engine cache hits recorded" true
-    (counter_at s "engine.row_hits" > 0);
-  Alcotest.(check bool) "engine queries recorded" true
-    (counter_at s "engine.queries" > 0)
+  Alcotest.(check bool) "kernel rows recorded" true
+    (counter_at s "flat.rows_rebuilt" > 0);
+  Alcotest.(check bool) "kernel queries recorded" true
+    (counter_at s "flat.queries" > 0)
 
 (* ---- end to end: simulator counts are engine-independent --------------- *)
 
@@ -360,9 +360,9 @@ let sim_counters backend =
 let test_sim_counts_engine_independent () =
   with_obs @@ fun () ->
   let naive = sim_counters Eval_engine.Naive in
-  let incr = sim_counters Eval_engine.Incremental in
+  let flat = sim_counters Eval_engine.Flat in
   Alcotest.(check (list (pair string int)))
-    "replica/failure/recovery counts identical across engines" naive incr;
+    "replica/failure/recovery counts identical across engines" naive flat;
   Alcotest.(check bool) "replicas recorded" true
     (List.assoc "sim.replicas" naive = 400)
 

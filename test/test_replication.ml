@@ -66,16 +66,12 @@ let prop_all_ones_engine =
       let ones = Array.make n 1 in
       List.for_all
         (fun model ->
-          List.for_all
-            (fun backend ->
-              let plain =
-                Eval_engine.handle ~flags backend model g ~order
-              in
-              let with_ones =
-                Eval_engine.handle ~flags ~replicas:ones backend model g ~order
-              in
-              Eval_engine.h_makespan plain = Eval_engine.h_makespan with_ones)
-            [ Eval_engine.Incremental; Eval_engine.Flat ])
+          let plain = Eval_engine.handle ~flags Eval_engine.Flat model g ~order in
+          let with_ones =
+            Eval_engine.handle ~flags ~replicas:ones Eval_engine.Flat model g
+              ~order
+          in
+          Eval_engine.h_makespan plain = Eval_engine.h_makespan with_ones)
         Wfc_test_util.models)
 
 let prop_one_lane_is_run_with_source =

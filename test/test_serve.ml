@@ -32,7 +32,7 @@ open QCheck2
 let gen_family = Gen.oneofl P.extended
 let gen_lin = Gen.oneofl Lin.[ Depth_first; Breadth_first; Random_first; Depth_first_blevel ]
 let gen_ckpt = Gen.oneofl H.all_ckpt_strategies
-let gen_backend = Gen.oneofl EE.[ Naive; Incremental; Flat ]
+let gen_backend = Gen.oneofl EE.[ Naive; Flat ]
 
 let gen_cost =
   Gen.(
@@ -211,6 +211,37 @@ let test_frame_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing bytes must be an error"
 
+(* A binary request naming the deleted incremental engine decodes to a
+   structured error, never to a request. Built by splicing the name into a
+   well-formed payload, since the encoder can only write known engines. *)
+let test_removed_engine_binary () =
+  let req =
+    Result.get_ok (Pr.request_of_line "solve family=montage n=15 engine=naive")
+  in
+  let payload = Codec.encode_request ~id:3L req in
+  (* u32 big-endian length, then the bytes *)
+  let field name =
+    Printf.sprintf "\000\000\000%c%s" (Char.chr (String.length name)) name
+  in
+  let naive = field "naive" in
+  let at =
+    let rec find i =
+      if String.sub payload i (String.length naive) = naive then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  let spliced =
+    String.sub payload 0 at ^ field "incremental"
+    ^ String.sub payload (at + String.length naive)
+        (String.length payload - at - String.length naive)
+  in
+  match Codec.decode_request spliced with
+  | Error msg ->
+      Alcotest.(check string) "structured error"
+        "unknown engine \"incremental\"" msg
+  | Ok _ -> Alcotest.fail "the incremental engine must not decode"
+
 (* Mid-stream damage, exhaustively: a valid framed request torn at every
    byte offset must read back as a clean EOF (only at offset 0), a
    truncation error, or the full frame (only at the end) — never an
@@ -275,6 +306,16 @@ let test_text_parse () =
   (match Pr.request_of_line "solve frobnicate=1" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown key must not parse");
+  (* the deleted incremental engine's names are unknown engines now *)
+  List.iter
+    (fun line ->
+      match Pr.request_of_line line with
+      | Error msg ->
+          Alcotest.(check bool) (line ^ ": names the engine") true
+            (String.starts_with ~prefix:"unknown engine" msg)
+      | Ok _ -> Alcotest.failf "%s must not parse" line)
+    [ "solve engine=incremental"; "solve engine=engine";
+      "corpus dir=d engine=incremental" ];
   (match Pr.request_of_line "launch-missiles" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown command must not parse");
@@ -388,7 +429,7 @@ let test_simulate_cached_identical () =
 
 let key i =
   { Key.dag = Int64.of_int i; order = 0L; lambda = 0L; downtime = 0L;
-    backend = EE.Incremental }
+    backend = EE.Flat }
 
 let dummy_handle =
   let g =
@@ -398,7 +439,7 @@ let dummy_handle =
       ~weights:[| 1.; 1.; 1. |]
       ~edges:[ (0, 1); (1, 2) ] ()
   in
-  EE.handle EE.Incremental (FM.of_mtbf ~mtbf:100. ()) g ~order:[| 0; 1; 2 |]
+  EE.handle EE.Flat (FM.of_mtbf ~mtbf:100. ()) g ~order:[| 0; 1; 2 |]
 
 let test_lru_basics () =
   let c = Cache.create ~capacity:2 in
@@ -590,7 +631,9 @@ let () =
             test_torn_at_every_offset;
           Alcotest.test_case "bit flips never raise" `Quick
             test_bitflip_every_byte;
-          Alcotest.test_case "text parse" `Quick test_text_parse ] );
+          Alcotest.test_case "text parse" `Quick test_text_parse;
+          Alcotest.test_case "removed engine over binary" `Quick
+            test_removed_engine_binary ] );
       ( "warm-cache",
         [ prop_warm_equals_cold; prop_eviction_churn_identical;
           Alcotest.test_case "simulate cached" `Quick

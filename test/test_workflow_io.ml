@@ -126,7 +126,7 @@ let test_differential_formats () =
                   (Wfc_core.Heuristics.ckpt_strategy_name ckpt)
                   (Wfc_core.Eval_engine.backend_name backend)
                   ma mb)
-            Wfc_core.Eval_engine.[ Naive; Incremental; Flat ])
+            Wfc_core.Eval_engine.[ Naive; Flat ])
         Wfc_core.Heuristics.all_ckpt_strategies)
     Wfc_workflows.Pegasus.[ Montage; Genome ]
 
