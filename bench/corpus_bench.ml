@@ -3,9 +3,11 @@
 
    This is a correctness guard, not a timing bench. The whole sweep is
    analytic, so its report must be a pure function of the corpus and the
-   configuration; the guard re-runs it under every evaluation backend and
-   a different domain count and FAILs unless all reports are byte-identical
-   to the flat single-domain baseline.
+   configuration; the guard re-runs it on four domains and FAILs unless
+   that report is byte-identical to the flat single-domain baseline. It
+   also re-runs it on the naive backend, which reports oracle makespans:
+   every name, tier, winner and count must match exactly and every ratio
+   to 1e-9 relative ({!Corpus.diff}).
 
    Run with: FIG=corpus dune exec bench/main.exe
    Knobs:    CORPUS_DIR     corpus directory (default test/corpus)
@@ -28,11 +30,6 @@ let config ~budget backend domains =
     domains;
   }
 
-(* reports compared with the backend column neutralized: the label is the
-   only field allowed to differ across engines *)
-let fingerprint report =
-  Json.to_string (Corpus.to_json { report with Corpus.backend_name = "-" })
-
 let run () =
   print_endline "== corpus golden sweep (FIG=corpus) ==";
   let dir = Option.value (Sys.getenv_opt "CORPUS_DIR") ~default:"test/corpus" in
@@ -50,30 +47,25 @@ let run () =
         Printf.printf "FAIL: no workflow files in %s\n" dir;
         exit 1
       end;
-      let base =
-        Corpus.sweep
-          ~config:(config ~budget Wfc_core.Eval_engine.Flat 1)
-          instances
+      let sweep backend domains =
+        Corpus.sweep ~config:(config ~budget backend domains) instances
       in
+      let base = sweep Wfc_core.Eval_engine.Flat 1 in
       Corpus.print_report base;
       print_newline ();
-      let baseline = fingerprint base in
-      let variants =
-        [
-          ("naive engine", config ~budget Wfc_core.Eval_engine.Naive 1);
-          ("4 domains", config ~budget Wfc_core.Eval_engine.Flat 4);
-        ]
+      let bytes report = Json.to_string (Corpus.to_json report) in
+      let four = sweep Wfc_core.Eval_engine.Flat 4 in
+      let naive = sweep Wfc_core.Eval_engine.Naive 1 in
+      let failures =
+        (if bytes four = bytes base then []
+         else [ "4 domains sweep is not byte-identical to the baseline" ])
+        @
+        match Corpus.diff base naive with
+        | None -> []
+        | Some msg -> [ "naive engine sweep diverges: " ^ msg ]
       in
-      let ok =
-        List.for_all
-          (fun (name, cfg) ->
-            let same = fingerprint (Corpus.sweep ~config:cfg instances) = baseline in
-            if not same then
-              Printf.printf "FAIL: %s sweep diverges from the baseline\n" name;
-            same)
-          variants
-      in
-      if not ok then exit 1;
+      List.iter (Printf.printf "FAIL: %s\n") failures;
+      if failures <> [] then exit 1;
       let oc = open_out "BENCH_corpus.json" in
       Fun.protect
         ~finally:(fun () -> close_out oc)
@@ -81,7 +73,8 @@ let run () =
           output_string oc (Json.to_string (Corpus.to_json base));
           output_char oc '\n');
       Printf.printf
-        "PASS: %d instances x %d scenarios byte-identical across engines and \
-         domain counts; wrote BENCH_corpus.json\n"
+        "PASS: %d instances x %d scenarios byte-identical across domain \
+         counts, naive engine within 1e-9 (discrete fields exact); wrote \
+         BENCH_corpus.json\n"
         (List.length instances)
         (List.length base.Corpus.scenario_names)

@@ -38,7 +38,13 @@ let bench_local_search () =
   let run backend () = Local_search.improve ~backend model g seed in
   let naive = run Eval_engine.Naive () in
   let flat = run Eval_engine.Flat () in
-  assert (naive.Local_search.makespan = flat.Local_search.makespan);
+  assert (
+    naive.Local_search.schedule.Schedule.checkpointed
+    = flat.Local_search.schedule.Schedule.checkpointed);
+  (* each backend reports its own makespan, agreeing to the last ulps *)
+  assert (
+    Eval_engine.backends_agree naive.Local_search.makespan
+      flat.Local_search.makespan);
   {
     name = "local-search/Ligo/n=200";
     naive_s = Some (Timing.median (run Eval_engine.Naive));
@@ -57,7 +63,10 @@ let bench_ckptw_sweep () =
   in
   let naive = run Eval_engine.Naive () in
   let flat = run Eval_engine.Flat () in
-  assert (naive.Heuristics.makespan = flat.Heuristics.makespan);
+  assert (naive.Heuristics.n_ckpt = flat.Heuristics.n_ckpt);
+  assert (
+    Eval_engine.backends_agree naive.Heuristics.makespan
+      flat.Heuristics.makespan);
   {
     name = "ckptw-exhaustive/Ligo/n=200";
     naive_s = Some (Timing.median (run Eval_engine.Naive));
@@ -81,7 +90,12 @@ let bench_exact_audit () =
   let run_flat = exact_audit_flat g ~order in
   let naive, _ = run_naive () in
   let flat, _ = run_flat () in
-  assert (naive.Exact_solver.makespan = flat.Exact_solver.makespan);
+  assert (
+    naive.Exact_solver.schedule.Schedule.checkpointed
+    = flat.Exact_solver.schedule.Schedule.checkpointed);
+  assert (
+    Eval_engine.backends_agree naive.Exact_solver.makespan
+      flat.Exact_solver.makespan);
   assert (naive.Exact_solver.nodes = flat.Exact_solver.nodes);
   {
     name = "exact-bnb/Genome/n=20";

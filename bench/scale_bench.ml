@@ -4,6 +4,12 @@
    dominance-pruned parallel branch and bound at n~30, and a
    parallel-vs-single-domain optimality guard. Writes BENCH_scale.json.
 
+   Searches report the kernel's own makespan, so its distance from the
+   oracle is guarded, not just recorded: every size FAILs (exit 1) if the
+   kernel strays more than [oracle_tolerance] relative from the Evaluator,
+   on the all-off schedule or on the DF-CkptW winner the heuristic
+   reports.
+
    Run with: FIG=scale dune exec bench/main.exe
 
    Knobs (for the cram smoke test, which needs a sub-second variant):
@@ -34,8 +40,14 @@ type sweep_row = {
   flat_full_ms : float;  (** create + first full evaluation *)
   flat_flip_us : float;
   oracle_rel_err : float;
-      (** |flat - Evaluator| / Evaluator on the all-off schedule *)
+      (** {!Eval_engine.rel_diff} of flat and Evaluator on the all-off
+          schedule *)
+  ckptw_rel_err : float;
+      (** the same distance for the DF-CkptW winner: its reported makespan
+          against the oracle's value of its schedule *)
 }
+
+let oracle_tolerance = 1e-12
 
 (* One size point: full-evaluation and flip throughput of the kernel, plus
    the bitwise warm==fresh guard and an oracle cross-check.
@@ -56,7 +68,15 @@ let sweep_point family n =
     Evaluator.expected_makespan model g
       (Schedule.make g ~order ~checkpointed:(Array.make n false))
   in
-  let oracle_rel_err = Float.abs (fm -. oracle) /. oracle in
+  let oracle_rel_err = Eval_engine.rel_diff fm oracle in
+  let ckptw_rel_err =
+    let o =
+      Heuristics.run ~search:(Heuristics.Grid 16) model g
+        ~lin:Wfc_dag.Linearize.Depth_first ~ckpt:Heuristics.Ckpt_weight
+    in
+    let oracle = Evaluator.expected_makespan model g o.Heuristics.schedule in
+    Eval_engine.rel_diff o.Heuristics.makespan oracle
+  in
   (* a flip costs O(suffix area) ~ n^2, so scale the count down with n to
      keep the per-point budget roughly constant *)
   let flips = Int.max 16 (Int.min n (40_000 / n)) in
@@ -87,6 +107,7 @@ let sweep_point family n =
     flat_full_ms;
     flat_flip_us;
     oracle_rel_err;
+    ckptw_rel_err;
   }
 
 type exact_row = {
@@ -113,7 +134,7 @@ let bench_exact ~n ~domains =
   }
 
 (* The parallel split must not change the answer: same optimum (bitwise,
-   both are oracle evaluations of their incumbents) from 1 and k domains. *)
+   both are the engine's value of their flags) from 1 and k domains. *)
 let parallel_guard ~n ~domains =
   let g, order = instance P.Genome n in
   let run domains =
@@ -152,6 +173,7 @@ let json rows exact guard_ok =
                    ("flat_full_ms", Number r.flat_full_ms);
                    ("flat_flip_us", Number r.flat_flip_us);
                    ("oracle_rel_err", Number r.oracle_rel_err);
+                   ("ckptw_rel_err", Number r.ckptw_rel_err);
                  ])
              rows) );
       ( "exact",
@@ -186,7 +208,10 @@ let run () =
   let table =
     Wfc_reporting.Table.create
       ~columns:
-        [ "family"; "n"; "flat full"; "flat flip"; "vs oracle" ]
+        [
+          "family"; "n"; "flat full"; "flat flip"; "vs oracle";
+          "CkptW vs oracle";
+        ]
   in
   Stdlib.List.iter
     (fun r ->
@@ -197,11 +222,31 @@ let run () =
           Printf.sprintf "%.2f ms" r.flat_full_ms;
           Printf.sprintf "%.1f us" r.flat_flip_us;
           Printf.sprintf "%.1e" r.oracle_rel_err;
+          Printf.sprintf "%.1e" r.ckptw_rel_err;
         ])
     rows;
   Wfc_reporting.Table.print table;
   Printf.printf "PASS flat == fresh engine (bitwise) on %d instances\n"
     (Stdlib.List.length rows);
+  let far =
+    Stdlib.List.filter
+      (fun r ->
+        not
+          (r.oracle_rel_err <= oracle_tolerance
+          && r.ckptw_rel_err <= oracle_tolerance))
+      rows
+  in
+  Stdlib.List.iter
+    (fun r ->
+      Printf.printf "FAIL %s n=%d: flat is %.1e (all-off) / %.1e (CkptW) from \
+                     the oracle, above %.0e\n"
+        r.family r.n r.oracle_rel_err r.ckptw_rel_err oracle_tolerance)
+    far;
+  if far <> [] then exit 1;
+  Printf.printf
+    "PASS flat within %.0e of the oracle (all-off and CkptW winner) on %d \
+     instances\n"
+    oracle_tolerance (Stdlib.List.length rows);
   let guard_ok = parallel_guard ~n:(Int.min exact_n 14) ~domains in
   let exact = bench_exact ~n:exact_n ~domains in
   Printf.printf

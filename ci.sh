@@ -1,9 +1,10 @@
 #!/bin/sh
 # CI entry point: build, run the full tier-1 suite, a reduced-seed chaos
-# soak as a serving-layer smoke guard, then a short traced run of each
-# end-to-end benchmark workload, whose replay byte-compares the library's
-# answers with the daemon's and the CLI's. Every phase is wall-clock capped
-# so a wedged daemon fails the run instead of hanging CI.
+# soak as a serving-layer smoke guard, the flat-vs-oracle scale guard up to
+# n = 1000, then a short traced run of each end-to-end benchmark workload,
+# whose replay byte-compares the library's answers with the daemon's and
+# the CLI's. Every phase is wall-clock capped so a wedged daemon fails the
+# run instead of hanging CI.
 #
 #   ./ci.sh            # what CI runs
 #   CHAOS_SEEDS=200 ./ci.sh   # the full soak (what FIG=chaos defaults to)
@@ -18,6 +19,17 @@ timeout 900 dune runtest
 
 echo "== chaos smoke (reduced seeds) =="
 CHAOS_SEEDS="${CHAOS_SEEDS:-30}" FIG=chaos timeout 30 dune exec bench/main.exe
+
+# searches report the flat kernel's own makespan: the scale guard fails if
+# it strays more than 1e-12 from the oracle at any size up to n = 1000 (the
+# serving sizes). Run in a scratch directory so the committed
+# BENCH_scale.json, written by the full campaign, is left alone.
+echo "== scale guard (flat vs oracle, n <= 1000) =="
+bench="$(pwd)/_build/default/bench/main.exe"
+scratch=$(mktemp -d)
+trap 'rm -rf "$scratch"' EXIT
+(cd "$scratch" && SCALE_NMAX=1000 SCALE_EXACT_N=12 SCALE_DOMAINS=2 FIG=scale \
+  timeout 120 "$bench")
 
 echo "== benchmark byte checks (traced, 3 s per workload) =="
 for w in serve-warm simulate-cold corpus-sweep; do

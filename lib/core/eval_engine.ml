@@ -10,6 +10,12 @@ let backend_of_string s =
   | "flat" -> Some Flat
   | _ -> None
 
+let rel_diff a b =
+  if Float.equal a b then 0.
+  else Float.abs (a -. b) /. Float.max (Float.abs a) (Float.abs b)
+
+let backends_agree a b = rel_diff a b <= 1e-9
+
 (* ---- engine handles --------------------------------------------------- *)
 
 (* Search loops hold a handle so one code path covers the plain kernel and

@@ -17,12 +17,23 @@
 type backend = Naive | Flat
 (** Selector used by the search modules: [Naive] calls {!Evaluator} per
     candidate (the oracle-backed reference path), [Flat] uses the
-    {!Flat_engine} kernel. *)
+    {!Flat_engine} kernel. Each backend reports its own values: a [Flat]
+    search never calls {!Evaluator}, and its makespans agree with a
+    [Naive] search's to the last ulps, not bit for bit. *)
 
 val backend_name : backend -> string
 
 val backend_of_string : string -> backend option
 (** Inverse of {!backend_name}, case-insensitive: ["naive"] or ["flat"]. *)
+
+val rel_diff : float -> float -> float
+(** [rel_diff a b] is [|a - b| / max |a| |b|], and [0.] when [a] and [b]
+    are equal (infinities and NaNs included). *)
+
+val backends_agree : float -> float -> bool
+(** [backends_agree a b] is [rel_diff a b <= 1e-9]: the bound to which a
+    [Naive] and a [Flat] search's makespans for the same schedule are
+    checked to agree. *)
 
 (** {1 Engine handles}
 

@@ -74,7 +74,12 @@ let evaluate_plain ?lost model g sched =
   end;
   { makespan = !makespan; per_position; fault_probability }
 
+(* Every oracle evaluation is counted, so a test can pin that no search
+   path on the flat backend reaches this module. *)
+let m_evaluations = Wfc_obs.Metrics.counter "evaluator.evaluations"
+
 let evaluate ?lost ?replica_cost model g sched =
+  Wfc_obs.Metrics.incr m_evaluations;
   if Schedule.is_replicated sched then begin
     (* replicated schedules change the lost-work weights themselves, so a
        caller-provided unreplicated matrix would silently be wrong *)

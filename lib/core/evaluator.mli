@@ -42,6 +42,10 @@ val evaluate :
     {!Replication.default_cost}); unreplicated schedules take the original
     path untouched, bit for bit.
 
+    Each call adds one to the [evaluator.evaluations] counter of
+    {!Wfc_obs.Metrics} (one branch when the layer is off), which lets tests
+    pin that no flat search path reaches the oracle.
+
     @raise Invalid_argument if [lost] is given with a replicated schedule
     (the matrix must be recomputed over surcharged weights). *)
 

@@ -74,15 +74,18 @@ let flat_bnb ~max_nodes ~should_stop ~cancel ~domains ~dominance ~memo model g
   Array.iteri (fun p v -> pos.(v) <- p) order;
   (* suffix completions are stored as position bitmasks *)
   let memo = memo && n <= 62 in
-  (* warm start: oracle-evaluated heuristic sweep *)
+  (* warm start: the heuristic sweep, scored on one engine that later
+     scores the reported optimum too *)
+  let scorer = Flat_engine.create model g ~order in
+  let score flags =
+    Flat_engine.set_flags scorer flags;
+    Flat_engine.makespan scorer
+  in
   let inc0_flags = ref (Array.make n false) in
   let inc0 = ref infinity in
   let try_inc cand =
     Wfc_platform.Cancel.check cancel;
-    let m =
-      Evaluator.expected_makespan model g
-        (Schedule.make g ~order ~checkpointed:cand)
-    in
+    let m = score cand in
     if m < !inc0 then begin
       inc0 := m;
       inc0_flags := Array.copy cand
@@ -331,10 +334,11 @@ let flat_bnb ~max_nodes ~should_stop ~cancel ~domains ~dominance ~memo model g
       | `Optimal -> m_completed
       | `Budget_exhausted -> m_exhausted)
   end;
+  (* leaf costs are prefix sums, which may differ from the full makespan in
+     the last ulps: the reported value is the engine's makespan of the
+     reported flags, whichever domain found them *)
+  let makespan = score !best_flags in
   let schedule = Schedule.make g ~order ~checkpointed:!best_flags in
-  (* engine leaf costs differ from the oracle by rearrangement ulps; the
-     reported value is always the oracle's *)
-  let makespan = Evaluator.expected_makespan model g schedule in
   ({ schedule; makespan; nodes }, status)
 
 (* ---- sequential search (naive backend) --------------------------------- *)

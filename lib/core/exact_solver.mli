@@ -55,8 +55,10 @@ val optimal_checkpoints_within :
     {!Flat_engine} cursor tracking the tree's flag assignments
     ({!Flat_engine.prefix_makespan} — [O(n)] per node), or a full
     {!Evaluator.evaluate} per child in a sequential search ([Naive], the
-    reference path). The reported makespan is an oracle value in both
-    cases.
+    reference path). The reported makespan is that backend's value of the
+    returned flags: on [Flat], bitwise what a fresh {!Flat_engine} computes
+    for them (so it does not depend on [domains] or on which domain found
+    the optimum), within ~1e-15 relative of the oracle.
 
     The remaining options apply to the [Flat] backend only (ignored
     otherwise):

@@ -37,8 +37,8 @@
     The expectation inner loop uses an [expm1]-based rearrangement of the
     oracle's formula, so results equal {!Evaluator.expected_makespan} only
     up to floating-point rearrangement — pinned at [1e-9] by the
-    differential suites — not bit for bit. Searches that must report
-    oracle-exact numbers re-evaluate their winner through {!Evaluator}.
+    differential suites and at [1e-12] by [FIG=scale] — not bit for bit.
+    The flat searches report these values as they are.
 
     For a fixed engine, every query is a pure function of the current flag
     vector: any interleaving of {!flip}, {!set_flags}, {!set_flag_at} and

@@ -165,94 +165,79 @@ let run ?(search = Exhaustive) ?(backend = Eval_engine.Flat) ?rand
   let poll () = Wfc_platform.Cancel.check cancel in
   poll ();
   let order = Wfc_dag.Linearize.run ?rand lin g in
-  let evaluate flags =
-    let sched = Schedule.make g ~order ~checkpointed:flags in
-    (sched, Evaluator.expected_makespan model g sched)
+  let n = Wfc_dag.Dag.n_tasks g in
+  let counts =
+    match ckpt with
+    | Ckpt_never -> [ 0 ]
+    | Ckpt_always -> [ n ]
+    | _ -> ( match candidate_counts search ~n with [] -> [ 0 ] | c -> c)
   in
-  match ckpt with
-  | Ckpt_never | Ckpt_always ->
-      let n = Wfc_dag.Dag.n_tasks g in
-      let flags =
-        Array.make n (match ckpt with Ckpt_always -> true | _ -> false)
-      in
-      let schedule, makespan = evaluate flags in
-      { schedule; makespan; n_ckpt = Schedule.checkpoint_count schedule;
-        evaluations = 1 }
-  | Ckpt_weight | Ckpt_cost | Ckpt_outweight | Ckpt_periodic
-  | Ckpt_efficiency ->
-      let n = Wfc_dag.Dag.n_tasks g in
-      let counts = candidate_counts search ~n in
-      let counts = if counts = [] then [ 0 ] else counts in
-      let evaluations = ref 0 in
-      (* ranking strategies yield nested candidates and [candidate_counts]
-         ascends, so the ranking is computed once and each candidate extends
-         the previous flag vector in place instead of re-sorting the tasks
-         per count. The shared vector is never stored: only the winning
-         count is kept and its flags are rebuilt afterwards. *)
-      let next_flags =
-        match ckpt with
-        | Ckpt_periodic -> fun n_ckpt -> periodic_flags g ~order ~n_ckpt
-        | _ ->
-            let ranked = ranked_tasks ckpt g in
-            let flags = Array.make n false in
-            let filled = ref 0 in
-            fun n_ckpt ->
-              while !filled < n_ckpt do
-                flags.(ranked.(!filled)) <- true;
-                incr filled
-              done;
-              flags
-      in
-      let best_n_ckpt =
-        match backend with
-        | Eval_engine.Naive ->
-            let best = ref None in
-            List.iter
-              (fun n_ckpt ->
-                poll ();
-                let m = snd (evaluate (next_flags n_ckpt)) in
-                incr evaluations;
-                match !best with
-                | Some (bm, _) when bm <= m -> ()
-                | _ -> best := Some (m, n_ckpt))
-              counts;
-            snd (Option.get !best)
-        | Eval_engine.Flat ->
-            (* one engine across the sweep: consecutive candidate flag
-               vectors differ in a handful of tasks, so each step costs a
-               suffix re-evaluation instead of a full one. A warm [engine]
-               (the serving layer's LRU) skips the build; the sweep only
-               ever sets whole flag vectors, so a warm engine scores every
-               candidate bit-identically to a cold one whatever flags it was
-               left holding. *)
-            let engine =
-              match engine with
-              | Some h ->
-                  if Eval_engine.h_order h <> order then
-                    invalid_arg
-                      "Heuristics.run: warm engine bound to another order";
-                  Eval_engine.h_set_model h model;
-                  h
-              | None -> Eval_engine.handle backend model g ~order
-            in
-            let best = ref None in
-            List.iter
-              (fun n_ckpt ->
-                poll ();
-                Eval_engine.h_set_flags engine (next_flags n_ckpt);
-                let m = Eval_engine.h_makespan engine in
-                incr evaluations;
-                match !best with
-                | Some (bm, _) when bm <= m -> ()
-                | _ -> best := Some (m, n_ckpt))
-              counts;
-            snd (Option.get !best)
-      in
-      let best_flags = checkpoint_flags ckpt g ~order ~n_ckpt:best_n_ckpt in
-      (* the winner is re-evaluated through Evaluator so the reported
-         makespan is the oracle's, whichever backend searched *)
-      let schedule, makespan = evaluate best_flags in
-      { schedule; makespan; n_ckpt = best_n_ckpt; evaluations = !evaluations }
+  (* ranking strategies yield nested candidates and [candidate_counts]
+     ascends, so the ranking is computed once and each candidate extends the
+     previous flag vector in place instead of re-sorting the tasks per
+     count. The shared vector is never stored: only the winning count is
+     kept and its flags are rebuilt afterwards. *)
+  let next_flags =
+    match ckpt with
+    | Ckpt_weight | Ckpt_cost | Ckpt_outweight | Ckpt_efficiency ->
+        let ranked = ranked_tasks ckpt g in
+        let flags = Array.make n false in
+        let filled = ref 0 in
+        fun n_ckpt ->
+          while !filled < n_ckpt do
+            flags.(ranked.(!filled)) <- true;
+            incr filled
+          done;
+          flags
+    | Ckpt_never | Ckpt_always | Ckpt_periodic ->
+        fun n_ckpt -> checkpoint_flags ckpt g ~order ~n_ckpt
+  in
+  let score =
+    match backend with
+    | Eval_engine.Naive ->
+        fun flags ->
+          Evaluator.expected_makespan model g
+            (Schedule.make g ~order ~checkpointed:flags)
+    | Eval_engine.Flat ->
+        (* one engine across the sweep: consecutive candidate flag vectors
+           differ in a handful of tasks, so each step costs a suffix
+           re-evaluation instead of a full one. A warm [engine] (the serving
+           layer's LRU) skips the build; the sweep only ever sets whole flag
+           vectors and the engine's makespan is a pure function of them, so
+           a warm engine scores every candidate bit-identically to a cold
+           one whatever flags and model it was left holding. *)
+        let engine =
+          match engine with
+          | Some h ->
+              if Eval_engine.h_order h <> order then
+                invalid_arg
+                  "Heuristics.run: warm engine bound to another order";
+              Eval_engine.h_set_model h model;
+              h
+          | None -> Eval_engine.handle backend model g ~order
+        in
+        fun flags ->
+          Eval_engine.h_set_flags engine flags;
+          Eval_engine.h_makespan engine
+  in
+  let evaluations = ref 0 in
+  let best = ref None in
+  List.iter
+    (fun n_ckpt ->
+      poll ();
+      let m = score (next_flags n_ckpt) in
+      incr evaluations;
+      match !best with
+      | Some (bm, _) when bm <= m -> ()
+      | _ -> best := Some (m, n_ckpt))
+    counts;
+  (* the reported makespan is the score the winner got in the sweep *)
+  let makespan, n_ckpt = Option.get !best in
+  let schedule =
+    Schedule.make g ~order
+      ~checkpointed:(checkpoint_flags ckpt g ~order ~n_ckpt)
+  in
+  { schedule; makespan; n_ckpt; evaluations = !evaluations }
 
 (* ---- replication: the second resilience axis ---- *)
 

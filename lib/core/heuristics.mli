@@ -5,8 +5,9 @@
     are the baselines; CkptW, CkptC and CkptD checkpoint the [N] best tasks
     under their respective criteria, and CkptPer spreads [N - 1] checkpoints
     evenly over the failure-free timeline; all four search the checkpoint
-    count [N] that minimizes the expected makespan computed by
-    {!Evaluator}. *)
+    count [N] that minimizes the expected makespan (Theorem 3, computed by
+    the {!Flat_engine} kernel or, on the [Naive] backend, by
+    {!Evaluator}). *)
 
 type ckpt_strategy =
   | Ckpt_never  (** no checkpoint at all *)
@@ -56,9 +57,11 @@ val checkpoint_flags :
 type outcome = {
   schedule : Schedule.t;
   makespan : float;
-      (** always an {!Evaluator.expected_makespan} value: when the engine
-          backend searched, the winner is re-evaluated once through the
-          oracle *)
+      (** the score the winner got during the search: on the [Flat]
+          backend the kernel's own value, bitwise
+          [Flat_engine.makespan (Flat_engine.create ~flags model g ~order)]
+          of the returned schedule and within ~1e-15 relative of
+          {!Evaluator.expected_makespan}; on [Naive] the oracle's *)
   n_ckpt : int;  (** the best checkpoint budget found *)
   evaluations : int;  (** number of candidate evaluations performed *)
 }
@@ -76,9 +79,10 @@ val run :
   outcome
 (** [run model g ~lin ~ckpt] linearizes [g] with [lin] then optimizes the
     checkpoint placement with [ckpt]. [search] defaults to [Exhaustive];
-    [backend] (default [Flat]) selects whether the [N]-sweep is evaluated
-    through a {!Flat_engine} or one {!Evaluator} call per candidate; [rand]
-    seeds the RF linearization. [cancel] (default
+    [backend] (default [Flat]) selects whether the candidates (the [N]-sweep,
+    or the single CkptNvr/CkptAlws schedule) are scored on a
+    {!Flat_engine} or by one {!Evaluator} call each, and the reported
+    makespan is that score; [rand] seeds the RF linearization. [cancel] (default
     {!Wfc_platform.Cancel.never}) is polled once per candidate: a cancelled
     token makes the sweep raise {!Wfc_platform.Cancel.Cancelled} instead of
     returning a partial best.
@@ -88,9 +92,9 @@ val run :
     requests so the sweep skips the engine build. The model is rebound with
     {!Eval_engine.h_set_model} (cached lost-work rows survive); because the
     sweep only assigns whole flag vectors and an engine's makespan is a pure
-    function of its flags, the outcome is bit-identical to a cold run.
-    Ignored by the [Naive] backend and by the unsearched strategies
-    (CkptNvr/CkptAlws, which cost one oracle call anyway).
+    function of its flags, the outcome is bit-identical to a cold run
+    whatever flags and model the engine was left holding. Ignored by the
+    [Naive] backend.
 
     @raise Invalid_argument if [engine] is bound to a different order than
       [lin]'s linearization of [g]. *)

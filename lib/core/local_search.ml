@@ -106,85 +106,64 @@ let improve ?(max_evaluations = 4000) ?(backend = Eval_engine.Flat)
   let n = Schedule.n_tasks seed in
   let flags = Array.init n (Schedule.is_checkpointed seed) in
   let order = Array.init n (Schedule.task_at seed) in
-  let evaluations = ref 0 in
+  (* [score_flip v] is the makespan with task [v]'s flag toggled, leaving
+     [flags] as it was; [revert ()] undoes a rejected move *)
+  let current, score_flip, revert =
+    match backend with
+    | Eval_engine.Naive ->
+        let evaluate () =
+          Evaluator.expected_makespan model g
+            (Schedule.make g ~order ~checkpointed:flags)
+        in
+        ( evaluate,
+          (fun v ->
+            flags.(v) <- not flags.(v);
+            let m = evaluate () in
+            flags.(v) <- not flags.(v);
+            m),
+          ignore )
+    | Eval_engine.Flat ->
+        let engine = Eval_engine.handle ~flags backend model g ~order in
+        ( (fun () -> Eval_engine.h_makespan engine),
+          Eval_engine.h_flip engine,
+          (* lazy revert: marks the same suffix dirty again without forcing
+             a re-evaluation *)
+          fun () -> Eval_engine.h_set_flags engine flags )
+  in
+  Wfc_platform.Cancel.check cancel;
+  let initial_makespan = current () in
+  let evaluations = ref 1 in
   let flips = ref 0 in
-  match backend with
-  | Eval_engine.Naive ->
-      let evaluate () =
-        Wfc_platform.Cancel.check cancel;
-        incr evaluations;
-        Evaluator.expected_makespan model g
-          (Schedule.make g ~order ~checkpointed:flags)
-      in
-      let initial_makespan = evaluate () in
-      let best = ref initial_makespan in
-      let improved = ref true in
-      let sweeps = ref 0 in
-      while !improved && !evaluations < max_evaluations do
-        improved := false;
-        incr sweeps;
-        (* sweep in execution order: early flags influence everything after *)
-        Array.iter
-          (fun v ->
-            if !evaluations < max_evaluations then begin
-              flags.(v) <- not flags.(v);
-              let m = evaluate () in
-              if m < !best -. (1e-12 *. Float.abs !best) then begin
-                best := m;
-                incr flips;
-                improved := true
-              end
-              else flags.(v) <- not flags.(v)
-            end)
-          order
-      done;
-      record_metrics ~sweeps:!sweeps
-        {
-          schedule = Schedule.make g ~order ~checkpointed:flags;
-          makespan = !best;
-          initial_makespan;
-          evaluations = !evaluations;
-          flips = !flips;
-        }
-  | Eval_engine.Flat ->
-      let engine = Eval_engine.handle ~flags backend model g ~order in
-      let initial_makespan =
-        Evaluator.expected_makespan model g
-          (Schedule.make g ~order ~checkpointed:flags)
-      in
-      incr evaluations;
-      (* decisions run on engine values throughout; only the reported
-         makespans go through the oracle *)
-      let best = ref (Eval_engine.h_makespan engine) in
-      let improved = ref true in
-      let sweeps = ref 0 in
-      while !improved && !evaluations < max_evaluations do
-        improved := false;
-        incr sweeps;
-        Array.iter
-          (fun v ->
-            if !evaluations < max_evaluations then begin
-              Wfc_platform.Cancel.check cancel;
-              let m = Eval_engine.h_flip engine v in
-              incr evaluations;
-              if m < !best -. (1e-12 *. Float.abs !best) then begin
-                best := m;
-                flags.(v) <- not flags.(v);
-                incr flips;
-                improved := true
-              end
-              else
-                (* lazy revert: marks the same suffix dirty again without
-                   forcing a re-evaluation *)
-                Eval_engine.h_set_flags engine flags
-            end)
-          order
-      done;
-      let schedule = Schedule.make g ~order ~checkpointed:flags in
-      let makespan =
-        if !flips = 0 then initial_makespan
-        else Evaluator.expected_makespan model g schedule
-      in
-      record_metrics ~sweeps:!sweeps
-        { schedule; makespan; initial_makespan; evaluations = !evaluations;
-          flips = !flips }
+  let best = ref initial_makespan in
+  let improved = ref true in
+  let sweeps = ref 0 in
+  while !improved && !evaluations < max_evaluations do
+    improved := false;
+    incr sweeps;
+    (* sweep in execution order: early flags influence everything after *)
+    Array.iter
+      (fun v ->
+        if !evaluations < max_evaluations then begin
+          Wfc_platform.Cancel.check cancel;
+          let m = score_flip v in
+          incr evaluations;
+          if m < !best -. (1e-12 *. Float.abs !best) then begin
+            best := m;
+            flags.(v) <- not flags.(v);
+            incr flips;
+            improved := true
+          end
+          else revert ()
+        end)
+      order
+  done;
+  (* the reported makespan is the score of the accepted flags, so on the
+     flat backend it is the engine's own value *)
+  record_metrics ~sweeps:!sweeps
+    {
+      schedule = Schedule.make g ~order ~checkpointed:flags;
+      makespan = !best;
+      initial_makespan;
+      evaluations = !evaluations;
+      flips = !flips;
+    }

@@ -34,7 +34,10 @@ val improve :
     [backend] (default [Flat]) selects how candidate flips are
     evaluated: through {!Flat_engine.flip} — each flip then costs a suffix
     re-evaluation instead of a full one — or through one {!Evaluator} call
-    per flip. Reported makespans are oracle values in both cases.
+    per flip. The reported [makespan] and [initial_makespan] are the
+    backend's own scores: on [Flat], bitwise the value a fresh
+    {!Flat_engine} gives the returned (resp. seed) flags, within ~1e-15
+    relative of the oracle.
 
     When [s] is replicated, or [max_replicas] is given, the move set also
     includes per-task replica-count steps ([+1] up to [max_replicas],

@@ -228,6 +228,33 @@ let sweep ?(config = default_config) ?(skipped = []) instances =
     backend_name = Wfc_core.Eval_engine.backend_name config.backend;
   }
 
+let diff a b =
+  let close = Wfc_core.Eval_engine.backends_agree in
+  let same_cell c d =
+    c.heuristic = d.heuristic && c.n_ckpt = d.n_ckpt && close c.ratio d.ratio
+  in
+  let same_row r s =
+    r.workflow = s.workflow && r.wf_format = s.wf_format && r.n = s.n
+    && r.n_edges = s.n_edges && r.scenario = s.scenario && r.best = s.best
+    && close r.total_weight s.total_weight
+    && close r.mtbf s.mtbf
+    && close r.best_ratio s.best_ratio
+    && List.equal same_cell r.cells s.cells
+    && Option.equal (fun (t, x) (u, y) -> t = u && close x y) r.exact s.exact
+  in
+  if
+    a.skipped <> b.skipped
+    || a.scenario_names <> b.scenario_names
+    || a.heuristic_names <> b.heuristic_names
+    || List.compare_lengths a.rows b.rows <> 0
+  then Some "report headers or row counts differ"
+  else
+    List.find_map
+      (fun (r, s) ->
+        if same_row r s then None
+        else Some (Printf.sprintf "row %s %s differs" r.workflow r.scenario))
+      (List.combine a.rows b.rows)
+
 (* ---- rendering ---- *)
 
 let ratio_text x = Printf.sprintf "%.4f" x

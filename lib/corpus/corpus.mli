@@ -9,8 +9,9 @@
 
     Everything is analytic (Theorem 3 expectations, no simulation), so a
     sweep is a pure function of the corpus and the configuration: results
-    are byte-identical across runs, across evaluation backends and across
-    domain counts. That determinism is what makes the committed mini-corpus
+    are byte-identical across runs and across domain counts, and agree
+    across evaluation backends up to the last ulps of each ratio (see
+    {!diff}). That determinism is what makes the committed mini-corpus
     under [test/corpus/] a golden regression suite: re-run the sweep, diff
     the tables byte for byte. *)
 
@@ -132,6 +133,13 @@ val sweep :
     chunks; each job derives its own RF stream from [seed] and the job
     index, so the report is independent of the domain count. [skipped] is
     carried into the report verbatim. *)
+
+val diff : report -> report -> string option
+(** [diff a b] is [None] when the two reports agree: every name, tier,
+    winner and count exactly, every float within 1e-9 relative
+    ({!Wfc_core.Eval_engine.backends_agree}). Otherwise it names the first difference. The backend label is
+    not compared — this is how a naive-backend sweep is checked against a
+    flat one, whose makespans agree only to the last ulps. *)
 
 val tables : report -> (string * Wfc_reporting.Table.t) list
 (** One Figure-style table per scenario: a row per instance, a ratio column

@@ -73,9 +73,9 @@ val error_code_name : error_code -> string
 val error_code_of_string : string -> error_code option
 
 (** Responses deliberately carry no timing, cache or backend fields: a warm
-    solve must be byte-identical to a cold one (and identical across
-    engines), so everything nondeterministic lives in the [Stats] endpoint
-    only. *)
+    solve must be byte-identical to a cold one (and the same schedule across
+    engines, whose makespans differ only in the last ulps), so everything
+    nondeterministic lives in the [Stats] endpoint only. *)
 type solved = {
   source : string;
   n_tasks : int;

@@ -552,6 +552,107 @@ let test_replicated_handle () =
   Alcotest.(check bool) "replicas" true
     (Eval_engine.h_replicas h = Some replicas)
 
+(* ---- reported makespans ---- *)
+
+(* Every search on the flat backend reports the kernel's own value for the
+   schedule it returns (the server's answers are checked in test_serve). *)
+let reported_ok = Wfc_test_util.reported_ok
+
+module Driver = Wfc_resilience.Solver_driver
+
+let gen_search_case =
+  let open QCheck2.Gen in
+  let* g = Wfc_test_util.gen_dag ~max_n:9 () in
+  let n = Wfc_dag.Dag.n_tasks g in
+  let models = Array.of_list Wfc_test_util.models in
+  let* m = int_range 0 (Array.length models - 1)
+  and* stale_m = int_range 0 (Array.length models - 1)
+  and* stale = array_repeat n bool
+  and* lin =
+    oneofl Wfc_dag.Linearize.[ Depth_first; Breadth_first; Depth_first_blevel ]
+  in
+  return (g, models.(m), models.(stale_m), stale, lin)
+
+let print_search_case (g, _, _, _, lin) =
+  Format.asprintf "%a (%s)" Wfc_dag.Dag.pp_stats g
+    (Wfc_dag.Linearize.strategy_name lin)
+
+let prop_heuristics_report_kernel =
+  Wfc_test_util.qtest ~count:100
+    "Heuristics.run reports the kernel's value, cold and warm" gen_search_case
+    print_search_case (fun (g, model, stale_model, stale, lin) ->
+      let order = Wfc_dag.Linearize.run lin g in
+      List.for_all
+        (fun ckpt ->
+          let cold = Heuristics.run model g ~lin ~ckpt in
+          (* a warm engine left holding other flags under another model *)
+          let engine =
+            Eval_engine.handle ~flags:stale Eval_engine.Flat stale_model g
+              ~order
+          in
+          let warm = Heuristics.run ~engine model g ~lin ~ckpt in
+          reported_ok model g cold.Heuristics.schedule cold.Heuristics.makespan
+          && Float.equal warm.Heuristics.makespan cold.Heuristics.makespan
+          && warm.Heuristics.schedule = cold.Heuristics.schedule)
+        Heuristics.extended_ckpt_strategies)
+
+let prop_searches_report_kernel =
+  Wfc_test_util.qtest ~count:60
+    "local search, B&B and driver tiers report the kernel's value"
+    gen_search_case print_search_case (fun (g, model, _, stale, lin) ->
+      let order = Wfc_dag.Linearize.run lin g in
+      let seed = Schedule.make g ~order ~checkpointed:stale in
+      let ls = Local_search.improve model g seed in
+      let bnb domains =
+        fst
+          (Exact_solver.optimal_checkpoints_within ~domains model g ~order)
+      in
+      let one = bnb 1 and four = bnb 4 in
+      let driver config = Driver.solve ~config model g ~order in
+      let tiers =
+        [
+          driver Driver.default_config;
+          driver { Driver.default_config with Driver.max_nodes = 1 };
+          driver
+            { Driver.default_config with Driver.max_nodes = 1; fallbacks = [] };
+        ]
+      in
+      reported_ok model g seed ls.Local_search.initial_makespan
+      && reported_ok model g ls.Local_search.schedule ls.Local_search.makespan
+      && reported_ok model g one.Exact_solver.schedule one.Exact_solver.makespan
+      && reported_ok model g four.Exact_solver.schedule
+           four.Exact_solver.makespan
+      && List.for_all
+           (fun r ->
+             reported_ok model g r.Driver.schedule r.Driver.makespan)
+           tiers)
+
+(* the qcheck above cannot force the heuristic tier; these instances pin
+   one of each *)
+let test_driver_tiers_report_kernel () =
+  let module P = Wfc_workflows.Pegasus in
+  let g =
+    Wfc_workflows.Cost_model.apply (Wfc_workflows.Cost_model.Proportional 0.1)
+      (P.generate P.Genome ~n:12 ~seed:1)
+  in
+  let model = FM.of_mtbf ~mtbf:50. () in
+  let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Breadth_first g in
+  let tight = { Driver.default_config with Driver.max_nodes = 1 } in
+  List.iter
+    (fun (config, tier) ->
+      let r = Driver.solve ~config model g ~order in
+      Alcotest.(check string) "tier" (Driver.tier_name tier)
+        (Driver.tier_name r.Driver.tier);
+      Alcotest.(check bool)
+        (Driver.tier_name tier ^ " reports the kernel's value")
+        true
+        (reported_ok model g r.Driver.schedule r.Driver.makespan))
+    [
+      (Driver.default_config, Driver.Exact);
+      ({ tight with Driver.fallbacks = [] }, Driver.Local_search);
+      ({ tight with Driver.ls_evaluations = 1 }, Driver.Heuristic);
+    ]
+
 (* ---- batch evaluation ---- *)
 
 let test_batch_matches_oracle_and_split () =
@@ -682,6 +783,13 @@ let () =
           Alcotest.test_case "flat handle = kernel" `Quick test_flat_handle;
           Alcotest.test_case "replicated handle ops" `Quick
             test_replicated_handle;
+        ] );
+      ( "reported",
+        [
+          prop_heuristics_report_kernel;
+          prop_searches_report_kernel;
+          Alcotest.test_case "every driver tier" `Quick
+            test_driver_tiers_report_kernel;
         ] );
       ( "batch",
         [

@@ -254,8 +254,9 @@ let test_candidate_counts_edges () =
 (* ---- backend invariance ---- *)
 
 (* The flat engine must not change what the search finds: same order, same
-   flags, same reported makespan (bitwise), same bookkeeping as the naive
-   oracle path, on a realistic 50-task instance. *)
+   flags, same checkpoint count and bookkeeping as the naive oracle path,
+   on realistic 50-task instances. Each path reports its own score of the
+   winner, so the makespans agree to 1e-9 relative, not to the bit. *)
 let test_backend_invariance () =
   let module P = Wfc_workflows.Pegasus in
   let module CM = Wfc_workflows.Cost_model in
@@ -284,7 +285,7 @@ let test_backend_invariance () =
                 (name ^ " same flags") true
                 (naive.Heuristics.schedule.Schedule.checkpointed
                 = flat.Heuristics.schedule.Schedule.checkpointed);
-              Alcotest.(check (float 0.))
+              Wfc_test_util.check_close
                 (name ^ " same makespan") naive.Heuristics.makespan
                 flat.Heuristics.makespan;
               Alcotest.(check int)

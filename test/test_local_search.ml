@@ -88,8 +88,8 @@ let test_keeps_linearization () =
   done
 
 (* the flat backend must retrace the naive hill-climb exactly: same flip
-   decisions, same final schedule, same reported numbers, on realistic
-   50-task instances *)
+   decisions, same final schedule and counts, and makespans within 1e-9
+   (each backend reports its own score), on realistic 50-task instances *)
 let test_backend_invariance () =
   let module P = Wfc_workflows.Pegasus in
   let module CM = Wfc_workflows.Cost_model in
@@ -109,9 +109,9 @@ let test_backend_invariance () =
       Alcotest.(check bool) "same flags" true
         (naive.Local_search.schedule.Schedule.checkpointed
         = flat.Local_search.schedule.Schedule.checkpointed);
-      Alcotest.(check (float 0.)) "same makespan" naive.Local_search.makespan
+      Wfc_test_util.check_close "same makespan" naive.Local_search.makespan
         flat.Local_search.makespan;
-      Alcotest.(check (float 0.)) "same initial"
+      Wfc_test_util.check_close "same initial"
         naive.Local_search.initial_makespan flat.Local_search.initial_makespan;
       Alcotest.(check int) "same flips" naive.Local_search.flips
         flat.Local_search.flips;

@@ -366,6 +366,81 @@ let test_sim_counts_engine_independent () =
   Alcotest.(check bool) "replicas recorded" true
     (List.assoc "sim.replicas" naive = 400)
 
+(* ---- the oracle stays off the flat hot path ---------------------------- *)
+
+(* Every flat search reports the kernel's own makespan, so no request,
+   sweep or degraded solve on the flat backend may reach the Evaluator;
+   the naive backend, which scores through it, shows the counter is live. *)
+let test_oracle_off_flat_paths () =
+  with_obs @@ fun () ->
+  let module Pr = Wfc_serve.Protocol in
+  let module Server = Wfc_serve.Server in
+  let module Corpus = Wfc_corpus.Corpus in
+  let module Driver = Wfc_resilience.Solver_driver in
+  let oracle_calls f =
+    Metrics.reset ();
+    f ();
+    counter_at (Metrics.snapshot ()) "evaluator.evaluations"
+  in
+  (* no deadline, 200 nodes and 1000 nodes: the heuristic, local-search
+     and exact tiers *)
+  let serve backend () =
+    let cold =
+      Server.create ~config:{ Server.default_config with cache_size = 0 } ()
+    in
+    let warm = Server.create () in
+    List.iter
+      (fun deadline ->
+        let params = { Pr.default_solve with Pr.backend; deadline } in
+        List.iter
+          (fun req ->
+            List.iter
+              (fun server ->
+                match Server.handle server req with
+                | Pr.Error { message; _ } -> Alcotest.fail message
+                | _ -> ())
+              [ cold; warm; warm ])
+          [ Pr.Solve params; Pr.Simulate { params; runs = 20; mcseed = 1 } ])
+      [ None; Some 0.01; Some 0.05 ]
+  in
+  let sweep backend () =
+    let cost = Wfc_workflows.Cost_model.Proportional 0.1 in
+    match Corpus.load_dir ~cost "corpus" with
+    | Error e -> Alcotest.fail e
+    | Ok (instances, _) ->
+        let report =
+          Corpus.sweep
+            ~config:
+              { Corpus.default_config with
+                Corpus.backend;
+                exact_budget = 20_000 }
+            instances
+        in
+        Alcotest.(check bool) "exact column present" true
+          (List.exists (fun r -> r.Corpus.exact <> None) report.Corpus.rows)
+  in
+  let exhausted backend () =
+    let g = genome 20 in
+    let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
+    let config =
+      { Driver.default_config with Driver.max_nodes = 10; backend }
+    in
+    let r = Driver.solve ~config fm g ~order in
+    Alcotest.(check bool) "budget exhausted" true
+      (r.Driver.tier <> Driver.Exact)
+  in
+  List.iter
+    (fun (name, run) ->
+      Alcotest.(check int) (name ^ ": no oracle call on flat") 0
+        (oracle_calls (run Eval_engine.Flat));
+      Alcotest.(check bool) (name ^ ": naive calls the oracle") true
+        (oracle_calls (run Eval_engine.Naive) > 0))
+    [
+      ("server", serve);
+      ("corpus sweep", sweep);
+      ("exhausted driver", exhausted);
+    ]
+
 (* ---- near-zero disabled cost ------------------------------------------- *)
 
 let test_disabled_records_nothing () =
@@ -409,5 +484,7 @@ let () =
             test_solver_counters_nonzero;
           Alcotest.test_case "sim counts engine-independent" `Quick
             test_sim_counts_engine_independent;
+          Alcotest.test_case "oracle off the flat paths" `Quick
+            test_oracle_off_flat_paths;
         ] );
     ]

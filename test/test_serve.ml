@@ -355,6 +355,31 @@ let print_warm_case = function
 
 let solve_twice server req = (Server.handle server req, Server.handle server req)
 
+(* A flat answer to a generated-workflow request carries the kernel's own
+   makespan of the checkpoint set it returns: bitwise a fresh engine's value
+   of those flags (and within 1e-9 of the oracle). Other requests pass. *)
+let reports_kernel_value req resp =
+  match (req, resp) with
+  | ( ( Pr.Solve
+          ({ workflow = Pr.Generated { family; n; seed; cost };
+             backend = EE.Flat; _ } as p)
+      | Pr.Simulate
+          { params =
+              { workflow = Pr.Generated { family; n; seed; cost };
+                backend = EE.Flat; _ } as p;
+            _ } ),
+      (Pr.Solved s | Pr.Simulated { solved = s; _ }) ) ->
+      let g = CM.apply cost (P.generate family ~n ~seed) in
+      let order = Lin.run p.lin g in
+      let flags = Array.make (Wfc_dag.Dag.n_tasks g) false in
+      List.iter (fun v -> flags.(v) <- true) s.ckpt_tasks;
+      Wfc_test_util.reported_ok
+        (FM.of_mtbf ~mtbf:p.mtbf ~downtime:p.downtime ())
+        g
+        (Wfc_core.Schedule.make g ~order ~checkpointed:flags)
+        s.makespan
+  | _ -> true
+
 let prop_warm_equals_cold =
   Wfc_test_util.qtest ~count:30 "server: warm solve is bit-identical to cold"
     gen_warm_case print_warm_case
@@ -382,6 +407,7 @@ let prop_warm_equals_cold =
       in
       r_miss = r_cold && r_hit = r_cold
       && Pr.render_response r_hit = Pr.render_response r_cold
+      && reports_kernel_value req r_cold
       && ((not cacheable) || (Server.cache_stats warm).Cache.hits = 1))
 
 let prop_eviction_churn_identical =
@@ -423,7 +449,9 @@ let test_simulate_cached_identical () =
   let want = Server.handle cold (mk ()) in
   let miss, hit = solve_twice warm (mk ()) in
   Alcotest.(check bool) "simulate miss == cold" true (miss = want);
-  Alcotest.(check bool) "simulate hit == cold" true (hit = want)
+  Alcotest.(check bool) "simulate hit == cold" true (hit = want);
+  Alcotest.(check bool) "simulate reports the kernel's value" true
+    (reports_kernel_value (mk ()) want)
 
 (* ---- 3. LRU invariants -------------------------------------------------- *)
 

@@ -9,6 +9,16 @@ let check_close ?eps msg a b =
   if not (close ?eps a b) then
     Alcotest.failf "%s: %.17g <> %.17g" msg a b
 
+(* A search on the flat backend reports the kernel's own value for the
+   schedule it returns: bitwise what a fresh engine at those flags
+   computes, and within 1e-9 of the oracle. *)
+let reported_ok model g (sched : Wfc_core.Schedule.t) m =
+  let order = sched.Wfc_core.Schedule.order
+  and flags = sched.Wfc_core.Schedule.checkpointed in
+  let module F = Wfc_core.Flat_engine in
+  Float.equal m (F.makespan (F.create ~flags model g ~order))
+  && close m (Wfc_core.Evaluator.expected_makespan model g sched)
+
 let model ?(downtime = 0.) lambda =
   Wfc_platform.Failure_model.make ~lambda ~downtime ()
 
