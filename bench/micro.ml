@@ -67,6 +67,23 @@ let simulator_tests =
         (Staged.stage (fun () -> ignore (Wfc_simulator.Sim.run ~rng model g s))))
     [ 50; 200 ]
 
+(* The simulate-cold request shape: 100 Monte Carlo runs of a Ligo-400
+   DF-CkptW schedule (grid 4) at MTBF 2000 s, one executor for all runs. *)
+let monte_carlo_tests =
+  let g = CM.apply (CM.Proportional 0.1) (P.generate P.Ligo ~n:400 ~seed:1) in
+  let model = FM.of_mtbf ~mtbf:2000. () in
+  let s =
+    (Heuristics.run ~search:(Heuristics.Grid 4) model g
+       ~lin:Wfc_dag.Linearize.Depth_first ~ckpt:Heuristics.Ckpt_weight)
+      .Heuristics.schedule
+  in
+  [
+    Test.make ~name:"monte_carlo/estimate/ligo/n=400/runs=100"
+      (Staged.stage (fun () ->
+           ignore
+             (Wfc_simulator.Monte_carlo.estimate ~runs:100 ~seed:1 model g s)));
+  ]
+
 let heuristic_tests =
   let g = CM.apply (CM.Proportional 0.1) (P.generate P.Montage ~n:100 ~seed:7) in
   [
@@ -132,7 +149,7 @@ let generator_tests =
 let all_tests () =
   Test.make_grouped ~name:"wfc"
     (lost_work_tests @ lost_work_reference_tests @ evaluator_tests
-   @ flat_tests @ simulator_tests @ heuristic_tests
+   @ flat_tests @ simulator_tests @ monte_carlo_tests @ heuristic_tests
    @ generator_tests)
 
 let () = Bechamel_notty.Unit.add Instance.monotonic_clock "ns"

@@ -1,25 +1,37 @@
 (* SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): a tiny, fast, splittable
    generator with solid statistical quality for simulation purposes. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives in an 8-byte buffer rather than a mutable [int64]
+   field: the byte primitives load and store it unboxed, so a draw allocates
+   nothing beyond its boxed float result. *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
       0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
       0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  set_state t 0 s;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let split t = { state = bits64 t }
-let copy t = { state = t.state }
+let[@inline] bits64 t =
+  let s = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 s;
+  mix64 s
+
+let split t = of_state (bits64 t)
+let copy t = Bytes.copy t
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -34,7 +46,7 @@ let int t bound =
   in
   draw ()
 
-let uniform t =
+let[@inline] uniform t =
   (* 53 uniform bits into [0, 1). *)
   let r = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float r *. 0x1.0p-53

@@ -262,11 +262,15 @@ let run_solve t ~cancel (p : Pr.solve_params) =
                   ~evaluations:(o.H.evaluations + ls.LS.evaluations)
                   ls.LS.schedule ls.LS.makespan)
         | `Exact nodes ->
+            (* the only fallback is the requested heuristic: any other
+               linearization would answer with another order's schedule
+               under this request's heuristic name *)
             let config =
               { Driver.default_config with
                 Driver.max_nodes = nodes;
                 search;
                 backend = p.backend;
+                fallbacks = [ (p.lin, p.ckpt) ];
               }
             in
             let r = Driver.solve ~config ~cancel model g ~order in
@@ -278,7 +282,7 @@ let run_solve t ~cancel (p : Pr.solve_params) =
 let run_simulate t ~cancel (p : Pr.solve_params) ~runs ~mcseed =
   Result.map
     (fun (solved, sched, g, model) ->
-      let est = MC.estimate ~runs ~seed:mcseed model g sched in
+      let est = MC.estimate ~cancel ~runs ~seed:mcseed model g sched in
       let ci_lo, ci_hi = Stats.confidence95 est.MC.makespan in
       {
         Pr.solved;

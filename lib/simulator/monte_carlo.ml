@@ -4,6 +4,7 @@ type estimate = {
   wasted : Wfc_platform.Stats.t;
 }
 
+(* The one sampling loop: [runs] draws of [run_once] on one rng. *)
 let aggregate ~runs ~seed run_once =
   if runs <= 0 then invalid_arg "Monte_carlo: runs must be positive";
   Wfc_obs.Trace.with_span "monte_carlo.aggregate"
@@ -21,8 +22,16 @@ let aggregate ~runs ~seed run_once =
   done;
   { makespan; failures; wasted }
 
-let estimate ?replica_cost ?(runs = 1000) ~seed model g sched =
-  aggregate ~runs ~seed (fun rng -> Sim.run ?replica_cost ~rng model g sched)
+(* Memoryless runs on one executor: its state is allocated once and reused
+   by every run. *)
+let run_model ?cancel ?replica_cost model g sched =
+  let ex = Sim.exec ?replica_cost g sched in
+  fun rng ->
+    Sim.execute ?cancel ex (Sim.model_lanes ~rng model sched);
+    Sim.result ex
+
+let estimate ?cancel ?replica_cost ?(runs = 1000) ~seed model g sched =
+  aggregate ~runs ~seed (run_model ?cancel ?replica_cost model g sched)
 
 let estimate_renewal ?replica_cost ?(runs = 1000) ~seed ~failures ~downtime g
     sched =
@@ -40,33 +49,24 @@ type faults_estimate = {
 }
 
 let estimate_faults ?(runs = 1000) ~seed params g sched =
-  if runs <= 0 then invalid_arg "Monte_carlo.estimate_faults: runs <= 0";
-  Wfc_obs.Trace.with_span "monte_carlo.estimate_faults"
-    ~args:[ ("runs", string_of_int runs) ]
-  @@ fun () ->
-  let rng = Wfc_platform.Rng.create seed in
-  let makespan = Wfc_platform.Stats.create () in
-  let failures = Wfc_platform.Stats.create () in
-  let wasted = Wfc_platform.Stats.create () in
   let corrupt_reads = Wfc_platform.Stats.create () in
   let failed_recoveries = Wfc_platform.Stats.create () in
   let truncated_runs = ref 0 in
-  for _ = 1 to runs do
-    let r = Sim_faults.run ~rng params g sched in
-    Wfc_platform.Stats.add makespan r.Sim_faults.makespan;
-    Wfc_platform.Stats.add failures (float_of_int r.Sim_faults.failures);
-    Wfc_platform.Stats.add wasted r.Sim_faults.wasted;
-    Wfc_platform.Stats.add corrupt_reads (float_of_int r.Sim_faults.corrupt_reads);
-    Wfc_platform.Stats.add failed_recoveries
-      (float_of_int r.Sim_faults.failed_recoveries);
-    if r.Sim_faults.truncated then incr truncated_runs
-  done;
-  {
-    summary = { makespan; failures; wasted };
-    corrupt_reads;
-    failed_recoveries;
-    truncated_runs = !truncated_runs;
-  }
+  let summary =
+    aggregate ~runs ~seed (fun rng ->
+        let r = Sim_faults.run ~rng params g sched in
+        Wfc_platform.Stats.add corrupt_reads
+          (float_of_int r.Sim_faults.corrupt_reads);
+        Wfc_platform.Stats.add failed_recoveries
+          (float_of_int r.Sim_faults.failed_recoveries);
+        if r.Sim_faults.truncated then incr truncated_runs;
+        {
+          Sim.makespan = r.Sim_faults.makespan;
+          failures = r.Sim_faults.failures;
+          wasted = r.Sim_faults.wasted;
+        })
+  in
+  { summary; corrupt_reads; failed_recoveries; truncated_runs = !truncated_runs }
 
 let estimate_parallel ?(runs = 1000) ?domains ~seed model g sched =
   let domains =
@@ -82,8 +82,8 @@ let estimate_parallel ?(runs = 1000) ?domains ~seed model g sched =
     Wfc_platform.Domain_pool.run ~domains:(Array.length slices) (fun i ->
         let _, runs = slices.(i) in
         (* distinct deterministic stream per domain *)
-        aggregate ~runs ~seed:(seed + (i * 0x9E3779B9)) (fun rng ->
-            Sim.run ~rng model g sched))
+        aggregate ~runs ~seed:(seed + (i * 0x9E3779B9))
+          (run_model model g sched))
   in
   List.fold_left
     (fun acc e ->
@@ -98,33 +98,11 @@ let makespan_samples ?(runs = 1000) ~seed model g sched =
   if runs <= 0 then invalid_arg "Monte_carlo: runs must be positive";
   let rng = Wfc_platform.Rng.create seed in
   let samples = Wfc_platform.Sample_set.create () in
+  let run_once = run_model model g sched in
   for _ = 1 to runs do
-    Wfc_platform.Sample_set.add samples (Sim.run ~rng model g sched).Sim.makespan
+    Wfc_platform.Sample_set.add samples (run_once rng).Sim.makespan
   done;
   samples
-
-type tails = {
-  mean : float;
-  p95 : float;
-  p99 : float;
-  cvar95 : float;
-  cvar99 : float;
-  worst : float;
-}
-
-let tails_of_samples samples =
-  let module SS = Wfc_platform.Sample_set in
-  {
-    mean = SS.mean samples;
-    p95 = SS.quantile samples 0.95;
-    p99 = SS.quantile samples 0.99;
-    cvar95 = SS.cvar samples 0.95;
-    cvar99 = SS.cvar samples 0.99;
-    worst = SS.quantile samples 1.;
-  }
-
-let estimate_tails ?runs ~seed model g sched =
-  tails_of_samples (makespan_samples ?runs ~seed model g sched)
 
 let agrees_with e ~expected ~sigmas =
   let mean = Wfc_platform.Stats.mean e.makespan in

@@ -7,6 +7,7 @@ type estimate = {
 }
 
 val estimate :
+  ?cancel:Wfc_platform.Cancel.t ->
   ?replica_cost:float ->
   ?runs:int ->
   seed:int ->
@@ -16,9 +17,12 @@ val estimate :
   estimate
 (** [estimate ~seed model g s] aggregates [runs] (default 1000) independent
     simulated executions, deterministically in [seed]. Replicated schedules
-    simulate with [replica_cost] per extra copy (see {!Sim.run}).
+    simulate with [replica_cost] per extra copy (see {!Sim.run}). Every run
+    reuses one {!Sim.exec}, and [cancel] is polled at every simulated
+    failure.
 
-    @raise Invalid_argument if [runs <= 0]. *)
+    @raise Invalid_argument if [runs <= 0].
+    @raise Wfc_platform.Cancel.Cancelled when [cancel] fires. *)
 
 val estimate_renewal :
   ?replica_cost:float ->
@@ -91,32 +95,6 @@ val makespan_samples :
   Wfc_platform.Sample_set.t
 (** Like {!estimate} but keeping every makespan sample, for quantile and
     tail analysis ({!Wfc_platform.Sample_set.quantile}). *)
-
-type tails = {
-  mean : float;
-  p95 : float;  (** 95th-percentile makespan *)
-  p99 : float;
-  cvar95 : float;  (** expected makespan of the worst 5% of runs *)
-  cvar99 : float;
-  worst : float;  (** largest sampled makespan *)
-}
-(** Tail risk of a makespan distribution: the numbers a risk-averse
-    selection ({!Wfc_resilience.Robust}) ranks schedules by. *)
-
-val tails_of_samples : Wfc_platform.Sample_set.t -> tails
-(** Quantiles via {!Wfc_platform.Sample_set.quantile}, CVaR via
-    {!Wfc_platform.Sample_set.cvar}.
-
-    @raise Invalid_argument on an empty sample set. *)
-
-val estimate_tails :
-  ?runs:int ->
-  seed:int ->
-  Wfc_platform.Failure_model.t ->
-  Wfc_dag.Dag.t ->
-  Wfc_core.Schedule.t ->
-  tails
-(** [tails_of_samples] of {!makespan_samples}. *)
 
 val agrees_with :
   estimate -> expected:float -> sigmas:float -> bool

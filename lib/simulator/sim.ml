@@ -1,10 +1,12 @@
 type run = { makespan : float; failures : int; wasted : float }
 
 module Metrics = Wfc_obs.Metrics
+module Rng = Wfc_platform.Rng
+module Schedule = Wfc_core.Schedule
 
-(* One flush per simulated replica, whichever engine ran it: Sim.run,
-   Sim.run_renewal or the fault-injecting Sim_faults.run (which shares these
-   counters and adds its own). *)
+(* The sim.* family, declared once: every run of the executor flushes into
+   these, whichever wrapper (Sim, Sim_faults, Sim_adaptive, Sim_trace,
+   Sim_breakdown, Trace_io) started it. *)
 let m_replicas = Metrics.counter "sim.replicas"
 let m_failures = Metrics.counter "sim.failures_injected"
 let m_recoveries = Metrics.counter "sim.recoveries"
@@ -15,84 +17,12 @@ let h_lost_work = Metrics.histogram "sim.lost_work"
 let m_replicas_placed = Metrics.counter "sim.replicas_placed"
 let m_replica_saves = Metrics.counter "sim.replica_saves"
 
-let record_run r ~recoveries =
-  if Metrics.enabled () then begin
-    Metrics.incr m_replicas;
-    Metrics.add m_failures r.failures;
-    Metrics.add m_recoveries recoveries;
-    Metrics.observe h_lost_work r.wasted
-  end;
-  r
+(* Injected checkpoint/recovery faults (Sim_faults). *)
+let m_corrupt = Metrics.counter "sim.faults.corrupt_ckpt_detected"
+let m_failed_rec = Metrics.counter "sim.faults.failed_recoveries"
+let m_truncated = Metrics.counter "sim.faults.truncated_runs"
 
-(* Shared state and replay-closure computation for all execution engines. *)
-type state = {
-  g : Wfc_dag.Dag.t;
-  in_memory : bool array;
-  on_disk : bool array;
-  seen : bool array;  (* scratch for the closure walk *)
-  mutable restored : int list;  (* outputs the current segment brings back *)
-  mutable recoveries : int;  (* checkpoint reads performed during replays *)
-}
-
-let make_state g ~n =
-  {
-    g;
-    in_memory = Array.make n false;
-    on_disk = Array.make n false;
-    seen = Array.make n false;
-    restored = [];
-    recoveries = 0;
-  }
-
-let weight st v = (Wfc_dag.Dag.task st.g v).Wfc_dag.Task.weight
-let ckpt_cost st v = (Wfc_dag.Dag.task st.g v).Wfc_dag.Task.checkpoint_cost
-let rec_cost st v = (Wfc_dag.Dag.task st.g v).Wfc_dag.Task.recovery_cost
-
-(* Replay cost for task [v]: recover lost checkpointed ancestors, recompute
-   lost plain ones (recursively). Fills [st.restored] with the outputs the
-   segment will bring back to memory on success. [weight_of] prices a
-   recomputation — replicated runs pass surcharged weights, since a replayed
-   task re-runs with its replicas. *)
-let replay_cost_weighted st ~weight_of v =
-  st.restored <- [];
-  Array.fill st.seen 0 (Array.length st.seen) false;
-  let cost = ref 0. in
-  let rec visit v =
-    Array.iter
-      (fun u ->
-        if (not st.in_memory.(u)) && not st.seen.(u) then begin
-          st.seen.(u) <- true;
-          st.restored <- u :: st.restored;
-          if st.on_disk.(u) then begin
-            st.recoveries <- st.recoveries + 1;
-            cost := !cost +. rec_cost st u
-          end
-          else begin
-            cost := !cost +. weight_of u;
-            visit u
-          end
-        end)
-      (Wfc_dag.Dag.preds_array st.g v)
-  in
-  visit v;
-  !cost
-
-let replay_cost st v = replay_cost_weighted st ~weight_of:(weight st) v
-
-let commit st v ~checkpointing =
-  List.iter (fun u -> st.in_memory.(u) <- true) st.restored;
-  st.in_memory.(v) <- true;
-  if checkpointing then st.on_disk.(v) <- true
-
-let wipe_memory st = Array.fill st.in_memory 0 (Array.length st.in_memory) false
-let recoveries st = st.recoveries
-
-(* A failure environment as seen by the blocking engine. [time_to_failure]
-   returns the time until the next failure measured from now; [consume dt]
-   tells the process that [dt] seconds elapsed without failure;
-   [next_downtime] is drawn once per failure, before [after_failure] lets
-   renewal processes redraw — the call order every engine (and every
-   recording wrapper) relies on. *)
+(* One failure lane; the mli documents the call order. *)
 type source = {
   time_to_failure : unit -> float;
   consume : float -> unit;
@@ -107,8 +37,7 @@ let source_of_model ~rng model =
     (* memoryless: a fresh draw per attempt is exact for exponential *)
     time_to_failure =
       (fun () ->
-        if lambda = 0. then infinity
-        else Wfc_platform.Rng.exponential rng ~rate:lambda);
+        if lambda = 0. then infinity else Rng.exponential rng ~rate:lambda);
     consume = (fun _ -> ());
     next_downtime = (fun () -> downtime);
     after_failure = (fun () -> ());
@@ -126,142 +55,381 @@ let renewal_source ~rng ~failures ~downtime =
       (fun () -> remaining := Wfc_platform.Distribution.sample failures rng);
   }
 
-(* Generic blocking-checkpoint engine, parametric in the failure source. *)
+(* {1 The executor} *)
+
+type faults = {
+  p_ckpt_fail : float;
+  p_rec_fail : float;
+  max_failures : int;
+  rng : Rng.t;
+}
+
+(* Every float the loop updates lives in this all-float record, so the
+   stores are unboxed. *)
+type clock = {
+  mutable time : float;
+  mutable wasted : float;
+  mutable start : float;
+  mutable replay : float;
+  mutable recovery : float;
+  mutable segment : float;
+  mutable lost : float;
+  mutable downtime : float;
+  mutable exposure : float;
+  mutable downtime_total : float;
+}
+
+type exec = {
+  n : int;
+  sched : Schedule.t;
+  preds : int array array;
+  work : float array;  (* effective weight: replicated copies surcharged *)
+  ckpt_cost : float array;
+  rec_cost : float array;
+  replicas : int array;
+  faults : faults;
+  (* the plan; an observer may rewrite its suffix ({!replan}) *)
+  order : int array;
+  flags : bool array;
+  (* platform state. [mem.(u) = life] means u's output is in memory, so a
+     failure wipes memory by bumping [life]; [copies.(u) > 0] means u's
+     checkpoint copies sit on disk, bit j of [corrupt.(u)] marking copy j
+     silently corrupt. *)
+  mem : int array;
+  mutable life : int;
+  copies : int array;
+  corrupt : int array;
+  (* replay-walk scratch: [seen.(u) = epoch] marks u visited by the current
+     walk; [restored] holds the outputs it brings back; [stack]/[next] are
+     the explicit DFS frames (node, next predecessor index) *)
+  seen : int array;
+  mutable epoch : int;
+  restored : int array;
+  mutable n_restored : int;
+  stack : int array;
+  next : int array;
+  clock : clock;
+  (* the position in flight and the run's counters *)
+  mutable position : int;
+  mutable failures : int;
+  mutable lane_failures : int;
+  mutable recoveries : int;
+  mutable corrupt_reads : int;
+  mutable failed_recoveries : int;
+  mutable saves : int;
+  mutable truncated : bool;
+}
+
+let no_faults () =
+  { p_ckpt_fail = 0.; p_rec_fail = 0.; max_failures = 0; rng = Rng.create 0 }
+
+let exec ?(replica_cost = Wfc_core.Replication.default_cost) ?faults g sched =
+  let n = Schedule.n_tasks sched in
+  let task v = Wfc_dag.Dag.task g v in
+  let replicas = Array.init n (Schedule.replicas_of sched) in
+  let work =
+    (* an unreplicated run never prices copies, so it never validates
+       [replica_cost] either *)
+    if Schedule.is_replicated sched then
+      Array.init n (fun v ->
+          Wfc_core.Replication.effective_weight ~cost:replica_cost
+            ~weight:(task v).Wfc_dag.Task.weight ~r:replicas.(v))
+    else Array.init n (fun v -> (task v).Wfc_dag.Task.weight)
+  in
+  {
+    n;
+    sched;
+    preds = Array.init n (Wfc_dag.Dag.preds_array g);
+    work;
+    ckpt_cost = Array.init n (fun v -> (task v).Wfc_dag.Task.checkpoint_cost);
+    rec_cost = Array.init n (fun v -> (task v).Wfc_dag.Task.recovery_cost);
+    replicas;
+    faults = (match faults with Some f -> f | None -> no_faults ());
+    order = Array.init n (Schedule.task_at sched);
+    flags = Array.init n (Schedule.is_checkpointed sched);
+    mem = Array.make n 0;
+    life = 1;
+    copies = Array.make n 0;
+    corrupt = Array.make n 0;
+    seen = Array.make n 0;
+    epoch = 0;
+    restored = Array.make n 0;
+    n_restored = 0;
+    stack = Array.make n 0;
+    next = Array.make n 0;
+    clock =
+      {
+        time = 0.; wasted = 0.; start = 0.; replay = 0.; recovery = 0.;
+        segment = 0.; lost = 0.; downtime = 0.; exposure = 0.;
+        downtime_total = 0.;
+      };
+    position = 0;
+    failures = 0;
+    lane_failures = 0;
+    recoveries = 0;
+    corrupt_reads = 0;
+    failed_recoveries = 0;
+    saves = 0;
+    truncated = false;
+  }
+
+(* A fresh run: nothing in memory, nothing on disk. *)
+let reset ex =
+  ex.life <- ex.life + 1;
+  Array.fill ex.copies 0 ex.n 0;
+  let c = ex.clock in
+  c.time <- 0.;
+  c.wasted <- 0.;
+  c.exposure <- 0.;
+  c.downtime_total <- 0.;
+  ex.position <- 0;
+  ex.failures <- 0;
+  ex.lane_failures <- 0;
+  ex.recoveries <- 0;
+  ex.corrupt_reads <- 0;
+  ex.failed_recoveries <- 0;
+  ex.saves <- 0;
+  ex.truncated <- false
+
+let[@inline] bernoulli ex p = p > 0. && Rng.uniform ex.faults.rng < p
+
+(* The replay walk for task [v]: recover lost checkpointed ancestors,
+   recompute lost plain ones, recursively, depth first in predecessor order
+   (the float sum depends on that order). A recovery read retries on
+   transient failure; the checkpoint copies are tried in write order, and
+   only when every copy is corrupt are they discarded and the task
+   recomputed from its own ancestors. A discovery persists even if the
+   attempt later fails. Fills [restored] with the outputs a successful
+   attempt brings back to memory. *)
+let replay ex v =
+  ex.epoch <- ex.epoch + 1;
+  let epoch = ex.epoch in
+  let p_rec = ex.faults.p_rec_fail in
+  ex.n_restored <- 0;
+  let cost = ref 0. and recovery = ref 0. in
+  ex.stack.(0) <- v;
+  ex.next.(0) <- 0;
+  let sp = ref 1 in
+  while !sp > 0 do
+    let top = !sp - 1 in
+    let ps = ex.preds.(ex.stack.(top)) in
+    let i = ex.next.(top) in
+    if i >= Array.length ps then decr sp
+    else begin
+      ex.next.(top) <- i + 1;
+      let u = ps.(i) in
+      if ex.mem.(u) <> ex.life && ex.seen.(u) <> epoch then begin
+        ex.seen.(u) <- epoch;
+        ex.restored.(ex.n_restored) <- u;
+        ex.n_restored <- ex.n_restored + 1;
+        let recompute =
+          if ex.copies.(u) > 0 then begin
+            let rc = ex.rec_cost.(u) in
+            let found = ref false and j = ref 0 in
+            while (not !found) && !j < ex.copies.(u) do
+              while bernoulli ex p_rec do
+                ex.failed_recoveries <- ex.failed_recoveries + 1;
+                cost := !cost +. rc;
+                recovery := !recovery +. rc
+              done;
+              ex.recoveries <- ex.recoveries + 1;
+              cost := !cost +. rc;
+              recovery := !recovery +. rc;
+              if ex.corrupt.(u) land (1 lsl !j) <> 0 then
+                ex.corrupt_reads <- ex.corrupt_reads + 1
+              else found := true;
+              incr j
+            done;
+            if not !found then ex.copies.(u) <- 0;
+            not !found
+          end
+          else true
+        in
+        if recompute then begin
+          cost := !cost +. ex.work.(u);
+          ex.stack.(!sp) <- u;
+          ex.next.(!sp) <- 0;
+          incr sp
+        end
+      end
+    end
+  done;
+  ex.clock.recovery <- !recovery;
+  !cost
+
+let restore ex v =
+  for k = 0 to ex.n_restored - 1 do
+    ex.mem.(ex.restored.(k)) <- ex.life
+  done;
+  ex.mem.(v) <- ex.life
+
+let store ex v =
+  let r = ex.replicas.(v) in
+  ex.copies.(v) <- r;
+  let mask = ref 0 in
+  for j = 0 to r - 1 do
+    if bernoulli ex ex.faults.p_ckpt_fail then mask := !mask lor (1 lsl j)
+  done;
+  ex.corrupt.(v) <- !mask
+
+let wipe ex = ex.life <- ex.life + 1
+
+type observer = {
+  on_attempt : exec -> unit;
+  on_success : exec -> unit;
+  on_failure : exec -> unit;
+}
+
+let ignore_exec (_ : exec) = ()
+
+let silent =
+  { on_attempt = ignore_exec; on_success = ignore_exec; on_failure = ignore_exec }
+
+let flush ex =
+  if Metrics.enabled () then begin
+    Metrics.incr m_replicas;
+    Metrics.add m_failures ex.failures;
+    Metrics.add m_recoveries ex.recoveries;
+    Metrics.observe h_lost_work ex.clock.wasted;
+    Metrics.add m_corrupt ex.corrupt_reads;
+    Metrics.add m_failed_rec ex.failed_recoveries;
+    if ex.truncated then Metrics.incr m_truncated;
+    if Schedule.is_replicated ex.sched then begin
+      Metrics.add m_replicas_placed (Schedule.extra_replicas ex.sched);
+      Metrics.add m_replica_saves ex.saves
+    end
+  end
+
+exception Capped
+
+(* The attempt loop: the paper's recovery semantics, implemented once (the
+   mli states the lane protocol). *)
+let execute ?(observer = silent) ?(cancel = Wfc_platform.Cancel.never) ex lanes
+    =
+  if Array.length lanes < Schedule.max_replica_count ex.sched then
+    invalid_arg "Sim.execute: fewer lanes than replicas";
+  reset ex;
+  let c = ex.clock in
+  let cap = ex.faults.max_failures in
+  (try
+     while ex.position < ex.n do
+       (* re-read after every attempt: a replan may have changed both *)
+       let v = ex.order.(ex.position) in
+       let checkpointing = ex.flags.(v) in
+       let replay = replay ex v in
+       let segment =
+         replay +. ex.work.(v) +. (if checkpointing then ex.ckpt_cost.(v) else 0.)
+       in
+       c.start <- c.time;
+       c.replay <- replay;
+       c.segment <- segment;
+       observer.on_attempt ex;
+       let survivors = ref 0 and losses = ref 0 in
+       let last_death = ref neg_infinity and last_downtime = ref 0. in
+       for j = 0 to ex.replicas.(v) - 1 do
+         let lane = lanes.(j) in
+         let fail_after = lane.time_to_failure () in
+         if fail_after >= segment then begin
+           lane.consume segment;
+           c.exposure <- c.exposure +. segment;
+           incr survivors
+         end
+         else begin
+           let down = lane.next_downtime () in
+           incr losses;
+           ex.lane_failures <- ex.lane_failures + 1;
+           c.exposure <- c.exposure +. fail_after;
+           c.downtime_total <- c.downtime_total +. down;
+           if fail_after > !last_death then begin
+             last_death := fail_after;
+             last_downtime := down
+           end;
+           lane.after_failure ()
+         end
+       done;
+       if !survivors > 0 then begin
+         c.time <- c.time +. segment;
+         c.wasted <- c.wasted +. replay;
+         restore ex v;
+         if checkpointing then store ex v;
+         if !losses > 0 then ex.saves <- ex.saves + 1;
+         observer.on_success ex;
+         ex.position <- ex.position + 1
+       end
+       else begin
+         c.lost <- !last_death;
+         c.downtime <- !last_downtime;
+         c.time <- c.time +. !last_death +. !last_downtime;
+         c.wasted <- c.wasted +. !last_death +. !last_downtime;
+         ex.failures <- ex.failures + 1;
+         wipe ex;
+         observer.on_failure ex;
+         Wfc_platform.Cancel.check cancel;
+         if cap > 0 && ex.failures >= cap then raise_notrace Capped
+       end
+     done
+   with Capped -> ex.truncated <- true);
+  flush ex
+
+let result ex =
+  { makespan = ex.clock.time; failures = ex.failures; wasted = ex.clock.wasted }
+
+(* Read-only views for observers and wrappers. *)
+let position ex = ex.position
+let task ex = ex.order.(ex.position)
+let checkpointing ex = ex.flags.(task ex)
+let time ex = ex.clock.time
+let start ex = ex.clock.start
+let replay_time ex = ex.clock.replay
+let recovery_time ex = ex.clock.recovery
+let segment ex = ex.clock.segment
+let work ex v = ex.work.(v)
+let lost ex = ex.clock.lost
+let downtime ex = ex.clock.downtime
+let failures ex = ex.failures
+let lane_failures ex = ex.lane_failures
+let exposure ex = ex.clock.exposure
+let downtime_total ex = ex.clock.downtime_total
+let corrupt_reads ex = ex.corrupt_reads
+let failed_recoveries ex = ex.failed_recoveries
+let truncated ex = ex.truncated
+let order ex = Array.copy ex.order
+let flags ex = Array.copy ex.flags
+
+let replan ex ~order ~flags =
+  Array.blit order 0 ex.order 0 ex.n;
+  Array.blit flags 0 ex.flags 0 ex.n
+
+(* {1 Entry points} *)
+
+let run_with_lanes ?replica_cost lanes g sched =
+  let ex = exec ?replica_cost g sched in
+  execute ex lanes;
+  result ex
+
 let run_with_source source g sched =
-  if Wfc_core.Schedule.is_replicated sched then
+  if Schedule.is_replicated sched then
     invalid_arg
       "Sim.run_with_source: replicated schedule needs failure lanes \
        (run_with_lanes)";
-  let n = Wfc_core.Schedule.n_tasks sched in
-  let st = make_state g ~n in
-  let time = ref 0. and failures = ref 0 and wasted = ref 0. in
-  for p = 0 to n - 1 do
-    let v = Wfc_core.Schedule.task_at sched p in
-    let checkpointing = Wfc_core.Schedule.is_checkpointed sched v in
-    let finished = ref false in
-    while not !finished do
-      let replay = replay_cost st v in
-      let segment =
-        replay +. weight st v +. (if checkpointing then ckpt_cost st v else 0.)
-      in
-      let fail_after = source.time_to_failure () in
-      if fail_after >= segment then begin
-        time := !time +. segment;
-        wasted := !wasted +. replay;
-        source.consume segment;
-        commit st v ~checkpointing;
-        finished := true
-      end
-      else begin
-        let downtime = source.next_downtime () in
-        time := !time +. fail_after +. downtime;
-        wasted := !wasted +. fail_after +. downtime;
-        incr failures;
-        wipe_memory st;
-        source.after_failure ()
-      end
-    done
-  done;
-  record_run
-    { makespan = !time; failures = !failures; wasted = !wasted }
-    ~recoveries:st.recoveries
+  run_with_lanes [| source |] g sched
 
-(* Multi-lane engine for replicated schedules: the task at each position
-   runs [Schedule.replicas_of] independent copies, lane [j] of the attempt
-   drawing from [lanes.(j)]. Lanes are polled in strict ascending order and
-   each lane's outcome (consume, or downtime + renewal) is resolved before
-   the next lane is queried, so a single recorded stream replays
-   deterministically. The attempt is lost only when every copy fails; the
-   loss is charged at the last copy's death, with that copy's downtime. With
-   [lanes = [| s |]] and an unreplicated schedule this replays
-   {!run_with_source}'s draws and float operations exactly. *)
-let run_with_lanes ?(replica_cost = Wfc_core.Replication.default_cost) lanes g
-    sched =
-  let n = Wfc_core.Schedule.n_tasks sched in
-  if Array.length lanes < Wfc_core.Schedule.max_replica_count sched then
-    invalid_arg "Sim.run_with_lanes: fewer lanes than replicas";
-  let st = make_state g ~n in
-  let eff_w v =
-    Wfc_core.Replication.effective_weight ~cost:replica_cost
-      ~weight:(weight st v)
-      ~r:(Wfc_core.Schedule.replicas_of sched v)
-  in
-  let time = ref 0. and failures = ref 0 and wasted = ref 0. in
-  let saves = ref 0 in
-  for p = 0 to n - 1 do
-    let v = Wfc_core.Schedule.task_at sched p in
-    let r = Wfc_core.Schedule.replicas_of sched v in
-    let checkpointing = Wfc_core.Schedule.is_checkpointed sched v in
-    let finished = ref false in
-    while not !finished do
-      let replay = replay_cost_weighted st ~weight_of:eff_w v in
-      let segment =
-        replay +. eff_w v +. (if checkpointing then ckpt_cost st v else 0.)
-      in
-      let survivors = ref 0 and losses = ref 0 in
-      let last_death = ref neg_infinity and last_downtime = ref 0. in
-      for j = 0 to r - 1 do
-        let lane = lanes.(j) in
-        let fail_after = lane.time_to_failure () in
-        if fail_after >= segment then begin
-          lane.consume segment;
-          incr survivors
-        end
-        else begin
-          let downtime = lane.next_downtime () in
-          incr losses;
-          if fail_after > !last_death then begin
-            last_death := fail_after;
-            last_downtime := downtime
-          end;
-          lane.after_failure ()
-        end
-      done;
-      if !survivors > 0 then begin
-        time := !time +. segment;
-        wasted := !wasted +. replay;
-        commit st v ~checkpointing;
-        if !losses > 0 then incr saves;
-        finished := true
-      end
-      else begin
-        time := !time +. !last_death +. !last_downtime;
-        wasted := !wasted +. !last_death +. !last_downtime;
-        incr failures;
-        wipe_memory st
-      end
-    done
-  done;
-  if Metrics.enabled () then begin
-    Metrics.add m_replicas_placed (Wfc_core.Schedule.extra_replicas sched);
-    Metrics.add m_replica_saves !saves
-  end;
-  record_run
-    { makespan = !time; failures = !failures; wasted = !wasted }
-    ~recoveries:st.recoveries
+(* One source per lane: sequential creation on a shared rng gives
+   independent draws, and the memoryless source draws nothing before its
+   first attempt. *)
+let model_lanes ~rng model sched =
+  Array.init (Schedule.max_replica_count sched) (fun _ ->
+      source_of_model ~rng model)
 
 let run ?replica_cost ~rng model g sched =
-  if Wfc_core.Schedule.is_replicated sched then
-    (* one source per lane: sequential creation on a shared rng gives
-       independent draws, and the memoryless source draws nothing before its
-       first attempt *)
-    let lanes =
-      Array.init
-        (Wfc_core.Schedule.max_replica_count sched)
-        (fun _ -> source_of_model ~rng model)
-    in
-    run_with_lanes ?replica_cost lanes g sched
-  else run_with_source (source_of_model ~rng model) g sched
+  run_with_lanes ?replica_cost (model_lanes ~rng model sched) g sched
 
 let run_renewal ?replica_cost ~rng ~failures ~downtime g sched =
   if downtime < 0. then invalid_arg "Sim.run_renewal: negative downtime";
   let downtime = Wfc_platform.Distribution.Constant downtime in
-  if Wfc_core.Schedule.is_replicated sched then
-    (* renewal lanes draw their first countdown at creation, in lane order *)
-    let lanes =
-      Array.init
-        (Wfc_core.Schedule.max_replica_count sched)
-        (fun _ -> renewal_source ~rng ~failures ~downtime)
-    in
-    run_with_lanes ?replica_cost lanes g sched
-  else run_with_source (renewal_source ~rng ~failures ~downtime) g sched
+  (* renewal lanes draw their first countdown at creation, in lane order *)
+  let lanes =
+    Array.init (Schedule.max_replica_count sched) (fun _ ->
+        renewal_source ~rng ~failures ~downtime)
+  in
+  run_with_lanes ?replica_cost lanes g sched

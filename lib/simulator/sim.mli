@@ -1,6 +1,5 @@
 (** Discrete-event fault injection: executes a schedule once against randomly
-    drawn exponential failures, reproducing the paper's recovery semantics
-    exactly.
+    drawn failures, reproducing the paper's recovery semantics exactly.
 
     State: the set of task outputs currently in memory (all lost on every
     failure) and the set of checkpoints on stable storage (never lost, only
@@ -11,6 +10,12 @@
     segment wipes memory, costs the elapsed time plus the downtime, and the
     segment restarts from the surviving checkpoints.
 
+    One executor ({!execute}) implements that loop. Everything else in this
+    library is a way of feeding it failures ({!source} lanes), of perturbing
+    its checkpoint machinery ({!faults}), or of watching it ({!observer}):
+    {!Sim_faults}, {!Sim_trace}, {!Sim_breakdown}, {!Sim_adaptive},
+    {!Trace_io} and {!Monte_carlo} all run through it.
+
     Cross-validating the mean of many runs against {!Wfc_core.Evaluator} is
     the strongest correctness argument for both implementations. *)
 
@@ -19,45 +24,6 @@ type run = {
   failures : int;  (** number of failures injected *)
   wasted : float;  (** time spent on lost attempts, downtime and replays *)
 }
-
-(** {1 Execution machinery}
-
-    The pieces every blocking engine shares, exported so variants (the
-    adaptive executor, fault injectors) reuse the exact replay semantics
-    instead of reimplementing them. *)
-
-type state
-(** Platform memory/disk state: which task outputs are live in memory (all
-    lost on failure) and which checkpoints sit on stable storage. *)
-
-val make_state : Wfc_dag.Dag.t -> n:int -> state
-(** Fresh state for an [n]-task DAG: nothing in memory, nothing on disk. *)
-
-val replay_cost : state -> int -> float
-(** Replay cost for executing task [v] now: recover lost checkpointed
-    ancestors (at recovery cost), recompute lost plain ones (recursively,
-    at their weight). Also notes which outputs the segment will bring back
-    to memory, applied by the next {!commit}. *)
-
-val replay_cost_weighted : state -> weight_of:(int -> float) -> int -> float
-(** {!replay_cost} with recomputations priced by [weight_of] instead of the
-    task weight — replicated runs pass surcharged effective weights, since a
-    replayed task re-runs with its replicas. *)
-
-val commit : state -> int -> checkpointing:bool -> unit
-(** The segment of task [v] completed: its output (and everything the last
-    {!replay_cost} restored) is in memory; with [checkpointing] its
-    checkpoint is on disk. *)
-
-val wipe_memory : state -> unit
-(** A failure: every in-memory output is lost; disk survives. *)
-
-val recoveries : state -> int
-(** Checkpoint reads performed by replays so far. *)
-
-val record_run : run -> recoveries:int -> run
-(** Flush one replica's counters to the metrics layer (a no-op when
-    disabled) and return the run unchanged. *)
 
 type source = {
   time_to_failure : unit -> float;
@@ -69,9 +35,9 @@ type source = {
   next_downtime : unit -> float;  (** drawn once per failure *)
   after_failure : unit -> unit;
       (** the repair renews the process; called {e after} [next_downtime] —
-          every engine and recording wrapper relies on that call order *)
+          the executor and every recording wrapper rely on that call order *)
 }
-(** A failure environment as seen by the blocking engine. *)
+(** A failure environment as seen by the executor: one failure lane. *)
 
 val source_of_model : rng:Wfc_platform.Rng.t -> Wfc_platform.Failure_model.t -> source
 (** Memoryless exponential failures with constant downtime: a fresh
@@ -85,10 +51,156 @@ val renewal_source :
 (** Renewal failures: one countdown drawn at start and after every repair,
     consumed by successful segments in between. *)
 
+(** {1 The executor} *)
+
+type faults = {
+  p_ckpt_fail : float;
+      (** each checkpoint copy is silently corrupt with this probability,
+          decided when it is written *)
+  p_rec_fail : float;
+      (** each recovery read fails transiently (and is retried, charged
+          again) with this probability *)
+  max_failures : int;
+      (** stop the run after this many failures; [0] means never *)
+  rng : Wfc_platform.Rng.t;  (** draws the fault bernoullis *)
+}
+(** Faults of the checkpoint machinery itself ({!Sim_faults} documents the
+    model). A zero probability consumes no draws, so the default — no
+    faults — is the paper's platform. *)
+
+type exec
+(** An executor for one (DAG, schedule) pair: the platform state, the replay
+    walk's scratch and the run's counters, allocated once and reused by
+    every run. No attempt allocates an array or clears one: memory is wiped
+    and the walk's visited set cleared by bumping a stamp. An [exec] is not
+    shared between domains. *)
+
+val exec :
+  ?replica_cost:float ->
+  ?faults:faults ->
+  Wfc_dag.Dag.t ->
+  Wfc_core.Schedule.t ->
+  exec
+(** The executor for [sched]. Replicated tasks run with work surcharged by
+    {!Wfc_core.Replication.effective_weight} at [replica_cost] (default
+    {!Wfc_core.Replication.default_cost}); checkpoint and recovery costs are
+    shared, unscaled. *)
+
+type observer = {
+  on_attempt : exec -> unit;  (** a segment attempt begins *)
+  on_success : exec -> unit;  (** it completed; {!position} not yet advanced *)
+  on_failure : exec -> unit;
+      (** every copy failed; memory is already wiped and the clock
+          advanced past the downtime *)
+}
+(** Hooks the executor calls at each step. They read the state through the
+    accessors below; {!Sim_adaptive}'s failure hook may also {!replan}. *)
+
+val silent : observer
+(** Ignores everything. *)
+
+val execute :
+  ?observer:observer ->
+  ?cancel:Wfc_platform.Cancel.t ->
+  exec ->
+  source array ->
+  unit
+(** One run from a fresh platform. The task at each position runs
+    {!Wfc_core.Schedule.replicas_of} independent copies, copy [j] drawing
+    from [lanes.(j)]. Lanes are polled in ascending order, each lane's
+    outcome fully resolved (consume, or downtime + renewal) before the next
+    lane is queried — which makes a single recorded stream replay
+    deterministically. An attempt is lost only when {e every} copy fails,
+    charged at the last copy's death plus that copy's downtime; an attempt
+    that lost copies but survived counts toward [sim.replica_saves]. With
+    one lane this is the single-source engine, draw for draw.
+
+    [cancel] is polled at every failure, so a run that diverges can be
+    stopped. The [sim.*] metrics are flushed once, at the end of the run.
+
+    @raise Invalid_argument with fewer lanes than
+      {!Wfc_core.Schedule.max_replica_count}.
+    @raise Wfc_platform.Cancel.Cancelled when [cancel] fires. *)
+
+val result : exec -> run
+(** The summary of the last run. *)
+
+(** {2 Views for observers}
+
+    The attempt in flight: {!position}, {!task}, {!checkpointing}; the
+    clock ({!time}) and the clock when the attempt began ({!start}); the
+    segment's parts — {!replay_time}, of which {!recovery_time} is
+    checkpoint reads (retried ones included) and the rest recomputation,
+    and {!segment} = replay + {!work} + checkpoint. At a failure, {!lost}
+    is the time into the attempt and {!downtime} the repair that followed.
+
+    The run so far: {!failures} counts lost attempts, {!lane_failures} lost
+    copies (every copy's death is an observed platform failure),
+    {!exposure} the censored uptime summed over copies (the segment for a
+    survivor, the time to death for a lost copy) and {!downtime_total} the
+    repairs of lost copies — the sufficient statistics of the exponential
+    MLE. {!corrupt_reads}, {!failed_recoveries} and {!truncated} report the
+    {!faults}. *)
+
+val position : exec -> int
+val task : exec -> int
+val checkpointing : exec -> bool
+val time : exec -> float
+val start : exec -> float
+val replay_time : exec -> float
+val recovery_time : exec -> float
+val segment : exec -> float
+val work : exec -> int -> float
+val lost : exec -> float
+val downtime : exec -> float
+val failures : exec -> int
+val lane_failures : exec -> int
+val exposure : exec -> float
+val downtime_total : exec -> float
+val corrupt_reads : exec -> int
+val failed_recoveries : exec -> int
+val truncated : exec -> bool
+
+val order : exec -> int array
+(** A copy of the plan's position -> task order. *)
+
+val flags : exec -> bool array
+(** A copy of the plan's per-task checkpoint flags. *)
+
+val replan : exec -> order:int array -> flags:bool array -> unit
+(** Replace the plan from the current position on (the caller keeps the
+    executed prefix intact). The rewrite persists into later runs of this
+    executor. *)
+
+(** {2 The replay walk, for engines with their own time advance}
+
+    {!Sim_overlap} advances time through a background checkpoint channel,
+    so it drives the platform state itself. *)
+
+val reset : exec -> unit
+(** A fresh platform: nothing in memory or on disk. *)
+
+val replay : exec -> int -> float
+(** Replay cost for executing task [v] now: recover lost checkpointed
+    ancestors, recompute lost plain ones (recursively, at their effective
+    weight), depth first in predecessor order. Notes the outputs it brings
+    back, for {!restore}. *)
+
+val restore : exec -> int -> unit
+(** [v]'s segment completed: its output, and everything the last {!replay}
+    brought back, is in memory. *)
+
+val store : exec -> int -> unit
+(** [v]'s checkpoint copies land on disk. *)
+
+val wipe : exec -> unit
+(** A failure: every in-memory output is lost; disk survives. *)
+
+(** {1 Entry points} *)
+
 val run_with_source : source -> Wfc_dag.Dag.t -> Wfc_core.Schedule.t -> run
-(** The generic blocking-checkpoint engine, parametric in the failure
-    source. {!run} and {!run_renewal} are thin wrappers; {!Trace_io} wraps a
-    [source] to record or replay the exact draws.
+(** One run against a single failure source. {!Trace_io} wraps a [source]
+    to record or replay the exact draws.
 
     @raise Invalid_argument on a replicated schedule — replicas need one
       failure lane per copy ({!run_with_lanes}); running them against a
@@ -100,22 +212,19 @@ val run_with_lanes :
   Wfc_dag.Dag.t ->
   Wfc_core.Schedule.t ->
   run
-(** Multi-lane engine for replicated schedules: the task at each position
-    runs [Schedule.replicas_of] independent copies, copy [j] of every
-    attempt drawing from [lanes.(j)]. Lanes are polled in ascending order,
-    each lane's outcome fully resolved (consume, or downtime + renewal)
-    before the next lane is queried — which makes a single recorded stream
-    replay deterministically. An attempt is lost only when {e every} copy
-    fails, charged at the last copy's death plus that copy's downtime; an
-    attempt that lost copies but survived counts toward the
-    [sim.replica_saves] counter. Execution is surcharged through
-    {!Wfc_core.Replication.effective_weight} with [replica_cost] (default
-    {!Wfc_core.Replication.default_cost}); checkpoint and recovery costs are
-    shared, unscaled. [run_with_lanes [| s |]] on an unreplicated schedule
-    replays {!run_with_source}'s draws and float operations bit for bit.
+(** One run of {!execute} on the given lanes. [run_with_lanes [| s |]] on
+    an unreplicated schedule is {!run_with_source}.
 
     @raise Invalid_argument with fewer lanes than
       {!Wfc_core.Schedule.max_replica_count}. *)
+
+val model_lanes :
+  rng:Wfc_platform.Rng.t ->
+  Wfc_platform.Failure_model.t ->
+  Wfc_core.Schedule.t ->
+  source array
+(** One memoryless lane per copy, all drawing from [rng] — what {!run}
+    executes against. *)
 
 val run :
   ?replica_cost:float ->
@@ -125,9 +234,7 @@ val run :
   Wfc_core.Schedule.t ->
   run
 (** One simulated execution. With [lambda = 0] the result is
-    deterministic: the failure-free time plus all checkpoint costs.
-    Replicated schedules run on one memoryless lane per copy
-    ({!run_with_lanes}), all drawing from [rng]. *)
+    deterministic: the failure-free time plus all checkpoint costs. *)
 
 val run_renewal :
   ?replica_cost:float ->
@@ -142,5 +249,6 @@ val run_renewal :
     instead of a fresh memoryless draw per attempt. For
     [Distribution.Exponential] this is statistically identical to {!run};
     for Weibull and other age-dependent laws it is the meaningful model.
+    Replicated schedules draw one countdown per lane, in lane order.
 
     @raise Invalid_argument if [downtime < 0]. *)

@@ -8,10 +8,6 @@ let m_reestimates = Metrics.counter "adaptive.reestimates"
 let m_rejected = Metrics.counter "adaptive.plans_kept"
 let h_lambda = Metrics.histogram "adaptive.lambda_hat"
 
-(* shared with Sim/Sim_faults through the registry *)
-let m_replicas_placed = Metrics.counter "sim.replicas_placed"
-let m_replica_saves = Metrics.counter "sim.replica_saves"
-
 type trigger = Every_failure | Every_k of int | On_drift of float
 
 type plan = { order : int array; flags : bool array }
@@ -64,26 +60,30 @@ let validate_plan g ~order ~flags ~from plan =
   if not (Wfc_dag.Dag.is_linearization g plan.order) then
     invalid_arg "Sim_adaptive: plan order is not a linearization"
 
-let run_plain config ~source g sched =
+(* The executor's failure hook: re-estimate from everything observed so far
+   and, when the trigger fires, hand the suffix to the replanner. The MLE
+   sees every lane — the executor's censored exposure and per-copy failure
+   count — while triggers and the replan boundary count effective failures
+   (attempts where every copy died). Replica counts are fixed across
+   replans, like the executed prefix. *)
+let run ?(extra_lanes = [||]) ?replica_cost config ~source g sched =
   Trace.with_span "adaptive.run" @@ fun () ->
   validate_config config;
-  let n = Wfc_core.Schedule.n_tasks sched in
-  let order = Array.init n (Wfc_core.Schedule.task_at sched) in
-  let flags = Array.init n (Wfc_core.Schedule.is_checkpointed sched) in
-  let weight v = (Wfc_dag.Dag.task g v).Wfc_dag.Task.weight in
-  let ckpt_cost v = (Wfc_dag.Dag.task g v).Wfc_dag.Task.checkpoint_cost in
-  let st = Sim.make_state g ~n in
-  let time = ref 0. and failures = ref 0 and wasted = ref 0. in
-  (* observations feeding the MLE *)
-  let exposure = ref 0. and downtime_sum = ref 0. in
+  if
+    Array.length extra_lanes > 0 && not (Wfc_core.Schedule.is_replicated sched)
+  then invalid_arg "Sim_adaptive.run: extra lanes with an unreplicated schedule";
+  let lanes = Array.append [| source |] extra_lanes in
+  let ex = Sim.exec ?replica_cost g sched in
   let replans = ref 0 and reestimates = ref 0 in
   let estimated = ref config.planning in
   (* the rate the current schedule was (re)planned for, for On_drift *)
   let plan_lambda = ref config.planning.FM.lambda in
   let estimate () =
-    if !exposure > 0. then begin
-      let lambda_hat = float_of_int !failures /. !exposure in
-      let downtime_hat = !downtime_sum /. float_of_int !failures in
+    let exposure = Sim.exposure ex in
+    if exposure > 0. then begin
+      let observed = float_of_int (Sim.lane_failures ex) in
+      let lambda_hat = observed /. exposure in
+      let downtime_hat = Sim.downtime_total ex /. observed in
       incr reestimates;
       if Metrics.enabled () then begin
         Metrics.incr m_reestimates;
@@ -97,243 +97,48 @@ let run_plain config ~source g sched =
   let should_replan () =
     match config.trigger with
     | Every_failure -> true
-    | Every_k k -> !failures mod k = 0
+    | Every_k k -> Sim.failures ex mod k = 0
     | On_drift f ->
         let lh = (!estimated).FM.lambda in
         if !plan_lambda = 0. then lh > 0.
         else Float.max (lh /. !plan_lambda) (!plan_lambda /. lh) >= f
   in
-  let p = ref 0 in
-  while !p < n do
-    (* re-read after every attempt: a replan may have changed both *)
-    let v = order.(!p) in
-    let checkpointing = flags.(v) in
-    let replay = Sim.replay_cost st v in
-    let segment =
-      replay +. weight v +. (if checkpointing then ckpt_cost v else 0.)
-    in
-    let fail_after = source.Sim.time_to_failure () in
-    if fail_after >= segment then begin
-      time := !time +. segment;
-      wasted := !wasted +. replay;
-      source.Sim.consume segment;
-      exposure := !exposure +. segment;
-      Sim.commit st v ~checkpointing;
-      incr p
-    end
-    else begin
-      let downtime = source.Sim.next_downtime () in
-      time := !time +. fail_after +. downtime;
-      wasted := !wasted +. fail_after +. downtime;
-      incr failures;
-      exposure := !exposure +. fail_after;
-      downtime_sum := !downtime_sum +. downtime;
-      Sim.wipe_memory st;
-      source.Sim.after_failure ();
-      if !failures >= config.min_observations && estimate () then
-        match config.replan with
-        | None -> ()
-        | Some _ when not (should_replan ()) -> ()
-        | Some cb -> (
-            match
-              Trace.with_span "adaptive.replan" (fun () ->
-                  cb ~model:!estimated ~order:(Array.copy order)
-                    ~flags:(Array.copy flags) ~from:!p)
-            with
-            | None -> Metrics.incr m_rejected
-            | Some plan ->
-                validate_plan g ~order ~flags ~from:!p plan;
-                Array.blit plan.order 0 order 0 n;
-                Array.blit plan.flags 0 flags 0 n;
-                plan_lambda := (!estimated).FM.lambda;
-                incr replans;
-                if Metrics.enabled () then Metrics.incr m_replans;
-                Trace.instant "adaptive.replanned"
-                  ~args:
-                    [
-                      ("from", string_of_int !p);
-                      ("failures", string_of_int !failures);
-                      ( "lambda_hat",
-                        Printf.sprintf "%.6g" (!estimated).FM.lambda );
-                    ])
-    end
-  done;
+  let on_failure ex =
+    let failures = Sim.failures ex in
+    if failures >= config.min_observations && estimate () then
+      match config.replan with
+      | None -> ()
+      | Some _ when not (should_replan ()) -> ()
+      | Some cb -> (
+          let from = Sim.position ex in
+          let order = Sim.order ex and flags = Sim.flags ex in
+          match
+            Trace.with_span "adaptive.replan" (fun () ->
+                cb ~model:!estimated ~order:(Array.copy order)
+                  ~flags:(Array.copy flags) ~from)
+          with
+          | None -> Metrics.incr m_rejected
+          | Some plan ->
+              validate_plan g ~order ~flags ~from plan;
+              Sim.replan ex ~order:plan.order ~flags:plan.flags;
+              plan_lambda := (!estimated).FM.lambda;
+              incr replans;
+              if Metrics.enabled () then Metrics.incr m_replans;
+              Trace.instant "adaptive.replanned"
+                ~args:
+                  [
+                    ("from", string_of_int from);
+                    ("failures", string_of_int failures);
+                    ("lambda_hat", Printf.sprintf "%.6g" (!estimated).FM.lambda);
+                  ])
+  in
+  Sim.execute ~observer:{ Sim.silent with Sim.on_failure } ex lanes;
   if Metrics.enabled () then Metrics.incr m_runs;
-  let run =
-    Sim.record_run
-      { Sim.makespan = !time; failures = !failures; wasted = !wasted }
-      ~recoveries:(Sim.recoveries st)
-  in
   {
-    run;
+    run = Sim.result ex;
     replans = !replans;
     reestimates = !reestimates;
     estimated = !estimated;
-    final_order = order;
-    final_flags = flags;
+    final_order = Sim.order ex;
+    final_flags = Sim.flags ex;
   }
-
-(* Replicated executor: the multi-lane attempt semantics of
-   {!Sim.run_with_lanes} with the re-estimation/replan scaffolding on top.
-   The MLE sees every lane: exposure accumulates [min (tau_j, segment)] per
-   copy and the failure count is per-lane (each copy's death is an observed
-   failure of the platform), while triggers, the replan boundary and the
-   returned run count {e effective} failures — attempts where every copy
-   died. Replica counts are fixed across replans, like the executed
-   prefix. *)
-let run_replicated ?(extra_lanes = [||]) ?replica_cost config ~source g sched =
-  Trace.with_span "adaptive.run" @@ fun () ->
-  validate_config config;
-  let replica_cost =
-    match replica_cost with
-    | Some c -> c
-    | None -> Wfc_core.Replication.default_cost
-  in
-  let n = Wfc_core.Schedule.n_tasks sched in
-  let max_r = Wfc_core.Schedule.max_replica_count sched in
-  let lanes = Array.append [| source |] extra_lanes in
-  if Array.length lanes < max_r then
-    invalid_arg "Sim_adaptive.run: fewer lanes than replicas";
-  let order = Array.init n (Wfc_core.Schedule.task_at sched) in
-  let flags = Array.init n (Wfc_core.Schedule.is_checkpointed sched) in
-  let weight v = (Wfc_dag.Dag.task g v).Wfc_dag.Task.weight in
-  let ckpt_cost v = (Wfc_dag.Dag.task g v).Wfc_dag.Task.checkpoint_cost in
-  let eff_w v =
-    Wfc_core.Replication.effective_weight ~cost:replica_cost
-      ~weight:(weight v)
-      ~r:(Wfc_core.Schedule.replicas_of sched v)
-  in
-  let st = Sim.make_state g ~n in
-  let time = ref 0. and failures = ref 0 and wasted = ref 0. in
-  let saves = ref 0 in
-  (* observations feeding the MLE, per lane *)
-  let lane_failures = ref 0 in
-  let exposure = ref 0. and downtime_sum = ref 0. in
-  let replans = ref 0 and reestimates = ref 0 in
-  let estimated = ref config.planning in
-  let plan_lambda = ref config.planning.FM.lambda in
-  let estimate () =
-    if !exposure > 0. then begin
-      let lambda_hat = float_of_int !lane_failures /. !exposure in
-      let downtime_hat = !downtime_sum /. float_of_int !lane_failures in
-      incr reestimates;
-      if Metrics.enabled () then begin
-        Metrics.incr m_reestimates;
-        Metrics.observe h_lambda lambda_hat
-      end;
-      estimated := FM.make ~lambda:lambda_hat ~downtime:downtime_hat ();
-      true
-    end
-    else false
-  in
-  let should_replan () =
-    match config.trigger with
-    | Every_failure -> true
-    | Every_k k -> !failures mod k = 0
-    | On_drift f ->
-        let lh = (!estimated).FM.lambda in
-        if !plan_lambda = 0. then lh > 0.
-        else Float.max (lh /. !plan_lambda) (!plan_lambda /. lh) >= f
-  in
-  let p = ref 0 in
-  while !p < n do
-    let v = order.(!p) in
-    let r = Wfc_core.Schedule.replicas_of sched v in
-    let checkpointing = flags.(v) in
-    let replay = Sim.replay_cost_weighted st ~weight_of:eff_w v in
-    let segment =
-      replay +. eff_w v +. (if checkpointing then ckpt_cost v else 0.)
-    in
-    let survivors = ref 0 and losses = ref 0 in
-    let last_death = ref neg_infinity and last_downtime = ref 0. in
-    for j = 0 to r - 1 do
-      let lane = lanes.(j) in
-      let fail_after = lane.Sim.time_to_failure () in
-      if fail_after >= segment then begin
-        lane.Sim.consume segment;
-        exposure := !exposure +. segment;
-        incr survivors
-      end
-      else begin
-        let downtime = lane.Sim.next_downtime () in
-        incr losses;
-        incr lane_failures;
-        exposure := !exposure +. fail_after;
-        downtime_sum := !downtime_sum +. downtime;
-        if fail_after > !last_death then begin
-          last_death := fail_after;
-          last_downtime := downtime
-        end;
-        lane.Sim.after_failure ()
-      end
-    done;
-    if !survivors > 0 then begin
-      time := !time +. segment;
-      wasted := !wasted +. replay;
-      Sim.commit st v ~checkpointing;
-      if !losses > 0 then incr saves;
-      incr p
-    end
-    else begin
-      time := !time +. !last_death +. !last_downtime;
-      wasted := !wasted +. !last_death +. !last_downtime;
-      incr failures;
-      Sim.wipe_memory st;
-      if !failures >= config.min_observations && estimate () then
-        match config.replan with
-        | None -> ()
-        | Some _ when not (should_replan ()) -> ()
-        | Some cb -> (
-            match
-              Trace.with_span "adaptive.replan" (fun () ->
-                  cb ~model:!estimated ~order:(Array.copy order)
-                    ~flags:(Array.copy flags) ~from:!p)
-            with
-            | None -> Metrics.incr m_rejected
-            | Some plan ->
-                validate_plan g ~order ~flags ~from:!p plan;
-                Array.blit plan.order 0 order 0 n;
-                Array.blit plan.flags 0 flags 0 n;
-                plan_lambda := (!estimated).FM.lambda;
-                incr replans;
-                if Metrics.enabled () then Metrics.incr m_replans;
-                Trace.instant "adaptive.replanned"
-                  ~args:
-                    [
-                      ("from", string_of_int !p);
-                      ("failures", string_of_int !failures);
-                      ( "lambda_hat",
-                        Printf.sprintf "%.6g" (!estimated).FM.lambda );
-                    ])
-    end
-  done;
-  if Metrics.enabled () then begin
-    Metrics.incr m_runs;
-    Metrics.add m_replicas_placed (Wfc_core.Schedule.extra_replicas sched);
-    Metrics.add m_replica_saves !saves
-  end;
-  let run =
-    Sim.record_run
-      { Sim.makespan = !time; failures = !failures; wasted = !wasted }
-      ~recoveries:(Sim.recoveries st)
-  in
-  {
-    run;
-    replans = !replans;
-    reestimates = !reestimates;
-    estimated = !estimated;
-    final_order = order;
-    final_flags = flags;
-  }
-
-let run ?extra_lanes ?replica_cost config ~source g sched =
-  if Wfc_core.Schedule.is_replicated sched then
-    run_replicated ?extra_lanes ?replica_cost config ~source g sched
-  else begin
-    (match extra_lanes with
-    | Some ls when Array.length ls > 0 ->
-        invalid_arg "Sim_adaptive.run: extra lanes with an unreplicated \
-                     schedule"
-    | _ -> ());
-    run_plain config ~source g sched
-  end

@@ -2,8 +2,8 @@
     failures and re-optimize the rest of the schedule while it runs.
 
     The static pipeline fixes a linearization and checkpoint flags before
-    the first failure. This executor runs the same blocking semantics as
-    {!Sim.run_with_source} but, at failure boundaries, (1) re-estimates the
+    the first failure. This is {!Sim.execute} with a failure observer that,
+    at every failure boundary, (1) re-estimates the
     platform's failure rate by maximum likelihood from everything observed
     so far — [failures / total uptime], where uptime counts completed
     segments and elapsed-at-failure times alike (the censored-exposure MLE

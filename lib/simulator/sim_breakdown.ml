@@ -9,83 +9,36 @@ type t = {
   failures : int;
 }
 
+(* Sim.run with an observer that splits each step by activity. The
+   makespan is the executor's own clock, so it is bit-identical to Sim.run's;
+   the activities sum to it up to rounding. *)
 let run ~rng model g sched =
-  let n = Wfc_core.Schedule.n_tasks sched in
-  let lambda = model.Wfc_platform.Failure_model.lambda in
-  let d = model.Wfc_platform.Failure_model.downtime in
-  let weight v = (Wfc_dag.Dag.task g v).Wfc_dag.Task.weight in
-  let ckpt_cost v = (Wfc_dag.Dag.task g v).Wfc_dag.Task.checkpoint_cost in
-  let rec_cost v = (Wfc_dag.Dag.task g v).Wfc_dag.Task.recovery_cost in
-  let in_memory = Array.make n false in
-  let on_disk = Array.make n false in
-  let acc =
-    ref
-      {
-        makespan = 0.; useful_compute = 0.; recompute = 0.; checkpoint = 0.;
-        recovery = 0.; lost = 0.; downtime = 0.; failures = 0;
-      }
+  let useful = ref 0. and recompute = ref 0. and checkpoint = ref 0. in
+  let recovery = ref 0. and lost = ref 0. and downtime = ref 0. in
+  let on_success ex =
+    let v = Sim.task ex and read = Sim.recovery_time ex in
+    useful := !useful +. Sim.work ex v;
+    recompute := !recompute +. (Sim.replay_time ex -. read);
+    recovery := !recovery +. read;
+    if Sim.checkpointing ex then
+      checkpoint :=
+        !checkpoint +. (Wfc_dag.Dag.task g v).Wfc_dag.Task.checkpoint_cost
+  and on_failure ex =
+    lost := !lost +. Sim.lost ex;
+    downtime := !downtime +. Sim.downtime ex
   in
-  let restored = ref [] in
-  (* split replay cost into recomputation and recovery components *)
-  let replay_cost v =
-    restored := [];
-    let seen = Array.make n false in
-    let rec_total = ref 0. and comp_total = ref 0. in
-    let rec visit v =
-      Array.iter
-        (fun u ->
-          if (not in_memory.(u)) && not seen.(u) then begin
-            seen.(u) <- true;
-            restored := u :: !restored;
-            if on_disk.(u) then rec_total := !rec_total +. rec_cost u
-            else begin
-              comp_total := !comp_total +. weight u;
-              visit u
-            end
-          end)
-        (Wfc_dag.Dag.preds_array g v)
-    in
-    visit v;
-    (!comp_total, !rec_total)
-  in
-  for p = 0 to n - 1 do
-    let v = Wfc_core.Schedule.task_at sched p in
-    let checkpointing = Wfc_core.Schedule.is_checkpointed sched v in
-    let finished = ref false in
-    while not !finished do
-      let recompute, recovery = replay_cost v in
-      let ck = if checkpointing then ckpt_cost v else 0. in
-      let segment = recompute +. recovery +. weight v +. ck in
-      let fail_after =
-        if lambda = 0. then infinity
-        else Wfc_platform.Rng.exponential rng ~rate:lambda
-      in
-      if fail_after >= segment then begin
-        acc :=
-          {
-            !acc with
-            makespan = !acc.makespan +. segment;
-            useful_compute = !acc.useful_compute +. weight v;
-            recompute = !acc.recompute +. recompute;
-            recovery = !acc.recovery +. recovery;
-            checkpoint = !acc.checkpoint +. ck;
-          };
-        List.iter (fun u -> in_memory.(u) <- true) !restored;
-        in_memory.(v) <- true;
-        if checkpointing then on_disk.(v) <- true;
-        finished := true
-      end
-      else begin
-        acc :=
-          {
-            !acc with
-            makespan = !acc.makespan +. fail_after +. d;
-            lost = !acc.lost +. fail_after;
-            downtime = !acc.downtime +. d;
-            failures = !acc.failures + 1;
-          };
-        Array.fill in_memory 0 n false
-      end
-    done
-  done;
-  !acc
+  let ex = Sim.exec g sched in
+  Sim.execute
+    ~observer:{ Sim.silent with Sim.on_success; on_failure }
+    ex
+    (Sim.model_lanes ~rng model sched);
+  {
+    makespan = Sim.time ex;
+    useful_compute = !useful;
+    recompute = !recompute;
+    checkpoint = !checkpoint;
+    recovery = !recovery;
+    lost = !lost;
+    downtime = !downtime;
+    failures = Sim.failures ex;
+  }

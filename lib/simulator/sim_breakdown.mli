@@ -13,8 +13,8 @@
     - [downtime]: platform repair time.
 
     The invariant [makespan = useful_compute + recompute + checkpoint +
-    recovery + lost + downtime] holds exactly; it feeds the {!Energy}
-    model. *)
+    recovery + lost + downtime] holds up to rounding; it feeds the
+    {!Energy} model. *)
 
 type t = {
   makespan : float;
@@ -33,4 +33,5 @@ val run :
   Wfc_dag.Dag.t ->
   Wfc_core.Schedule.t ->
   t
-(** Same execution semantics and draw sequence as {!Sim.run}. *)
+(** {!Sim.run} with an observer splitting each step: the same draws, and a
+    makespan bit-identical to {!Sim.run}'s. *)

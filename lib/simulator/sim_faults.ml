@@ -1,19 +1,5 @@
 module Distribution = Wfc_platform.Distribution
 module Rng = Wfc_platform.Rng
-module Metrics = Wfc_obs.Metrics
-
-(* The registry hands back Sim's counters for the shared names, so replica
-   and failure totals aggregate across fault-free and fault-injecting
-   engines; the remaining counters are specific to injected faults. *)
-let m_replicas = Metrics.counter "sim.replicas"
-let m_failures = Metrics.counter "sim.failures_injected"
-let m_recoveries = Metrics.counter "sim.recoveries"
-let h_lost_work = Metrics.histogram "sim.lost_work"
-let m_corrupt = Metrics.counter "sim.faults.corrupt_ckpt_detected"
-let m_failed_rec = Metrics.counter "sim.faults.failed_recoveries"
-let m_truncated = Metrics.counter "sim.faults.truncated_runs"
-let m_replicas_placed = Metrics.counter "sim.replicas_placed"
-let m_replica_saves = Metrics.counter "sim.replica_saves"
 
 type params = {
   failures : Distribution.t;
@@ -71,300 +57,43 @@ let validate_params (params : params) =
   if params.max_failures < 0 then
     invalid_arg "Sim_faults: max_failures must be non-negative"
 
-let run_plain ?source ~rng params g sched =
-  validate_params params;
-  let n = Wfc_core.Schedule.n_tasks sched in
-  let in_memory = Array.make n false in
-  let on_disk = Array.make n false in
-  let corrupt = Array.make n false in
-  let seen = Array.make n false in
-  let restored = ref [] in
-  let corrupt_reads = ref 0 and failed_recoveries = ref 0 in
-  let recoveries = ref 0 in
-  let weight v = (Wfc_dag.Dag.task g v).Wfc_dag.Task.weight in
-  let ckpt_cost v = (Wfc_dag.Dag.task g v).Wfc_dag.Task.checkpoint_cost in
-  let rec_cost v = (Wfc_dag.Dag.task g v).Wfc_dag.Task.recovery_cost in
-  let bernoulli p = p > 0. && Rng.uniform rng < p in
-  let src =
-    match source with Some s -> s | None -> source_of_params ~rng params
-  in
-  (* Replay for task [v]: recover lost checkpointed ancestors, recompute lost
-     plain ones. A recovery read retries on transient failure; a read of a
-     corrupt checkpoint discards it and falls back to recomputing the task
-     from its own ancestors. *)
-  let replay_cost v =
-    restored := [];
-    Array.fill seen 0 n false;
-    let cost = ref 0. in
-    let rec visit v =
-      Array.iter
-        (fun u ->
-          if (not in_memory.(u)) && not seen.(u) then begin
-            seen.(u) <- true;
-            restored := u :: !restored;
-            if on_disk.(u) then begin
-              let rc = rec_cost u in
-              while bernoulli params.p_rec_fail do
-                incr failed_recoveries;
-                cost := !cost +. rc
-              done;
-              incr recoveries;
-              cost := !cost +. rc;
-              if corrupt.(u) then begin
-                incr corrupt_reads;
-                on_disk.(u) <- false;
-                corrupt.(u) <- false;
-                cost := !cost +. weight u;
-                visit u
-              end
-            end
-            else begin
-              cost := !cost +. weight u;
-              visit u
-            end
-          end)
-        (Wfc_dag.Dag.preds_array g v)
-    in
-    visit v;
-    !cost
-  in
-  let time = ref 0. and failures = ref 0 and wasted = ref 0. in
-  let truncated = ref false in
-  let exception Capped in
-  (try
-     for p = 0 to n - 1 do
-       let v = Wfc_core.Schedule.task_at sched p in
-       let checkpointing = Wfc_core.Schedule.is_checkpointed sched v in
-       let finished = ref false in
-       while not !finished do
-         let replay = replay_cost v in
-         let segment =
-           replay +. weight v +. (if checkpointing then ckpt_cost v else 0.)
-         in
-         let fail_after = src.Sim.time_to_failure () in
-         if fail_after >= segment then begin
-           time := !time +. segment;
-           wasted := !wasted +. replay;
-           src.Sim.consume segment;
-           List.iter (fun u -> in_memory.(u) <- true) !restored;
-           in_memory.(v) <- true;
-           if checkpointing then begin
-             on_disk.(v) <- true;
-             if bernoulli params.p_ckpt_fail then corrupt.(v) <- true
-           end;
-           finished := true
-         end
-         else begin
-           let down = src.Sim.next_downtime () in
-           time := !time +. fail_after +. down;
-           wasted := !wasted +. fail_after +. down;
-           incr failures;
-           Array.fill in_memory 0 n false;
-           src.Sim.after_failure ();
-           if params.max_failures > 0 && !failures >= params.max_failures then
-             raise Capped
-         end
-       done
-     done
-   with Capped -> truncated := true);
-  if Metrics.enabled () then begin
-    Metrics.incr m_replicas;
-    Metrics.add m_failures !failures;
-    Metrics.add m_recoveries !recoveries;
-    Metrics.observe h_lost_work !wasted;
-    Metrics.add m_corrupt !corrupt_reads;
-    Metrics.add m_failed_rec !failed_recoveries;
-    if !truncated then Metrics.incr m_truncated
-  end;
-  {
-    makespan = !time;
-    failures = !failures;
-    wasted = !wasted;
-    corrupt_reads = !corrupt_reads;
-    failed_recoveries = !failed_recoveries;
-    truncated = !truncated;
-  }
-
-(* Replicated engine: mirrors Sim.run_with_lanes draw for draw (so the
-   zero-fault configuration is bit-identical to it on the same RNG stream)
-   and generalizes the fault machinery per copy. A checkpointing task with r
-   replicas writes r checkpoint copies, each independently corrupt with
-   [p_ckpt_fail]; a replay read tries the copies in write order — paying the
-   transient-retry loop and one recovery read per copy tried — and only
-   falls back to recomputation when every copy is corrupt: a corrupt
-   checkpoint on one replica must not doom its siblings. *)
-let run_replicated ?lanes ?replica_cost ~rng params g sched =
-  validate_params params;
-  let replica_cost =
-    match replica_cost with
-    | Some c -> c
-    | None -> Wfc_core.Replication.default_cost
-  in
-  let n = Wfc_core.Schedule.n_tasks sched in
-  let max_r = Wfc_core.Schedule.max_replica_count sched in
-  let lanes =
-    match lanes with
-    | Some ls ->
-        if Array.length ls < max_r then
-          invalid_arg "Sim_faults.run: fewer lanes than replicas";
-        ls
-    | None -> Array.init max_r (fun _ -> source_of_params ~rng params)
-  in
-  let in_memory = Array.make n false in
-  let on_disk = Array.make n false in
-  let copies = Array.make n 0 in
-  let corrupt_mask = Array.make n 0 in
-  let seen = Array.make n false in
-  let restored = ref [] in
-  let corrupt_reads = ref 0 and failed_recoveries = ref 0 in
-  let recoveries = ref 0 in
-  let weight v = (Wfc_dag.Dag.task g v).Wfc_dag.Task.weight in
-  let ckpt_cost v = (Wfc_dag.Dag.task g v).Wfc_dag.Task.checkpoint_cost in
-  let rec_cost v = (Wfc_dag.Dag.task g v).Wfc_dag.Task.recovery_cost in
-  let replicas v = Wfc_core.Schedule.replicas_of sched v in
-  let eff_w v =
-    Wfc_core.Replication.effective_weight ~cost:replica_cost
-      ~weight:(weight v) ~r:(replicas v)
-  in
-  let bernoulli p = p > 0. && Rng.uniform rng < p in
-  let replay_cost v =
-    restored := [];
-    Array.fill seen 0 n false;
-    let cost = ref 0. in
-    let rec visit v =
-      Array.iter
-        (fun u ->
-          if (not in_memory.(u)) && not seen.(u) then begin
-            seen.(u) <- true;
-            restored := u :: !restored;
-            if on_disk.(u) then begin
-              let rc = rec_cost u in
-              (* try the checkpoint copies in write order; stop at the first
-                 good one *)
-              let found = ref false and j = ref 0 in
-              while (not !found) && !j < copies.(u) do
-                while bernoulli params.p_rec_fail do
-                  incr failed_recoveries;
-                  cost := !cost +. rc
-                done;
-                incr recoveries;
-                cost := !cost +. rc;
-                if corrupt_mask.(u) land (1 lsl !j) <> 0 then
-                  incr corrupt_reads
-                else found := true;
-                incr j
-              done;
-              if not !found then begin
-                (* every copy corrupt: discard them all and recompute *)
-                on_disk.(u) <- false;
-                copies.(u) <- 0;
-                corrupt_mask.(u) <- 0;
-                cost := !cost +. eff_w u;
-                visit u
-              end
-            end
-            else begin
-              cost := !cost +. eff_w u;
-              visit u
-            end
-          end)
-        (Wfc_dag.Dag.preds_array g v)
-    in
-    visit v;
-    !cost
-  in
-  let time = ref 0. and failures = ref 0 and wasted = ref 0. in
-  let saves = ref 0 in
-  let truncated = ref false in
-  let exception Capped in
-  (try
-     for p = 0 to n - 1 do
-       let v = Wfc_core.Schedule.task_at sched p in
-       let r = replicas v in
-       let checkpointing = Wfc_core.Schedule.is_checkpointed sched v in
-       let finished = ref false in
-       while not !finished do
-         let replay = replay_cost v in
-         let segment =
-           replay +. eff_w v +. (if checkpointing then ckpt_cost v else 0.)
-         in
-         let survivors = ref 0 and losses = ref 0 in
-         let last_death = ref neg_infinity and last_downtime = ref 0. in
-         for j = 0 to r - 1 do
-           let lane = lanes.(j) in
-           let fail_after = lane.Sim.time_to_failure () in
-           if fail_after >= segment then begin
-             lane.Sim.consume segment;
-             incr survivors
-           end
-           else begin
-             let down = lane.Sim.next_downtime () in
-             incr losses;
-             if fail_after > !last_death then begin
-               last_death := fail_after;
-               last_downtime := down
-             end;
-             lane.Sim.after_failure ()
-           end
-         done;
-         if !survivors > 0 then begin
-           time := !time +. segment;
-           wasted := !wasted +. replay;
-           List.iter (fun u -> in_memory.(u) <- true) !restored;
-           in_memory.(v) <- true;
-           if checkpointing then begin
-             on_disk.(v) <- true;
-             copies.(v) <- r;
-             let mask = ref 0 in
-             for j = 0 to r - 1 do
-               if bernoulli params.p_ckpt_fail then mask := !mask lor (1 lsl j)
-             done;
-             corrupt_mask.(v) <- !mask
-           end;
-           if !losses > 0 then incr saves;
-           finished := true
-         end
-         else begin
-           time := !time +. !last_death +. !last_downtime;
-           wasted := !wasted +. !last_death +. !last_downtime;
-           incr failures;
-           Array.fill in_memory 0 n false;
-           if params.max_failures > 0 && !failures >= params.max_failures then
-             raise Capped
-         end
-       done
-     done
-   with Capped -> truncated := true);
-  if Metrics.enabled () then begin
-    Metrics.incr m_replicas;
-    Metrics.add m_failures !failures;
-    Metrics.add m_recoveries !recoveries;
-    Metrics.observe h_lost_work !wasted;
-    Metrics.add m_corrupt !corrupt_reads;
-    Metrics.add m_failed_rec !failed_recoveries;
-    Metrics.add m_replicas_placed (Wfc_core.Schedule.extra_replicas sched);
-    Metrics.add m_replica_saves !saves;
-    if !truncated then Metrics.incr m_truncated
-  end;
-  {
-    makespan = !time;
-    failures = !failures;
-    wasted = !wasted;
-    corrupt_reads = !corrupt_reads;
-    failed_recoveries = !failed_recoveries;
-    truncated = !truncated;
-  }
-
+(* Replicated schedules generalize the fault machinery per copy: a
+   checkpointing task with r replicas writes r copies, each independently
+   corrupt, and a recovery read tries them in write order before falling
+   back to recomputation — the executor's semantics. *)
 let run ?source ?lanes ?replica_cost ~rng params g sched =
-  if Wfc_core.Schedule.is_replicated sched then begin
-    if Option.is_some source then
-      invalid_arg
-        "Sim_faults.run: replicated schedule needs failure lanes, not a \
-         single source";
-    run_replicated ?lanes ?replica_cost ~rng params g sched
-  end
-  else begin
-    if Option.is_some lanes then
-      invalid_arg "Sim_faults.run: ?lanes with an unreplicated schedule";
-    run_plain ?source ~rng params g sched
-  end
+  validate_params params;
+  let replicated = Wfc_core.Schedule.is_replicated sched in
+  if replicated && Option.is_some source then
+    invalid_arg
+      "Sim_faults.run: replicated schedule needs failure lanes, not a single \
+       source";
+  if (not replicated) && Option.is_some lanes then
+    invalid_arg "Sim_faults.run: ?lanes with an unreplicated schedule";
+  let lanes =
+    match (lanes, source) with
+    | Some ls, _ -> ls
+    | None, Some s -> [| s |]
+    | None, None ->
+        Array.init (Wfc_core.Schedule.max_replica_count sched) (fun _ ->
+            source_of_params ~rng params)
+  in
+  let faults =
+    {
+      Sim.p_ckpt_fail = params.p_ckpt_fail;
+      p_rec_fail = params.p_rec_fail;
+      max_failures = params.max_failures;
+      rng;
+    }
+  in
+  let ex = Sim.exec ?replica_cost ~faults g sched in
+  Sim.execute ex lanes;
+  let r = Sim.result ex in
+  {
+    makespan = r.Sim.makespan;
+    failures = r.Sim.failures;
+    wasted = r.Sim.wasted;
+    corrupt_reads = Sim.corrupt_reads ex;
+    failed_recoveries = Sim.failed_recoveries ex;
+    truncated = Sim.truncated ex;
+  }

@@ -11,40 +11,23 @@ let run ~rng params g sched =
     invalid_arg "Sim_overlap.run: interference must lie in [0, 1]";
   if params.downtime < 0. then invalid_arg "Sim_overlap.run: negative downtime";
   let n = Wfc_core.Schedule.n_tasks sched in
-  let weight v = (Wfc_dag.Dag.task g v).Wfc_dag.Task.weight in
   let ckpt_cost v = (Wfc_dag.Dag.task g v).Wfc_dag.Task.checkpoint_cost in
-  let rec_cost v = (Wfc_dag.Dag.task g v).Wfc_dag.Task.recovery_cost in
-  let in_memory = Array.make n false in
-  let on_disk = Array.make n false in
+  (* the executor's platform state and replay walk; this model ignores
+     replicas, so the walk recomputes at plain task weights *)
+  let plain =
+    if Wfc_core.Schedule.is_replicated sched then
+      Wfc_core.Schedule.with_replicas sched (Array.make n 1)
+    else sched
+  in
+  let ex = Sim.exec g plain in
+  Sim.reset ex;
   let queue : channel_entry Queue.t = Queue.create () in
   let time = ref 0. and failures = ref 0 in
   let next_fail = ref (Wfc_platform.Distribution.sample params.failures rng) in
-  let restored = ref [] in
-  let replay_cost v =
-    restored := [];
-    let seen = Array.make n false in
-    let cost = ref 0. in
-    let rec visit v =
-      Array.iter
-        (fun u ->
-          if (not in_memory.(u)) && not seen.(u) then begin
-            seen.(u) <- true;
-            restored := u :: !restored;
-            if on_disk.(u) then cost := !cost +. rec_cost u
-            else begin
-              cost := !cost +. weight u;
-              visit u
-            end
-          end)
-        (Wfc_dag.Dag.preds_array g v)
-    in
-    visit v;
-    !cost
-  in
   let handle_failure () =
     time := !time +. params.downtime;
     incr failures;
-    Array.fill in_memory 0 n false;
+    Sim.wipe ex;
     Queue.clear queue;
     next_fail := Wfc_platform.Distribution.sample params.failures rng
   in
@@ -80,7 +63,7 @@ let run ~rng params g sched =
         ignore (Queue.pop queue);
         (* the write completed while its source was still in memory (any
            failure would have cleared the queue first) *)
-        on_disk.(head.task) <- true
+        Sim.store ex head.task
       end;
       if !next_fail <= 1e-12 then begin
         handle_failure ();
@@ -93,10 +76,9 @@ let run ~rng params g sched =
     let v = Wfc_core.Schedule.task_at sched p in
     let finished = ref false in
     while not !finished do
-      let replay = replay_cost v in
-      if advance_compute (replay +. weight v) then begin
-        List.iter (fun u -> in_memory.(u) <- true) !restored;
-        in_memory.(v) <- true;
+      let replay = Sim.replay ex v in
+      if advance_compute (replay +. Sim.work ex v) then begin
+        Sim.restore ex v;
         if Wfc_core.Schedule.is_checkpointed sched v then
           Queue.push { task = v; remaining = ckpt_cost v } queue;
         finished := true

@@ -9,77 +9,31 @@ type event =
   | Completion of { position : int; task : int; time : float; checkpointed : bool }
   | Failure of { position : int; task : int; time : float; elapsed : float }
 
-(* Mirrors Sim.run with the same draw sequence, accumulating events. *)
+(* Sim.run with an observer that logs each step. *)
 let run ~rng model g sched =
-  let n = Wfc_core.Schedule.n_tasks sched in
-  let lambda = model.Wfc_platform.Failure_model.lambda in
-  let downtime = model.Wfc_platform.Failure_model.downtime in
-  let weight v = (Wfc_dag.Dag.task g v).Wfc_dag.Task.weight in
-  let ckpt_cost v = (Wfc_dag.Dag.task g v).Wfc_dag.Task.checkpoint_cost in
-  let rec_cost v = (Wfc_dag.Dag.task g v).Wfc_dag.Task.recovery_cost in
-  let in_memory = Array.make n false in
-  let on_disk = Array.make n false in
-  let time = ref 0. and failures = ref 0 and wasted = ref 0. in
   let events = ref [] in
   let emit e = events := e :: !events in
-  let restored = ref [] in
-  let replay_cost v =
-    restored := [];
-    let seen = Array.make n false in
-    let cost = ref 0. in
-    let rec visit v =
-      Array.iter
-        (fun u ->
-          if (not in_memory.(u)) && not seen.(u) then begin
-            seen.(u) <- true;
-            restored := u :: !restored;
-            if on_disk.(u) then cost := !cost +. rec_cost u
-            else begin
-              cost := !cost +. weight u;
-              visit u
-            end
-          end)
-        (Wfc_dag.Dag.preds_array g v)
-    in
-    visit v;
-    !cost
+  let on_attempt ex =
+    let position = Sim.position ex and task = Sim.task ex in
+    emit
+      (Attempt
+         { position; task; start = Sim.start ex; replay = Sim.replay_time ex;
+           work = Sim.segment ex })
+  and on_success ex =
+    let position = Sim.position ex and task = Sim.task ex in
+    emit
+      (Completion
+         { position; task; time = Sim.time ex;
+           checkpointed = Sim.checkpointing ex })
+  and on_failure ex =
+    let position = Sim.position ex and task = Sim.task ex in
+    let elapsed = Sim.lost ex in
+    emit (Failure { position; task; time = Sim.start ex +. elapsed; elapsed })
   in
-  for p = 0 to n - 1 do
-    let v = Wfc_core.Schedule.task_at sched p in
-    let checkpointing = Wfc_core.Schedule.is_checkpointed sched v in
-    let finished = ref false in
-    while not !finished do
-      let replay = replay_cost v in
-      let segment =
-        replay +. weight v +. (if checkpointing then ckpt_cost v else 0.)
-      in
-      emit (Attempt { position = p; task = v; start = !time; replay; work = segment });
-      let fail_after =
-        if lambda = 0. then infinity
-        else Wfc_platform.Rng.exponential rng ~rate:lambda
-      in
-      if fail_after >= segment then begin
-        time := !time +. segment;
-        wasted := !wasted +. replay;
-        List.iter (fun u -> in_memory.(u) <- true) !restored;
-        in_memory.(v) <- true;
-        if checkpointing then on_disk.(v) <- true;
-        emit (Completion { position = p; task = v; time = !time;
-                           checkpointed = checkpointing });
-        finished := true
-      end
-      else begin
-        time := !time +. fail_after;
-        emit (Failure { position = p; task = v; time = !time; elapsed = fail_after });
-        time := !time +. downtime;
-        wasted := !wasted +. fail_after +. downtime;
-        incr failures;
-        Array.fill in_memory 0 n false
-      end
-    done
-  done;
-  ( { Sim.makespan = !time; failures = !failures; wasted = !wasted },
-    List.rev !events )
+  let ex = Sim.exec g sched in
+  Sim.execute ~observer:{ Sim.on_attempt; on_success; on_failure } ex
+    (Sim.model_lanes ~rng model sched);
+  (Sim.result ex, List.rev !events)
 
 let render_timeline ?(width = 72) events =
   if width < 8 then invalid_arg "Sim_trace.render_timeline: width too small";

@@ -1,5 +1,5 @@
-(** Event-traced simulation: the blocking engine of {!Sim}, additionally
-    recording a timeline of what happened — useful to inspect individual
+(** Event-traced simulation: {!Sim.run} with an observer recording a
+    timeline of what happened — useful to inspect individual
     runs, to debug recovery semantics, and to illustrate the execution model
     in documentation. *)
 

@@ -75,54 +75,41 @@ let count_recorded t =
   t
 
 let record_run ?replica_cost ~rng model g sched =
-  if Wfc_core.Schedule.is_replicated sched then begin
-    (* one recorder shared by every lane: run_with_lanes resolves each
-       lane's outcome before polling the next, so the interleaved stream is
-       totally ordered and replays through a single cursor *)
-    let r = recorder () in
-    let lanes =
-      Array.init
-        (Wfc_core.Schedule.max_replica_count sched)
-        (fun _ -> recording_source r (Sim.source_of_model ~rng model))
-    in
-    let run = Sim.run_with_lanes ?replica_cost lanes g sched in
-    let events =
-      match recorded r with Attempts evs -> evs | _ -> assert false
-    in
-    let trace =
+  (* one recorder shared by every lane: the executor resolves each lane's
+     outcome before polling the next, so the interleaved stream is totally
+     ordered and replays through a single cursor *)
+  let r = recorder () in
+  let lanes = Array.map (recording_source r) (Sim.model_lanes ~rng model sched) in
+  let run = Sim.run_with_lanes ?replica_cost lanes g sched in
+  let events = Array.of_list (List.rev r.events) in
+  let trace =
+    if Wfc_core.Schedule.is_replicated sched then
       Replicated { events; replicas = Wfc_core.Schedule.replica_counts sched }
-    in
-    (run, count_recorded trace)
-  end
-  else begin
-    let r = recorder () in
-    let src = recording_source r (Sim.source_of_model ~rng model) in
-    let run = Sim.run_with_source src g sched in
-    (run, count_recorded (recorded r))
-  end
+    else Attempts events
+  in
+  (run, count_recorded trace)
 
 let record_renewal ~rng ~failures ~downtime g sched =
   if Wfc_core.Schedule.is_replicated sched then
     invalid_arg
       "Trace_io.record_renewal: a replicated schedule records one event per \
        lane attempt (record_run), not a single renewal stream";
-  let ups = ref [] and downs = ref [] in
-  let draw_up () =
-    let u = Wfc_platform.Distribution.sample failures rng in
-    ups := u :: !ups;
-    u
-  in
-  let remaining = ref (draw_up ()) in
+  (* a renewal source's countdown reads back its raw draws: the first
+     uptime at creation, a fresh one after every repair *)
+  let inner = Sim.renewal_source ~rng ~failures ~downtime in
+  let ups = ref [ inner.Sim.time_to_failure () ] and downs = ref [] in
   let src =
     {
-      Sim.time_to_failure = (fun () -> !remaining);
-      consume = (fun dt -> remaining := !remaining -. dt);
-      next_downtime =
+      inner with
+      Sim.next_downtime =
         (fun () ->
-          let d = Wfc_platform.Distribution.sample downtime rng in
+          let d = inner.Sim.next_downtime () in
           downs := d :: !downs;
           d);
-      after_failure = (fun () -> remaining := draw_up ());
+      after_failure =
+        (fun () ->
+          inner.Sim.after_failure ();
+          ups := inner.Sim.time_to_failure () :: !ups);
     }
   in
   let run = Sim.run_with_source src g sched in
@@ -258,7 +245,7 @@ let replay_source t =
 
 let replay ?replica_cost t g sched =
   if Metrics.enabled () then Metrics.incr m_replays;
-  match t with
+  (match t with
   | Replicated { replicas; _ } ->
       (* an attempt's events only make sense against the replica counts that
          produced them: one event per live copy, in lane order. A different
@@ -268,14 +255,7 @@ let replay ?replica_cost t g sched =
         raise
           (Divergence
              "replayed schedule's replica counts differ from the recorded \
-              ones");
-      let shared = (replay_source t).source in
-      (* the single cursor serves every lane: run_with_lanes polls lanes in
-         recorded order *)
-      let lanes =
-        Array.make (Wfc_core.Schedule.max_replica_count sched) shared
-      in
-      Sim.run_with_lanes ?replica_cost lanes g sched
+              ones")
   | Attempts _ | Renewal _ ->
       if Wfc_core.Schedule.is_replicated sched then
         raise
@@ -283,8 +263,13 @@ let replay ?replica_cost t g sched =
              (Printf.sprintf
                 "a %s trace records one failure lane and cannot drive a \
                  replicated schedule"
-                (kind_name t)));
-      Sim.run_with_source (replay_source t).source g sched
+                (kind_name t))));
+  (* the single cursor serves every lane: the executor polls lanes in
+     recorded order *)
+  let shared = (replay_source t).source in
+  Sim.run_with_lanes ?replica_cost
+    (Array.make (Wfc_core.Schedule.max_replica_count sched) shared)
+    g sched
 
 (* {1 Serialization} *)
 

@@ -100,7 +100,9 @@ let test_breakdown_same_draws_as_sim () =
   let model = FM.make ~lambda:0.1 ~downtime:1. () in
   let b = Sim_breakdown.run ~rng:(Wfc_platform.Rng.create 11) model g s in
   let r = Sim.run ~rng:(Wfc_platform.Rng.create 11) model g s in
-  Wfc_test_util.check_close "same makespan" r.Sim.makespan b.Sim_breakdown.makespan;
+  Alcotest.(check int64) "same makespan, bit for bit"
+    (Int64.bits_of_float r.Sim.makespan)
+    (Int64.bits_of_float b.Sim_breakdown.makespan);
   Alcotest.(check int) "same failures" r.Sim.failures b.Sim_breakdown.failures
 
 let test_breakdown_mean_matches_analytic () =

@@ -12,6 +12,31 @@ let test_determinism () =
     Alcotest.(check int64) "same stream" (Rng.bits64 a) (Rng.bits64 b)
   done
 
+(* Known answers: the first outputs for three seeds. Seed 0 mixes to state 0,
+   so its stream is the published SplitMix64 reference sequence. Every
+   generated DAG and simulated run depends on this stream, so it is pinned
+   directly rather than through those outputs. *)
+let test_known_answers () =
+  List.iter
+    (fun (seed, expected) ->
+      let t = Rng.create seed in
+      List.iter
+        (fun want ->
+          Alcotest.(check int64) (Printf.sprintf "seed %d" seed) want
+            (Rng.bits64 t))
+        expected)
+    [
+      ( 0,
+        [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL;
+          0xf88bb8a8724c81ecL ] );
+      ( 42,
+        [ 0x989b3f130a063869L; 0x290db4bf2570ded7L; 0x2a990be63a01b2d5L;
+          0x0c4b6b24ef01890eL ] );
+      ( -7,
+        [ 0xa39b91cb5ecb1a80L; 0x22fc9fcabf787829L; 0xdac2b2a0e5be4a45L;
+          0x61ae7471598c3088L ] );
+    ]
+
 let test_seed_sensitivity () =
   let a = Rng.create 1 and b = Rng.create 2 in
   let differs = ref false in
@@ -123,6 +148,7 @@ let () =
       ( "rng",
         [
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "bits64 known answers" `Quick test_known_answers;
           Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
           Alcotest.test_case "copy" `Quick test_copy;
           Alcotest.test_case "split independence" `Quick test_split_independence;

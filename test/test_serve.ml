@@ -346,10 +346,12 @@ let gen_warm_case =
 
 let print_warm_case = function
   | Pr.Solve
-      { Pr.workflow = Pr.Generated { family; n; seed; _ }; mtbf; grid;
-        backend; deadline; _ } ->
-      Printf.sprintf "%s n=%d seed=%d mtbf=%g grid=%d engine=%s deadline=%s"
-        (P.family_name family) n seed mtbf grid (EE.backend_name backend)
+      { Pr.workflow = Pr.Generated { family; n; seed; _ }; mtbf; lin; ckpt;
+        grid; backend; deadline; _ } ->
+      Printf.sprintf
+        "%s n=%d seed=%d mtbf=%g lin=%s ckpt=%s grid=%d engine=%s deadline=%s"
+        (P.family_name family) n seed mtbf (Lin.strategy_name lin)
+        (H.ckpt_strategy_name ckpt) grid (EE.backend_name backend)
         (match deadline with None -> "-" | Some d -> string_of_float d)
   | _ -> "<other>"
 
@@ -409,6 +411,32 @@ let prop_warm_equals_cold =
       && Pr.render_response r_hit = Pr.render_response r_cold
       && reports_kernel_value req r_cold
       && ((not cacheable) || (Server.cache_stats warm).Cache.hits = 1))
+
+(* A budget-exhausted exact tier falls back to heuristics. They must run on
+   the request's own linearization: a fallback on another order would
+   answer with its checkpoint set and makespan under the requested
+   heuristic's name. This Ligo case once did exactly that. *)
+let test_exact_fallback_keeps_order () =
+  let req =
+    Pr.Solve
+      { Pr.default_solve with
+        workflow =
+          Pr.Generated
+            { family = P.Ligo; n = 13; seed = 0; cost = CM.Proportional 0.1 };
+        mtbf = 339.257;
+        lin = Lin.Breadth_first;
+        deadline = Some 0.05;
+      }
+  in
+  let cold =
+    Server.create ~config:{ Server.default_config with cache_size = 0 } ()
+  in
+  let r = Server.handle cold req in
+  Alcotest.(check bool) "answers" false (Pr.is_error r);
+  Alcotest.(check bool) "the makespan is the kernel's value of the returned \
+                         checkpoints on the requested order" true
+    (reports_kernel_value req r);
+  Alcotest.(check bool) "warm = cold" true (Server.handle (Server.create ()) req = r)
 
 let prop_eviction_churn_identical =
   Wfc_test_util.qtest ~count:10
@@ -665,7 +693,9 @@ let () =
       ( "warm-cache",
         [ prop_warm_equals_cold; prop_eviction_churn_identical;
           Alcotest.test_case "simulate cached" `Quick
-            test_simulate_cached_identical ] );
+            test_simulate_cached_identical;
+          Alcotest.test_case "exact fallback keeps the order" `Quick
+            test_exact_fallback_keeps_order ] );
       ( "lru",
         [ Alcotest.test_case "basics" `Quick test_lru_basics;
           Alcotest.test_case "degenerate capacities" `Quick

@@ -178,6 +178,70 @@ let test_failures_counted () =
   if Float.abs (mean -. expected) > 5. *. se then
     Alcotest.failf "failure count %.3f vs expected %.3f (se %.3f)" mean expected se
 
+(* ---- the executor against the pre-executor engine ---- *)
+
+(* One lane on an unreplicated schedule is the old single-source engine,
+   kept verbatim in the test utilities: same draws, same float operations,
+   so makespan, failures and waste agree bit for bit — for memoryless and
+   renewal sources alike. *)
+let prop_executor_matches_reference =
+  Wfc_test_util.qtest ~count:200 "executor = reference engine, bit for bit"
+    QCheck2.Gen.(pair (Wfc_test_util.gen_dag_and_schedule ~max_n:10 ()) nat)
+    (fun ((g, s), seed) ->
+      Printf.sprintf "%s seed=%d" (Wfc_test_util.print_dag_schedule (g, s)) seed)
+    (fun ((g, s), seed) ->
+      let same (a : Sim.run) (b : Sim.run) =
+        Int64.equal
+          (Int64.bits_of_float a.Sim.makespan)
+          (Int64.bits_of_float b.Sim.makespan)
+        && a.Sim.failures = b.Sim.failures
+        && Int64.equal
+             (Int64.bits_of_float a.Sim.wasted)
+             (Int64.bits_of_float b.Sim.wasted)
+      in
+      let rng () = Wfc_platform.Rng.create seed in
+      let renewal () =
+        Sim.renewal_source ~rng:(rng ())
+          ~failures:(Wfc_platform.Distribution.weibull ~shape:0.8 ~scale:15.)
+          ~downtime:(Wfc_platform.Distribution.exponential ~rate:2.)
+      in
+      List.for_all
+        (fun model ->
+          same
+            (Sim.run ~rng:(rng ()) model g s)
+            (Wfc_test_util.Sim_reference.run_with_source
+               (Sim.source_of_model ~rng:(rng ()) model)
+               g s))
+        Wfc_test_util.models
+      && same
+           (Sim.run_with_source (renewal ()) g s)
+           (Wfc_test_util.Sim_reference.run_with_source (renewal ()) g s))
+
+(* The executor's state is allocated once per estimate: a run allocates
+   only its failure draws and its summary, not O(n) arrays or per-attempt
+   lists. Measured as the difference of two estimates, so the one-off setup
+   cancels out. *)
+let test_estimate_allocation () =
+  let module P = Wfc_workflows.Pegasus in
+  let module CM = Wfc_workflows.Cost_model in
+  let module H = Heuristics in
+  let g = CM.apply (CM.Proportional 0.1) (P.generate P.Ligo ~n:400 ~seed:1) in
+  let model = FM.of_mtbf ~mtbf:2000. () in
+  let sched =
+    (H.run ~search:(H.Grid 4) model g ~lin:Wfc_dag.Linearize.Depth_first
+       ~ckpt:H.Ckpt_weight)
+      .H.schedule
+  in
+  let words runs =
+    let before = Gc.minor_words () in
+    ignore (Monte_carlo.estimate ~runs ~seed:1 model g sched);
+    Gc.minor_words () -. before
+  in
+  ignore (words 10);
+  let per_run = (words 200 -. words 100) /. 100. in
+  if per_run > 3000. then
+    Alcotest.failf "%.0f minor words per run (budget 3000)" per_run
+
 let () =
   Alcotest.run "simulator"
     [
@@ -194,6 +258,9 @@ let () =
           Alcotest.test_case "makespan quantiles" `Slow
             test_quantiles_of_makespan;
           Alcotest.test_case "estimate validation" `Quick test_estimate_validation;
+          prop_executor_matches_reference;
+          Alcotest.test_case "estimate allocation per run" `Quick
+            test_estimate_allocation;
         ] );
       ( "agreement",
         List.map

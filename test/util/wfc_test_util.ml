@@ -85,3 +85,7 @@ let print_dag_schedule (g, s) =
 let qtest ?(count = 200) name gen print prop =
   QCheck_alcotest.to_alcotest
     (Test.make ~count ~name ~print gen prop)
+
+(* The pre-executor single-source simulator, as an oracle for the lane
+   executor. *)
+module Sim_reference = Sim_reference
