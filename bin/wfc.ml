@@ -18,7 +18,8 @@
 
    Every analysis subcommand also takes --metrics (print internal counters
    after the normal output) and --trace FILE (write solver/simulator spans
-   as Chrome trace JSON, or JSONL for .jsonl paths). *)
+   as Chrome trace JSON, or JSONL for .jsonl paths). A running daemon
+   reports the same counters through `wfc request stats`. *)
 
 open Cmdliner
 open Wfc_core
@@ -304,17 +305,6 @@ let obs_trace_t =
                  on exit: Chrome trace-event JSON (load in about://tracing or \
                  Perfetto), or flat JSONL when $(docv) ends in .jsonl.")
 
-let hist_row name (h : Obs_metrics.hist_snapshot) =
-  let mean =
-    if h.Obs_metrics.hcount = 0 then 0.
-    else h.Obs_metrics.hsum /. float_of_int h.Obs_metrics.hcount
-  in
-  [ name; "histogram";
-    Printf.sprintf "n=%d mean=%.4g p50<=%.4g p99<=%.4g" h.Obs_metrics.hcount
-      mean
-      (Obs_metrics.hist_quantile h 0.5)
-      (Obs_metrics.hist_quantile h 0.99) ]
-
 (* Zero counters and empty histograms are skipped, so the table only shows
    the machinery the command actually exercised and its rows are stable
    enough to pin in cram tests. *)
@@ -329,7 +319,8 @@ let metrics_rows () =
       s.Obs_metrics.gauges
   @ List.filter_map
       (fun (name, h) ->
-        if h.Obs_metrics.hcount = 0 then None else Some (hist_row name h))
+        if h.Obs_metrics.hcount = 0 then None
+        else Some [ name; "histogram"; Obs_metrics.hist_summary h ])
       s.Obs_metrics.histograms
 
 let print_metrics () =
@@ -1618,13 +1609,12 @@ module Cli = Wfc_serve.Client
 let listen_of ~socket ~port =
   match socket with Some p -> Srv.Unix_sock p | None -> Srv.Tcp port
 
-let serve port socket cache_size queue_depth workers domains timeout metrics
-    trace =
+let serve port socket cache_size queue_depth workers domains timeout trace =
   let config =
     { Srv.default_config with cache_size; queue_depth; workers; domains;
       timeout }
   in
-  with_obs ~metrics ~trace @@ fun () ->
+  with_obs ~metrics:false ~trace @@ fun () ->
   match
     Srv.serve ~config
       ~ready:(fun addr -> Printf.printf "wfc serve: listening on %s\n%!" addr)
@@ -1690,7 +1680,7 @@ let serve_cmd =
              mode or a length-prefixed binary protocol, with a warm-engine \
              LRU and bounded-queue admission control")
     Term.(const serve $ port_t $ socket_t $ cache_size_t $ queue_depth_t
-          $ workers_t $ domains_t $ timeout_t $ metrics_t $ obs_trace_t)
+          $ workers_t $ domains_t $ timeout_t $ obs_trace_t)
 
 let request port socket binary retry from_stdin words =
   let target =

@@ -144,16 +144,16 @@ module Metrics = Wfc_obs.Metrics
 let m_search_runs = Metrics.counter "search.runs"
 let m_candidates = Metrics.counter "search.candidates"
 
-(* One registry lookup per run call (not per candidate); the per-strategy
-   counter is created on first use. *)
+let m_strategy_candidates =
+  List.map
+    (fun ckpt ->
+      (ckpt, Metrics.counter ("search.candidates." ^ ckpt_strategy_name ckpt)))
+    extended_ckpt_strategies
+
 let record_outcome ckpt (o : outcome) =
-  if Metrics.enabled () then begin
-    Metrics.incr m_search_runs;
-    Metrics.add m_candidates o.evaluations;
-    Metrics.add
-      (Metrics.counter ("search.candidates." ^ ckpt_strategy_name ckpt))
-      o.evaluations
-  end;
+  Metrics.incr m_search_runs;
+  Metrics.add m_candidates o.evaluations;
+  Metrics.add (List.assoc ckpt m_strategy_candidates) o.evaluations;
   o
 
 let run ?(search = Exhaustive) ?(backend = Eval_engine.Flat) ?rand

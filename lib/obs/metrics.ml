@@ -147,6 +147,11 @@ let hist_quantile s q =
     bucket_upper !b
   end
 
+let hist_summary s =
+  let mean = if s.hcount = 0 then 0. else s.hsum /. float_of_int s.hcount in
+  Printf.sprintf "n=%d mean=%.4g p50<=%.4g p99<=%.4g" s.hcount mean
+    (hist_quantile s 0.5) (hist_quantile s 0.99)
+
 let counter_value c =
   Array.fold_left (fun acc cell -> acc + Atomic.get cell) 0 c.c_cells
 

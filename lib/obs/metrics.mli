@@ -5,8 +5,10 @@
     (indexed by [Domain.self () mod max_shards], each cell an [Atomic.t]),
     so {!Wfc_platform.Domain_pool} workers record without contention and
     without losing updates even if two live domains hash to the same shard.
-    Reads merge the shards; the registry mutex is only taken when a metric
-    is first created by name.
+    Reads merge the shards. The registry mutex is taken by every lookup by
+    name ({!counter}, {!gauge}, {!histogram}, whether it finds or creates),
+    and by {!snapshot} and {!reset}; so a hot path looks its handles up
+    once, at module load, and records through them.
 
     The whole layer is off by default. Every record operation starts with a
     single atomic load of the enabled flag and returns immediately when it
@@ -76,6 +78,10 @@ val hist_merge : hist_snapshot -> hist_snapshot -> hist_snapshot
 val hist_quantile : hist_snapshot -> float -> float
 (** Upper bound of the bucket containing the q-quantile sample (0 when the
     histogram is empty). *)
+
+val hist_summary : hist_snapshot -> string
+(** One line: ["n=… mean=… p50<=… p99<=…"], the quantiles as
+    {!hist_quantile} bounds. *)
 
 val counter_value : counter -> int
 val gauge_value : gauge -> float

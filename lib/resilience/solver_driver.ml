@@ -12,9 +12,13 @@ let tier_name = function
 (* Every solve records which tier it landed on, and why, as both a counter
    (driver.tier.<name>) and a trace instant carrying the human-readable
    reason. *)
+let m_tiers =
+  List.map
+    (fun tier -> (tier, Metrics.counter ("driver.tier." ^ tier_name tier)))
+    [ Exact; Local_search; Heuristic ]
+
 let record_tier tier reason =
-  if Metrics.enabled () then
-    Metrics.incr (Metrics.counter ("driver.tier." ^ tier_name tier));
+  Metrics.incr (List.assoc tier m_tiers);
   Trace.instant "driver.tier"
     ~args:[ ("tier", tier_name tier); ("reason", reason) ]
 

@@ -128,7 +128,10 @@ let random ~seed =
 
 (* ---- proxy ------------------------------------------------------------- *)
 
-let mcounter name = Metrics.incr (Metrics.counter name)
+let m_corrupted = Metrics.counter "chaos.corrupted"
+let m_torn = Metrics.counter "chaos.torn"
+let m_reset = Metrics.counter "chaos.reset"
+let m_connections = Metrics.counter "chaos.connections"
 
 type proxy = {
   sock : Unix.file_descr;
@@ -186,7 +189,7 @@ let pump_request ~spec ~src ~dst =
         if k >= !off && k < !off + n then begin
           let i = k - !off in
           Bytes.set buf i (Char.chr (Char.code (Bytes.get buf i) lxor mask));
-          mcounter "chaos.corrupted"
+          Metrics.incr m_corrupted
         end)
       corrupts;
     let keep =
@@ -205,7 +208,7 @@ let pump_request ~spec ~src ~dst =
     match tear with
     | Some t when !off >= t && not !torn ->
         torn := true;
-        mcounter "chaos.torn";
+        Metrics.incr m_torn;
         shutdown_quiet dst Unix.SHUTDOWN_SEND
     | _ -> ()
   in
@@ -252,7 +255,7 @@ let pump_response ~spec ~src ~dst =
         off := !off + n;
         match reset with
         | Some r when !off >= r ->
-            mcounter "chaos.reset";
+            Metrics.incr m_reset;
             shutdown_quiet src Unix.SHUTDOWN_ALL;
             shutdown_quiet dst Unix.SHUTDOWN_ALL
         | _ -> loop ())
@@ -268,7 +271,7 @@ let handle_conn p client_fd =
           close_quiet server_fd;
           close_quiet client_fd
       | () ->
-          mcounter "chaos.connections";
+          Metrics.incr m_connections;
           let id = Atomic.fetch_and_add p.conn_ids 1 in
           Mutex.protect p.cmutex (fun () ->
               Hashtbl.replace p.conns id (client_fd, server_fd));

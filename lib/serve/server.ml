@@ -60,7 +60,7 @@ let default_config =
     timeout = None;
   }
 
-(* ---- per-endpoint stats (server-local, so tests stay isolated) -------- *)
+(* ---- telemetry: registry handles, looked up once; [stats] reads them -- *)
 
 let endpoints =
   [| "ping"; "solve"; "simulate"; "adapt"; "corpus"; "stats"; "sleep";
@@ -76,22 +76,34 @@ let endpoint_index = function
   | Pr.Sleep _ -> 6
   | Pr.Shutdown -> 7
 
-type ep_stats = {
-  mutable count : int;
-  mutable errors : int;
-  lat_buckets : int array;  (* Metrics log-scale buckets, seconds *)
-  mutable lat_count : int;
-  mutable lat_sum : float;
+type ep_metrics = {
+  requests : Metrics.counter;
+  errors : Metrics.counter;
+  latency : Metrics.histogram;  (* seconds *)
 }
+
+let ep_metrics =
+  Array.map
+    (fun ep ->
+      {
+        requests = Metrics.counter ("serve.requests." ^ ep);
+        errors = Metrics.counter ("serve.errors." ^ ep);
+        latency = Metrics.histogram ("serve.latency." ^ ep);
+      })
+    endpoints
+
+let m_busy = Metrics.counter "serve.busy"
+let m_timeouts = Metrics.counter "serve.timeouts"
+
+(* in name order, the order [stats] lists them in *)
+let m_tier_counters =
+  List.map
+    (fun tier -> (tier, Metrics.counter ("serve.tier." ^ Driver.tier_name tier)))
+    Driver.[ Exact; Heuristic; Local_search ]
 
 type t = {
   config : config;
   cache : Engine_cache.t;
-  mutex : Mutex.t;
-  eps : ep_stats array;
-  tiers : (string, int) Hashtbl.t;
-  mutable busy_count : int;
-  mutable timeout_count : int;
   engines_out : int Atomic.t;
       (* warm engines currently checked out of the cache: incremented at
          checkout, decremented in the check-in finalizer, so a non-zero
@@ -105,19 +117,6 @@ let create ?(config = default_config) () =
   {
     config;
     cache = Engine_cache.create ~capacity:config.cache_size;
-    mutex = Mutex.create ();
-    eps =
-      Array.init (Array.length endpoints) (fun _ ->
-          {
-            count = 0;
-            errors = 0;
-            lat_buckets = Array.make Metrics.n_buckets 0;
-            lat_count = 0;
-            lat_sum = 0.;
-          });
-    tiers = Hashtbl.create 4;
-    busy_count = 0;
-    timeout_count = 0;
     engines_out = Atomic.make 0;
     pool = None;
     started = Unix.gettimeofday ();
@@ -126,24 +125,7 @@ let create ?(config = default_config) () =
 
 let cache_stats t = Engine_cache.stats t.cache
 let stopping t = Atomic.get t.stop
-
-let mcounter name = Metrics.incr (Metrics.counter name)
-
-let note_busy t =
-  Mutex.protect t.mutex (fun () -> t.busy_count <- t.busy_count + 1);
-  mcounter "serve.busy"
-
-let note_timeout t =
-  Mutex.protect t.mutex (fun () -> t.timeout_count <- t.timeout_count + 1);
-  mcounter "serve.timeouts"
-
 let engines_outstanding t = Atomic.get t.engines_out
-
-let note_tier t tier =
-  Mutex.protect t.mutex (fun () ->
-      Hashtbl.replace t.tiers tier
-        (1 + Option.value ~default:0 (Hashtbl.find_opt t.tiers tier)));
-  mcounter ("serve.tier." ^ tier)
 
 let err code message = Pr.Error { code; message }
 
@@ -183,25 +165,21 @@ let deadline_plan cfg ~n d =
    [engines_out] counter is the observable pin: it is non-zero only while a
    checkout is live, so [cache.outstanding] in [stats] must read 0 at
    rest. *)
-let checked_out t key engine counter f =
-  Atomic.incr t.engines_out;
-  Fun.protect
-    ~finally:(fun () ->
-      Engine_cache.put t.cache key engine;
-      Atomic.decr t.engines_out)
-    (fun () ->
-      mcounter counter;
-      f (Some engine))
-
 let with_engine t (p : Pr.solve_params) model g ~order f =
   if Engine_cache.capacity t.cache = 0 || p.backend = E.Naive then f None
   else begin
     let key = Key.make p.backend model g ~order in
-    match Engine_cache.take t.cache key with
-    | Some h -> checked_out t key h "serve.cache.hit" f
-    | None ->
-        let h = E.handle p.backend model g ~order in
-        checked_out t key h "serve.cache.miss" f
+    let engine =
+      match Engine_cache.take t.cache key with
+      | Some h -> h
+      | None -> E.handle p.backend model g ~order
+    in
+    Atomic.incr t.engines_out;
+    Fun.protect
+      ~finally:(fun () ->
+        Engine_cache.put t.cache key engine;
+        Atomic.decr t.engines_out)
+      (fun () -> f (Some engine))
   end
 
 let run_solve t ~cancel (p : Pr.solve_params) =
@@ -213,13 +191,13 @@ let run_solve t ~cancel (p : Pr.solve_params) =
       let search = if p.grid <= 0 then H.Exhaustive else H.Grid p.grid in
       let heuristic = H.name p.lin p.ckpt in
       let finish ~tier ~evaluations sched makespan =
-        note_tier t tier;
+        Metrics.incr (List.assoc tier m_tier_counters);
         let tinf = Evaluator.fail_free_time g in
         ( {
             Pr.source = Pr.spec_source p.workflow;
             n_tasks = Dag.n_tasks g;
             heuristic;
-            tier;
+            tier = Driver.tier_name tier;
             makespan;
             ratio = (if tinf > 0. then makespan /. tinf else 1.);
             n_ckpt = Schedule.checkpoint_count sched;
@@ -230,15 +208,6 @@ let run_solve t ~cancel (p : Pr.solve_params) =
           g,
           model )
       in
-      let heuristic_tier () =
-        with_engine t p model g ~order (fun engine ->
-            let o =
-              H.run ~search ~backend:p.backend ?engine ~cancel model g
-                ~lin:p.lin ~ckpt:p.ckpt
-            in
-            finish ~tier:(Driver.tier_name Driver.Heuristic)
-              ~evaluations:o.H.evaluations o.H.schedule o.H.makespan)
-      in
       let plan =
         match p.deadline with
         | None -> `Heuristic
@@ -246,21 +215,24 @@ let run_solve t ~cancel (p : Pr.solve_params) =
       in
       Ok
         (match plan with
-        | `Heuristic -> heuristic_tier ()
-        | `Local_search evals ->
+        | (`Heuristic | `Local_search _) as plan ->
             with_engine t p model g ~order (fun engine ->
                 let o =
                   H.run ~search ~backend:p.backend ?engine ~cancel model g
                     ~lin:p.lin ~ckpt:p.ckpt
                 in
-                let ls =
-                  LS.improve ~max_evaluations:evals ~backend:p.backend ~cancel
-                    model g o.H.schedule
-                in
-                finish
-                  ~tier:(Driver.tier_name Driver.Local_search)
-                  ~evaluations:(o.H.evaluations + ls.LS.evaluations)
-                  ls.LS.schedule ls.LS.makespan)
+                match plan with
+                | `Heuristic ->
+                    finish ~tier:Driver.Heuristic ~evaluations:o.H.evaluations
+                      o.H.schedule o.H.makespan
+                | `Local_search evals ->
+                    let ls =
+                      LS.improve ~max_evaluations:evals ~backend:p.backend
+                        ~cancel model g o.H.schedule
+                    in
+                    finish ~tier:Driver.Local_search
+                      ~evaluations:(o.H.evaluations + ls.LS.evaluations)
+                      ls.LS.schedule ls.LS.makespan)
         | `Exact nodes ->
             (* the only fallback is the requested heuristic: any other
                linearization would answer with another order's schedule
@@ -274,7 +246,7 @@ let run_solve t ~cancel (p : Pr.solve_params) =
               }
             in
             let r = Driver.solve ~config ~cancel model g ~order in
-            finish ~tier:(Driver.tier_name r.Driver.tier) ~evaluations:r.Driver.nodes
+            finish ~tier:r.Driver.tier ~evaluations:r.Driver.nodes
               r.Driver.schedule r.Driver.makespan)
 
 (* ---- the other compute endpoints -------------------------------------- *)
@@ -362,66 +334,60 @@ let run_corpus t ~dir ~ratios ~grid ~backend =
 let stats_rows t =
   let cs = Engine_cache.stats t.cache in
   let uptime = Unix.gettimeofday () -. t.started in
-  Mutex.protect t.mutex (fun () ->
-      let rows = ref [] in
-      let add name value = rows := (name, value) :: !rows in
-      let addi name v = add name (string_of_int v) in
-      (* deterministic rows first: cram output pins these and filters the
-         latency/uptime tail *)
-      addi "workers" t.config.workers;
-      addi "queue.depth" t.config.queue_depth;
-      addi "cache.capacity" cs.Engine_cache.capacity;
-      addi "cache.size" cs.Engine_cache.size;
-      addi "cache.hits" cs.Engine_cache.hits;
-      addi "cache.misses" cs.Engine_cache.misses;
-      addi "cache.evictions" cs.Engine_cache.evictions;
-      addi "cache.puts" cs.Engine_cache.puts;
-      (* checked-out engines right now: 0 at rest, or something leaked *)
-      addi "cache.outstanding" (Atomic.get t.engines_out);
-      Array.iteri
-        (fun i (ep : ep_stats) ->
-          if ep.count > 0 then addi ("requests." ^ endpoints.(i)) ep.count)
-        t.eps;
-      Array.iteri
-        (fun i (ep : ep_stats) ->
-          if ep.errors > 0 then addi ("errors." ^ endpoints.(i)) ep.errors)
-        t.eps;
-      if t.busy_count > 0 then addi "busy" t.busy_count;
-      if t.timeout_count > 0 then addi "timeouts" t.timeout_count;
-      (match t.pool with
-      | Some pool ->
-          let r = Pool.restarts pool in
-          if r > 0 then addi "pool.restarts" r
-      | None -> ());
-      Hashtbl.fold (fun tier n acc -> (tier, n) :: acc) t.tiers []
-      |> List.sort compare
-      |> List.iter (fun (tier, n) -> addi ("tier." ^ tier) n);
-      (* nondeterministic tail *)
-      add "uptime_s" (Printf.sprintf "%.1f" uptime);
-      let total = Array.fold_left (fun acc ep -> acc + ep.count) 0 t.eps in
-      add "qps"
-        (Printf.sprintf "%.1f"
-           (if uptime > 0. then float_of_int total /. uptime else 0.));
-      Array.iteri
-        (fun i (ep : ep_stats) ->
-          if ep.lat_count > 0 then begin
-            let snap =
-              {
-                Metrics.hcount = ep.lat_count;
-                hsum = ep.lat_sum;
-                buckets = Array.copy ep.lat_buckets;
-              }
-            in
-            let q p = 1000. *. Metrics.hist_quantile snap p in
-            add
-              (Printf.sprintf "latency.%s.p50_ms" endpoints.(i))
-              (Printf.sprintf "%.3f" (q 0.5));
-            add
-              (Printf.sprintf "latency.%s.p99_ms" endpoints.(i))
-              (Printf.sprintf "%.3f" (q 0.99))
-          end)
-        t.eps;
-      List.rev !rows)
+  let rows = ref [] in
+  let add name value = rows := (name, value) :: !rows in
+  let addi name v = add name (string_of_int v) in
+  let nonzero name v = if v > 0 then addi name v in
+  let count name c = nonzero name (Metrics.counter_value c) in
+  (* deterministic rows first: cram output pins these and filters the
+     latency/uptime tail *)
+  addi "workers" t.config.workers;
+  addi "queue.depth" t.config.queue_depth;
+  addi "cache.capacity" cs.Engine_cache.capacity;
+  addi "cache.size" cs.Engine_cache.size;
+  addi "cache.hits" cs.Engine_cache.hits;
+  addi "cache.misses" cs.Engine_cache.misses;
+  addi "cache.evictions" cs.Engine_cache.evictions;
+  addi "cache.puts" cs.Engine_cache.puts;
+  (* checked-out engines right now: 0 at rest, or something leaked *)
+  addi "cache.outstanding" (Atomic.get t.engines_out);
+  Array.iteri (fun i m -> count ("requests." ^ endpoints.(i)) m.requests)
+    ep_metrics;
+  Array.iteri (fun i m -> count ("errors." ^ endpoints.(i)) m.errors) ep_metrics;
+  count "busy" m_busy;
+  count "timeouts" m_timeouts;
+  nonzero "pool.restarts" (Option.fold ~none:0 ~some:Pool.restarts t.pool);
+  m_tier_counters
+  |> List.iter (fun (tier, c) -> count ("tier." ^ Driver.tier_name tier) c);
+  (* nondeterministic tail *)
+  add "uptime_s" (Printf.sprintf "%.1f" uptime);
+  let total =
+    Array.fold_left (fun acc m -> acc + Metrics.counter_value m.requests) 0
+      ep_metrics
+  in
+  add "qps"
+    (Printf.sprintf "%.1f"
+       (if uptime > 0. then float_of_int total /. uptime else 0.));
+  Array.iteri
+    (fun i m ->
+      let h = Metrics.hist_value m.latency in
+      if h.Metrics.hcount > 0 then begin
+        let q p = Printf.sprintf "%.3f" (1000. *. Metrics.hist_quantile h p) in
+        add (Printf.sprintf "latency.%s.p50_ms" endpoints.(i)) (q 0.5);
+        add (Printf.sprintf "latency.%s.p99_ms" endpoints.(i)) (q 0.99)
+      end)
+    ep_metrics;
+  (* then the rest of the registry: the kernel, search and simulator *)
+  let s = Metrics.snapshot () in
+  let rest name = not (String.starts_with ~prefix:"serve." name) in
+  List.iter (fun (name, v) -> if rest name then nonzero name v)
+    s.Metrics.counters;
+  List.iter
+    (fun (name, h) ->
+      if rest name && h.Metrics.hcount > 0 then
+        add name (Metrics.hist_summary h))
+    s.Metrics.histograms;
+  List.rev !rows
 
 (* ---- dispatch ---------------------------------------------------------- *)
 
@@ -471,10 +437,8 @@ let dispatch t ~cancel req =
           run_corpus t ~dir ~ratios ~grid ~backend)
 
 let handle ?cancel t req =
-  let i = endpoint_index req in
-  Mutex.protect t.mutex (fun () -> t.eps.(i).count <- t.eps.(i).count + 1);
-  mcounter ("serve.requests." ^ endpoints.(i));
-  let hist = Metrics.histogram ("serve.latency." ^ endpoints.(i)) in
+  let m = ep_metrics.(endpoint_index req) in
+  Metrics.incr m.requests;
   (* the watchdog arms compute requests only; its budget is wall-clock but
      the [timeout] message is deterministic (the budget, never the elapsed
      time), so cancelled responses are pinnable too *)
@@ -487,12 +451,11 @@ let handle ?cancel t req =
         | Some s when not (inline_request req) -> Cancel.create ~budget:s ()
         | _ -> Cancel.never)
   in
-  let t0 = Unix.gettimeofday () in
   let resp =
-    Metrics.time hist (fun () ->
+    Metrics.time m.latency (fun () ->
         try dispatch t ~cancel req with
         | Cancel.Cancelled ->
-            note_timeout t;
+            Metrics.incr m_timeouts;
             err Pr.Timeout
               (match budget with
               | Some s ->
@@ -500,14 +463,7 @@ let handle ?cancel t req =
               | None -> "request cancelled by watchdog")
         | exn -> err Pr.Internal (Printexc.to_string exn))
   in
-  let dt = Unix.gettimeofday () -. t0 in
-  Mutex.protect t.mutex (fun () ->
-      let ep = t.eps.(i) in
-      let b = Metrics.bucket_of dt in
-      ep.lat_buckets.(b) <- ep.lat_buckets.(b) + 1;
-      ep.lat_count <- ep.lat_count + 1;
-      ep.lat_sum <- ep.lat_sum +. dt;
-      if Pr.is_error resp then ep.errors <- ep.errors + 1);
+  if Pr.is_error resp then Metrics.incr m.errors;
   resp
 
 (* ---- socket layer ------------------------------------------------------ *)
@@ -631,7 +587,7 @@ let process t pool conn ~send ~id req =
     in
     if not (Pool.try_submit pool job) then begin
       job_done conn;
-      note_busy t;
+      Metrics.incr m_busy;
       send ~id
         (err Pr.Busy
            (Printf.sprintf "queue full (%d outstanding, depth %d)"
@@ -750,6 +706,9 @@ let serve ?(config = default_config) ?(ready = fun _ -> ()) listen_on =
       let t = create ~config () in
       let pool = Pool.create ~workers:config.workers ~depth:config.queue_depth in
       t.pool <- Some pool;
+      (* [stats] reads the process registry: record while the daemon runs *)
+      let was_enabled = Metrics.enabled () in
+      Metrics.set_enabled true;
       ready desc;
       let rec accept_loop () =
         if not (Atomic.get t.stop) then begin
@@ -767,6 +726,7 @@ let serve ?(config = default_config) ?(ready = fun _ -> ()) listen_on =
       accept_loop ();
       (* drain: every admitted job still answers before the process exits *)
       Pool.shutdown ~drain:true pool;
+      Metrics.set_enabled was_enabled;
       (try Unix.close sock with Unix.Unix_error _ -> ());
       cleanup ();
       Ok ()

@@ -13,7 +13,9 @@
     solver budgets (node counts at a fixed calibration rate) rather than
     wall-clock aborts, and everything nondeterministic — latency
     histograms, uptime, hit rates — is reachable only through the [Stats]
-    endpoint. *)
+    endpoint. [Stats] is a view of the process registry {!Wfc_obs.Metrics}:
+    the server's rows, then every other non-zero counter and non-empty
+    histogram ([flat.*], [bnb.*], [search.*], [sim.*], …). *)
 
 type config = {
   cache_size : int;
@@ -51,7 +53,7 @@ val create : ?config:config -> unit -> t
 
 val handle :
   ?cancel:Wfc_platform.Cancel.t -> t -> Protocol.request -> Protocol.response
-(** Validate, dispatch, and record per-endpoint stats. Never raises: an
+(** Validate and dispatch. Never raises: an
     escaping exception becomes an [internal] error response, and a
     watchdog cancellation a [timeout] one. The deadline
     mapping: budget [= deadline * nodes_per_second] nodes; at least 500
@@ -64,7 +66,11 @@ val handle :
     [cancel] overrides the watchdog token for this request (tests hand in
     pre-cancelled tokens); without it, a compute request is armed with a
     fresh [config.timeout]-budget token, control-plane requests with
-    {!Wfc_platform.Cancel.never}. *)
+    {!Wfc_platform.Cancel.never}.
+
+    Requests, latencies and errors are counted in the process registry,
+    which records only while it is on: {!serve} turns it on, an in-process
+    caller that wants counts in [Stats] turns on {!Wfc_obs.Metrics}. *)
 
 val cache_stats : t -> Engine_cache.stats
 
@@ -87,4 +93,5 @@ val serve :
     succeeds. Admitted jobs are drained before returning; [Error] only on
     bind failures. Ping/Stats/Shutdown answer inline from connection
     reader threads (the control plane stays responsive under load);
-    everything else goes through the bounded pool. *)
+    everything else goes through the bounded pool. The metrics registry is
+    on while the daemon runs. *)

@@ -87,6 +87,7 @@ type exec = {
   ckpt_cost : float array;
   rec_cost : float array;
   replicas : int array;
+  extra_replicas : int;  (* copies beyond the first, over all tasks *)
   faults : faults;
   (* the plan; an observer may rewrite its suffix ({!replan}) *)
   order : int array;
@@ -144,6 +145,7 @@ let exec ?(replica_cost = Wfc_core.Replication.default_cost) ?faults g sched =
     ckpt_cost = Array.init n (fun v -> (task v).Wfc_dag.Task.checkpoint_cost);
     rec_cost = Array.init n (fun v -> (task v).Wfc_dag.Task.recovery_cost);
     replicas;
+    extra_replicas = Schedule.extra_replicas sched;
     faults = (match faults with Some f -> f | None -> no_faults ());
     order = Array.init n (Schedule.task_at sched);
     flags = Array.init n (Schedule.is_checkpointed sched);
@@ -294,8 +296,8 @@ let flush ex =
     Metrics.add m_corrupt ex.corrupt_reads;
     Metrics.add m_failed_rec ex.failed_recoveries;
     if ex.truncated then Metrics.incr m_truncated;
-    if Schedule.is_replicated ex.sched then begin
-      Metrics.add m_replicas_placed (Schedule.extra_replicas ex.sched);
+    if ex.extra_replicas > 0 then begin
+      Metrics.add m_replicas_placed ex.extra_replicas;
       Metrics.add m_replica_saves ex.saves
     end
   end

@@ -11,21 +11,7 @@ module Pool = Wfc_platform.Domain_pool
 
 let qtest = Wfc_test_util.qtest
 
-(* Each test arms the layer, runs, then disarms and wipes so the suites
-   stay independent (the registry and trace buffers are process-global). *)
-let with_obs f =
-  Metrics.set_enabled true;
-  Trace.set_enabled true;
-  Metrics.reset ();
-  Trace.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Metrics.set_enabled false;
-      Trace.set_enabled false;
-      Trace.set_clock (fun () -> Unix.gettimeofday ());
-      Metrics.reset ();
-      Trace.reset ())
-    f
+let with_obs = Wfc_test_util.with_obs
 
 (* ---- metrics: counters under concurrency ------------------------------ *)
 

@@ -676,6 +676,39 @@ let test_deadline_tiers () =
   Alcotest.(check string) "too many tasks for exact" "local-search"
     (tier_of server ("solve family=montage n=40 mtbf=100 deadline=60"))
 
+(* ---- 7. stats is a view of the registry -------------------------------- *)
+
+(* [stats] reads the process registry, which counts exactly under
+   concurrent recording: four domains push a fixed mix of valid and
+   invalid solves through one server, and the request, error and tier rows
+   count every one. After the server's own rows come the registry's other
+   metrics, here the kernel's. *)
+let test_stats_view () =
+  Wfc_test_util.with_obs @@ fun () ->
+  let server = Server.create () in
+  let parse line = Result.get_ok (Pr.request_of_line line) in
+  let valid = parse "solve family=montage n=15 mtbf=100"
+  and invalid = parse "solve mtbf=-5" in
+  let mix = [ valid; invalid; valid; valid; invalid; valid ] in
+  ignore
+    (Wfc_platform.Domain_pool.run ~domains:4 (fun _ ->
+         List.iter (fun req -> ignore (Server.handle server req)) mix));
+  let rows =
+    match Server.handle server Pr.Stats with
+    | Pr.Stats_report rows -> rows
+    | r ->
+        Alcotest.failf "expected a stats report, got: %s"
+          (String.concat "\n" (Pr.render_response r))
+  in
+  let row name = List.assoc_opt name rows in
+  Alcotest.(check (option string)) "requests.solve" (Some "24")
+    (row "requests.solve");
+  Alcotest.(check (option string)) "errors.solve" (Some "8")
+    (row "errors.solve");
+  Alcotest.(check (option string)) "tier.heuristic" (Some "16")
+    (row "tier.heuristic");
+  Alcotest.(check bool) "flat.queries row" true (row "flat.queries" <> None)
+
 let () =
   Alcotest.run "serve"
     [ ( "codec",
@@ -713,4 +746,7 @@ let () =
             test_pool_crash_restart ] );
       ( "deadline",
         [ Alcotest.test_case "tier mapping" `Quick test_deadline_tiers ] );
+      ( "stats",
+        [ Alcotest.test_case "stats is a view of the registry" `Quick
+            test_stats_view ] );
     ]

@@ -19,6 +19,25 @@ let reported_ok model g (sched : Wfc_core.Schedule.t) m =
   Float.equal m (F.makespan (F.create ~flags model g ~order))
   && close m (Wfc_core.Evaluator.expected_makespan model g sched)
 
+(* Arm the observability layer (metrics registry and trace buffer) for one
+   test case, then disarm and wipe it, so no case leaves the process-global
+   registry recording for the next one. *)
+let with_obs f =
+  let module Metrics = Wfc_obs.Metrics in
+  let module Trace = Wfc_obs.Trace in
+  Metrics.set_enabled true;
+  Trace.set_enabled true;
+  Metrics.reset ();
+  Trace.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Trace.set_enabled false;
+      Trace.set_clock (fun () -> Unix.gettimeofday ());
+      Metrics.reset ();
+      Trace.reset ())
+    f
+
 let model ?(downtime = 0.) lambda =
   Wfc_platform.Failure_model.make ~lambda ~downtime ()
 
