@@ -69,7 +69,7 @@ let with_daemon f =
       Thread.join th)
     (fun () -> f target)
 
-(* ---- watchdog + byte-identity (in process, like FIG=serve) -------------- *)
+(* ---- watchdog + byte-identity (in process, through Server.handle) ------- *)
 
 let parse l =
   match Pr.request_of_line l with

@@ -12,7 +12,6 @@
           FIG=adaptive dune exec bench/main.exe  adaptive vs static, misspecified lambda
           FIG=replication dune exec bench/main.exe  checkpoint-vs-replica CVaR trade-off
           FIG=corpus dune exec bench/main.exe    golden mini-corpus sweep, engine/domain invariance
-          FIG=serve dune exec bench/main.exe     serving layer: warm-engine cache vs cold, byte-identity
           FIG=chaos dune exec bench/main.exe     chaos soak: fault injection, watchdog, crash-only guard
           FULL=1 ...                             full 50..700 task range
           SEEDS=3 ...                            average over 3 workflow seeds
@@ -49,7 +48,6 @@ let () =
   | Some "adaptive" -> Adaptive_bench.run ()
   | Some "replication" -> Replication_bench.run ()
   | Some "corpus" -> Corpus_bench.run ()
-  | Some "serve" -> Serve_bench.run ()
   | Some "chaos" -> Chaos_bench.run ()
   | Some id -> (
       match int_of_string_opt id with
@@ -57,8 +55,8 @@ let () =
       | None ->
           Printf.eprintf
             "FIG must be 2..7, 'ablation', 'micro', 'stress', 'engine', \
-             'scale', 'obs', 'adaptive', 'replication', 'corpus', \
-             'serve' or 'chaos'\n")
+             'scale', 'obs', 'adaptive', 'replication', 'corpus' \
+             or 'chaos'\n")
   | None ->
       Figures.run cfg None;
       Ablation.run cfg;

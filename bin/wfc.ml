@@ -414,7 +414,7 @@ let evaluate family n seed cost mtbf downtime lin ckpt grid engine load save
       Wfc_io.Workflow_format.save_schedule path o.Heuristics.schedule;
       Format.printf "schedule written to %s@." path
   | None -> ());
-  let tinf = Evaluator.fail_free_time g in
+  let tinf = Wfc_dag.Dag.total_weight g in
   Format.printf "%s on %s (%d tasks), %a@."
     (Heuristics.name lin ckpt) (source_name ~load family)
     (Wfc_dag.Dag.n_tasks g) FM.pp model;
@@ -445,7 +445,7 @@ let schedule family n seed cost mtbf downtime grid engine load extended
   with_obs ~metrics ~trace @@ fun () ->
   let g = workflow ~load family n seed cost in
   let model = model mtbf downtime in
-  let tinf = Evaluator.fail_free_time g in
+  let tinf = Wfc_dag.Dag.total_weight g in
   Format.printf "%s, %d tasks, %s, %a@.@." (source_name ~load family)
     (Wfc_dag.Dag.n_tasks g) (CM.name cost) FM.pp model;
   let table =
@@ -901,7 +901,7 @@ let solve kind n seed mtbf downtime replicas replica_cost metrics trace =
           Format.printf
             "with replication %s: E[makespan] = %.2f s (%d extra copies)@."
             (Replication.spec_name spec)
-            (Evaluator.expected_makespan ~replica_cost model g rsched)
+            (Replication.expected_makespan ~cost:replica_cost model g rsched)
             (Schedule.extra_replicas rsched))
   | "fork" ->
       let g =
@@ -1404,7 +1404,7 @@ let profile family n seed cost mtbf downtime grid engine bnb_domains runs
         "  replication %s: E[makespan] %.2f s, simulated mean %.2f s (%d \
          extra copies)@."
         (Replication.spec_name spec)
-        (Evaluator.expected_makespan ~replica_cost model g rsched)
+        (Replication.expected_makespan ~cost:replica_cost model g rsched)
         (Wfc_platform.Stats.mean est_r.Wfc_simulator.Monte_carlo.makespan)
         (Schedule.extra_replicas rsched));
   Format.printf "@.";

@@ -1,13 +1,14 @@
 (* Identity of a warm evaluation engine.
 
-   An {!Eval_engine.handle} is bound to a (backend, model, dag, order)
-   quadruple; two requests may share a warm engine exactly when those four
-   agree. The key captures each component as stable 64-bit digests — the
-   DAG through {!Wfc_dag.Dag.fingerprint}, the order through the same FNV-1a
-   fold, the model through the raw IEEE bits of lambda and downtime (bitwise
-   equality, the only equality that preserves bit-identical evaluation) —
-   so keys are cheap to hash, compare and print, and never retain the DAG
-   itself. *)
+   A warm {!Flat_engine} is bound to a (model, dag, order) triple, and the
+   key adds the backend that asked for it (only [Flat] builds engines; the
+   serving layer never caches for [Naive]); two requests may share a warm
+   engine exactly when those four agree. The key captures each component
+   as stable 64-bit digests — the DAG through {!Wfc_dag.Dag.fingerprint},
+   the order through the same FNV-1a fold, the model through the raw IEEE
+   bits of lambda and downtime (bitwise equality, the only equality that
+   preserves bit-identical evaluation) — so keys are cheap to hash, compare
+   and print, and never retain the DAG itself. *)
 
 type t = {
   dag : int64;

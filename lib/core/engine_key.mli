@@ -1,8 +1,9 @@
 (** Identity of a warm evaluation engine, the key of the serving layer's
     engine LRU.
 
-    A warm {!Eval_engine.handle} may answer for a request exactly when its
-    bound [(backend, model, dag, order)] quadruple matches the request's.
+    A warm {!Flat_engine} may answer for a request exactly when the
+    [(backend, model, dag, order)] quadruple it was built for matches the
+    request's.
     This key digests each component into 64-bit fingerprints — the DAG via
     {!Wfc_dag.Dag.fingerprint}, the linearization via the same FNV-1a fold,
     the model via the raw IEEE bits of lambda and downtime — so lookups are

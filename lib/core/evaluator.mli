@@ -15,9 +15,11 @@
 
     The computation is exact for exponentially distributed failures, costs
     [O(n^2)] once the replay sums are known, and is valid even when failures
-    strike during checkpoints and recoveries. *)
+    strike during checkpoints and recoveries. The recurrence itself is
+    {!Replication.evaluate}, which reduces to the paper's at one replica per
+    task; this module is the counted entry point the oracle paths call. *)
 
-type result = {
+type result = Replication.result = {
   makespan : float;  (** expected execution time of the schedule *)
   per_position : float array;  (** [E\[X_i\]] for each position [i] *)
   fault_probability : float array;
@@ -32,22 +34,19 @@ val evaluate :
   Wfc_dag.Dag.t ->
   Schedule.t ->
   result
-(** [evaluate model g s] computes the full decomposition. The replay sums are
-    computed on the fly unless [lost] provides them. The makespan is
-    [infinity] when the failure rate makes some segment's expectation
-    overflow — such schedules compare as worse than any finite one.
-
-    Replicated schedules ({!Schedule.is_replicated}) dispatch to
-    {!Replication.evaluate} with the [replica_cost] surcharge (default
-    {!Replication.default_cost}); unreplicated schedules take the original
-    path untouched, bit for bit.
+(** [evaluate model g s] computes the full decomposition: it is
+    {!Replication.evaluate} with [replica_cost] as its surcharge (default
+    {!Replication.default_cost}), which an unreplicated schedule ignores.
+    The replay sums are computed on the fly unless [lost] provides them. The
+    makespan is [infinity] when the failure rate makes some segment's
+    expectation overflow — such schedules compare as worse than any finite
+    one.
 
     Each call adds one to the [evaluator.evaluations] counter of
     {!Wfc_obs.Metrics} (one branch when the layer is off), which lets tests
     pin that no flat search path reaches the oracle.
 
-    @raise Invalid_argument if [lost] is given with a replicated schedule
-    (the matrix must be recomputed over surcharged weights). *)
+    @raise Invalid_argument as {!Replication.evaluate}. *)
 
 val expected_makespan :
   ?lost:Lost_work.t ->

@@ -408,7 +408,7 @@ let mark t ~p ~hi ~wm =
 (* ---- rows -------------------------------------------------------------- *)
 
 (* One replay row, recomputed in place. The DFS is the iterative image of
-   Lost_work.compute_row_into: predecessors are scanned in preds order, a
+   Lost_work.compute's: predecessors are scanned in preds order, a
    non-checkpointed charge descends immediately (pre-order), so the float
    additions happen in the exact order of the recursive version and the row
    is bit-identical to it. Two flip-path shortcuts keep the recompute cheap
@@ -642,9 +642,10 @@ let restore t p =
     t.scal.(0) <- A1.unsafe_get t.snap_start p
   end
 
-(* One position of the Theorem 3 recurrence, algebraically equal to
-   Evaluator.evaluate's loop body but with the expectation rearranged so each
-   fault row needs a single transcendental:
+(* One position of the Theorem 3 recurrence, algebraically equal to the
+   oracle's loop body (Replication.evaluate at one replica per task) but
+   with the expectation rearranged so each fault row needs a single
+   transcendental:
 
      E[t(l + w; c; rf - l)] = K e^{lambda rf} (expm1 (lambda (w+c))
                                                - expm1 (-lambda l))

@@ -209,16 +209,16 @@ let run ?(search = Exhaustive) ?(backend = Eval_engine.Flat) ?rand
         let engine =
           match engine with
           | Some h ->
-              if Eval_engine.h_order h <> order then
+              if Flat_engine.order h <> order then
                 invalid_arg
                   "Heuristics.run: warm engine bound to another order";
-              Eval_engine.h_set_model h model;
+              Flat_engine.set_model h model;
               h
-          | None -> Eval_engine.handle backend model g ~order
+          | None -> Flat_engine.create model g ~order
         in
         fun flags ->
-          Eval_engine.h_set_flags engine flags;
-          Eval_engine.h_makespan engine
+          Flat_engine.set_flags engine flags;
+          Flat_engine.makespan engine
   in
   let evaluations = ref 0 in
   let best = ref None in
@@ -319,9 +319,7 @@ let replicate ?max_replicas ?cost ?cancel spec model g (o : outcome) =
       if Array.for_all (fun r -> r = 1) reps then o
       else
         let schedule = Schedule.with_replicas o.schedule reps in
-        let makespan =
-          Evaluator.expected_makespan ?replica_cost:cost model g schedule
-        in
+        let makespan = Replication.expected_makespan ?cost model g schedule in
         { o with schedule; makespan; evaluations = o.evaluations + 1 }
 
 let run_replicated ?search ?backend ?rand ?max_replicas ?cost ?cancel spec

@@ -70,7 +70,7 @@ val run :
   ?search:search ->
   ?backend:Eval_engine.backend ->
   ?rand:(int -> int) ->
-  ?engine:Eval_engine.handle ->
+  ?engine:Flat_engine.t ->
   ?cancel:Wfc_platform.Cancel.t ->
   Wfc_platform.Failure_model.t ->
   Wfc_dag.Dag.t ->
@@ -87,10 +87,10 @@ val run :
     token makes the sweep raise {!Wfc_platform.Cancel.Cancelled} instead of
     returning a partial best.
 
-    [engine] supplies a warm {!Eval_engine.handle} already bound to
-    [(g, order)] — the serving layer's LRU hands one back for repeat
-    requests so the sweep skips the engine build. The model is rebound with
-    {!Eval_engine.h_set_model} (cached lost-work rows survive); because the
+    [engine] supplies a warm {!Flat_engine} already bound to [(g, order)]
+    — the serving layer's LRU hands one back for repeat requests so the
+    sweep skips the engine build. The model is rebound with
+    {!Flat_engine.set_model} (cached lost-work rows survive); because the
     sweep only assigns whole flag vectors and an engine's makespan is a pure
     function of its flags, the outcome is bit-identical to a cold run
     whatever flags and model the engine was left holding. Ignored by the

@@ -25,9 +25,9 @@ let record_metrics ~sweeps r =
 
 (* Replica-aware hill climbing: the move set adds per-task replica-count
    steps (+1 up to the cap, -1 down to a single copy) next to the flag
-   flips. Every candidate goes through the replication-aware oracle — the
-   suffix engines do not support replica moves — so this path is only taken
-   for replicated seeds or when replica moves are requested. *)
+   flips. Every candidate is scored by Replication.evaluate — the flat
+   kernel does not support replica moves — so this path is only taken for
+   replicated seeds or when replica moves are requested. *)
 let improve_replicated ~max_evaluations ~replica_cost ~max_replicas ~cancel
     model g seed =
   Wfc_obs.Trace.with_span "local_search.improve"
@@ -48,7 +48,7 @@ let improve_replicated ~max_evaluations ~replica_cost ~max_replicas ~cancel
   let evaluate () =
     Wfc_platform.Cancel.check cancel;
     incr evaluations;
-    Evaluator.expected_makespan ?replica_cost model g
+    Replication.expected_makespan ?cost:replica_cost model g
       (Schedule.make ~replicas:reps g ~order ~checkpointed:flags)
   in
   let initial_makespan = evaluate () in
@@ -123,12 +123,12 @@ let improve ?(max_evaluations = 4000) ?(backend = Eval_engine.Flat)
             m),
           ignore )
     | Eval_engine.Flat ->
-        let engine = Eval_engine.handle ~flags backend model g ~order in
-        ( (fun () -> Eval_engine.h_makespan engine),
-          Eval_engine.h_flip engine,
+        let engine = Flat_engine.create ~flags model g ~order in
+        ( (fun () -> Flat_engine.makespan engine),
+          Flat_engine.flip engine,
           (* lazy revert: marks the same suffix dirty again without forcing
              a re-evaluation *)
-          fun () -> Eval_engine.h_set_flags engine flags )
+          fun () -> Flat_engine.set_flags engine flags )
   in
   Wfc_platform.Cancel.check cancel;
   let initial_makespan = current () in

@@ -5,8 +5,7 @@ let n_positions t = Array.length t.lost
 (* One row k of the replay matrix: row.(i - k) <- W^i_k + R^i_k for
    i = k..n-1. [replayed] is scratch of length n, reset here: a task charged
    at some position is in memory for all later positions (no further failure
-   until X_i ends). Shared with Replication, which re-derives rows from
-   surcharged weights. *)
+   until X_i ends). *)
 let compute_row_into g ~order ~pos ~checkpointed ~weight ~recovery ~replayed ~k
     row =
   let n = Array.length order in
@@ -32,12 +31,19 @@ let compute_row_into g ~order ~pos ~checkpointed ~weight ~recovery ~replayed ~k
     row.(i - k) <- !acc
   done
 
-let compute g sched =
+let compute ?weight g sched =
   let n = Schedule.n_tasks sched in
   let order = sched.Schedule.order in
   let pos = Array.make n (-1) in
   Array.iteri (fun p v -> pos.(v) <- p) order;
-  let weight = Array.init n (fun v -> (Wfc_dag.Dag.task g v).Wfc_dag.Task.weight) in
+  let weight =
+    match weight with
+    | Some w ->
+        if Array.length w <> n then
+          invalid_arg "Lost_work.compute: weights have the wrong size";
+        w
+    | None -> Array.init n (fun v -> (Wfc_dag.Dag.task g v).Wfc_dag.Task.weight)
+  in
   let recovery =
     Array.init n (fun v -> (Wfc_dag.Dag.task g v).Wfc_dag.Task.recovery_cost)
   in

@@ -17,8 +17,12 @@
 
 type t
 
-val compute : Wfc_dag.Dag.t -> Schedule.t -> t
-(** Computes all replay sums for the given schedule. *)
+val compute : ?weight:float array -> Wfc_dag.Dag.t -> Schedule.t -> t
+(** Computes all replay sums for the given schedule. [weight], indexed by
+    task id, replaces the task weights as the cost of re-executing a lost
+    task ({!Replication} charges replayed tasks at their surcharged weight).
+
+    @raise Invalid_argument if [weight] has the wrong size. *)
 
 val replay_time : t -> last_fault:int -> position:int -> float
 (** [replay_time t ~last_fault:k ~position:i] is [W^i_k + R^i_k], the time
@@ -31,23 +35,3 @@ val replay_time : t -> last_fault:int -> position:int -> float
     @raise Invalid_argument unless [-1 <= k <= i < n]. *)
 
 val n_positions : t -> int
-
-val compute_row_into :
-  Wfc_dag.Dag.t ->
-  order:int array ->
-  pos:int array ->
-  checkpointed:bool array ->
-  weight:float array ->
-  recovery:float array ->
-  replayed:bool array ->
-  k:int ->
-  float array ->
-  unit
-(** [compute_row_into g ~order ~pos ~checkpointed ~weight ~recovery ~replayed
-    ~k row] fills [row.(i - k)] with [W^i_k + R^i_k] for [i = k..n-1].
-    [pos] is the inverse permutation of [order]; [checkpointed], [weight] and
-    [recovery] are indexed by task id; [replayed] is caller-provided scratch
-    of length [n] (clobbered). Row [k] only depends on the checkpoint flags
-    of tasks at positions [< k] — the locality {!Flat_engine} exploits to
-    refresh single rows after a flag flip (with its own iterative image of
-    this DFS, bit-identical to a fresh {!compute}). *)

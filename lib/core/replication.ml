@@ -7,7 +7,7 @@ let default_cost = 1.
 
 let effective_weight ~cost ~weight ~r =
   if not (cost >= 0.) then invalid_arg "Replication: negative replica cost";
-  weight *. (1. +. (cost *. float_of_int (r - 1)))
+  if r = 1 then weight else weight *. (1. +. (cost *. float_of_int (r - 1)))
 
 let harmonic r =
   let h = ref 0. in
@@ -62,18 +62,23 @@ let conditional_mean_elapsed ~lambda ~r t =
     end
   end
 
+(* The attempt's survival probability 1 - (1 - e^{-lambda t})^r, as
+   -expm1 (r log (1 - e^{-lambda t})): the subtraction 1 - q cancels when the
+   loss probability q is near 1 (lambda t around 16 keeps barely seven
+   digits), this form keeps its relative precision there. *)
+let attempt_survival ~lambda ~r t =
+  if lambda <= 0. || t <= 0. then 1.
+  else
+    -.Float.expm1 (float_of_int r *. Float.log1p (-.Float.exp (-.lambda *. t)))
+
 (* The exposure e(t) such that exp (-lambda * e(t)) equals the attempt's
-   survival probability 1 - (1 - e^{-lambda t})^r: accumulating these per
-   separating attempt turns the product of per-attempt survivals back into
-   the single-exponential form the Theorem 3 recurrences use. r = 1 is the
-   identity. *)
+   survival probability: accumulating these per separating attempt turns
+   the product of per-attempt survivals back into the single-exponential
+   form the Theorem 3 recurrences use. r = 1 is the identity. *)
 let equivalent_exposure ~lambda ~r t =
   if r = 1 then t
   else if lambda <= 0. then 0.
-  else begin
-    let q = attempt_failure_probability ~lambda ~r t in
-    if q >= 1. then Float.infinity else -.Float.log1p (-.q) /. lambda
-  end
+  else -.Float.log (attempt_survival ~lambda ~r t) /. lambda
 
 (* Replicated generalization of the paper's Eq (1): a renewal of attempts
    whose first try lasts [work + checkpoint] and whose retries prepend the
@@ -89,20 +94,19 @@ let expected_attempt_time ~lambda ~downtime ~r ~work ~checkpoint ~recovery =
     if q0 <= 0. then a0
     else begin
       let a1 = recovery +. a0 in
-      let q1 = attempt_failure_probability ~lambda ~r a1 in
-      if q1 >= 1. then Float.infinity
+      let s1 = attempt_survival ~lambda ~r a1 in
+      if s1 <= 0. then Float.infinity
       else begin
+        let q1 = attempt_failure_probability ~lambda ~r a1 in
         let t0 = conditional_mean_elapsed ~lambda ~r a0 in
         let t1 = conditional_mean_elapsed ~lambda ~r a1 in
-        let retry =
-          (((1. -. q1) *. a1) +. (q1 *. (t1 +. downtime))) /. (1. -. q1)
-        in
+        let retry = ((s1 *. a1) +. (q1 *. (t1 +. downtime))) /. s1 in
         ((1. -. q0) *. a0) +. (q0 *. (t0 +. downtime +. retry))
       end
     end
   end
 
-(* {1 Replicated Theorem 3} *)
+(* {1 Theorem 3} *)
 
 type result = {
   makespan : float;
@@ -110,16 +114,16 @@ type result = {
   fault_probability : float array;
 }
 
-let evaluate ?(cost = default_cost) model g sched =
-  if Metrics.enabled () then Metrics.incr m_evaluations;
+let evaluate ?lost ?(cost = default_cost) model g sched =
+  if Schedule.is_replicated sched then begin
+    (* replicas change the lost-work weights themselves, so a
+       caller-provided unreplicated matrix would silently be wrong *)
+    if lost <> None then
+      invalid_arg "Replication.evaluate: ?lost with a replicated schedule";
+    if Metrics.enabled () then Metrics.incr m_evaluations
+  end;
   let n = Schedule.n_tasks sched in
   let lambda = model.FM.lambda in
-  let downtime = model.FM.downtime in
-  let order = Array.init n (Schedule.task_at sched) in
-  let pos = Array.make n 0 in
-  Array.iteri (fun p v -> pos.(v) <- p) order;
-  let reps = Array.init n (Schedule.replicas_of sched) in
-  let checkpointed = Array.init n (Schedule.is_checkpointed sched) in
   (* effective weights: every extra replica re-executes the task's work,
      priced at [cost] times the original; checkpoint writes and recovery
      reads are shared by the copies and stay unscaled *)
@@ -127,45 +131,41 @@ let evaluate ?(cost = default_cost) model g sched =
     Array.init n (fun v ->
         effective_weight ~cost
           ~weight:(Wfc_dag.Dag.task g v).Wfc_dag.Task.weight
-          ~r:reps.(v))
+          ~r:(Schedule.replicas_of sched v))
   in
-  let recovery =
-    Array.init n (fun v -> (Wfc_dag.Dag.task g v).Wfc_dag.Task.recovery_cost)
+  (* replayed tasks re-run with their replicas too, so lost work is charged
+     at the surcharged rate *)
+  let lost =
+    match lost with Some l -> l | None -> Lost_work.compute ~weight g sched
   in
-  let ckpt_cost =
-    Array.init n (fun v ->
-        if checkpointed.(v) then
-          (Wfc_dag.Dag.task g v).Wfc_dag.Task.checkpoint_cost
-        else 0.)
-  in
-  (* lost-work matrix over the effective weights: replayed tasks re-run with
-     their replicas too, so lost work is charged at the surcharged rate *)
-  let replayed = Array.make n false in
-  let lost = Array.init n (fun k -> Array.make (n - k) 0.) in
-  for k = 0 to n - 1 do
-    Lost_work.compute_row_into g ~order ~pos ~checkpointed ~weight ~recovery
-      ~replayed ~k lost.(k)
-  done;
-  let replay k i = if k < 0 then 0. else lost.(k).(i - k) in
+  let replay k i = Lost_work.replay_time lost ~last_fault:k ~position:i in
+  (* segment.(k) holds the failure-free work separating X_k from X_i, in
+     survival-equivalent exposure units, updated incrementally as i
+     advances; segment_start is the k = -1 ("no failure yet") variant *)
   let segment = Array.make n 0. in
   let segment_start = ref 0. in
   let fault_probability = Array.make n 0. in
   let per_position = Array.make n 0. in
   let makespan = ref 0. in
   for i = 0 to n - 1 do
-    let v = order.(i) in
-    let w_i = weight.(v) and c_i = ckpt_cost.(v) and r_i = reps.(v) in
+    let v = Schedule.task_at sched i in
+    let r_i = Schedule.replicas_of sched v and w_i = weight.(v) in
+    let c_i =
+      if Schedule.is_checkpointed sched v then
+        (Wfc_dag.Dag.task g v).Wfc_dag.Task.checkpoint_cost
+      else 0.
+    in
     let replay_full = replay i i in
     let expectation k =
       let l = replay k i in
       let work = l +. w_i and recovery = Float.max 0. (replay_full -. l) in
       if r_i = 1 then
-        (* unreplicated task: the oracle's own closed form, bit-identical *)
         FM.expected_exec_time model ~work ~checkpoint:c_i ~recovery
       else
-        expected_attempt_time ~lambda ~downtime ~r:r_i ~work ~checkpoint:c_i
-          ~recovery
+        expected_attempt_time ~lambda ~downtime:model.FM.downtime ~r:r_i ~work
+          ~checkpoint:c_i ~recovery
     in
+    (* probability of each fault epoch k = -1, 0..i-1 (recurrences A and B) *)
     let p_fresh = Float.exp (-.lambda *. !segment_start) in
     let e_xi = ref (if p_fresh > 0. then p_fresh *. expectation (-1) else 0.) in
     let sum_p = ref p_fresh in
@@ -181,17 +181,22 @@ let evaluate ?(cost = default_cost) model g sched =
     end;
     per_position.(i) <- !e_xi;
     makespan := !makespan +. !e_xi;
-    (* advance the separating-work sums in survival-equivalent exposure
-       units: exp (-lambda * sum of exposures) is exactly the probability
-       that every separating attempt kept at least one replica alive *)
+    (* advance the separating sums: exp (-lambda * sum of exposures) is
+       exactly the probability that every separating attempt kept at least
+       one replica alive *)
     for k = 0 to i - 1 do
       segment.(k) <-
         segment.(k)
         +. equivalent_exposure ~lambda ~r:r_i (replay k i +. w_i +. c_i)
     done;
+    (* r = 1 keeps the association (s + w) + c the plain oracle has always
+       used: its bits are pinned *)
     segment_start :=
-      !segment_start +. equivalent_exposure ~lambda ~r:r_i (w_i +. c_i)
+      if r_i = 1 then !segment_start +. w_i +. c_i
+      else !segment_start +. equivalent_exposure ~lambda ~r:r_i (w_i +. c_i)
   done;
+  (* Recurrence (B) defines P(F(X_{i-1})) while processing i; one virtual
+     step past the last position fills in the final interval. *)
   if n >= 1 then begin
     let sum_p = ref (Float.exp (-.lambda *. !segment_start)) in
     for k = 0 to n - 2 do
@@ -202,7 +207,8 @@ let evaluate ?(cost = default_cost) model g sched =
   end;
   { makespan = !makespan; per_position; fault_probability }
 
-let expected_makespan ?cost model g sched = (evaluate ?cost model g sched).makespan
+let expected_makespan ?lost ?cost model g sched =
+  (evaluate ?lost ?cost model g sched).makespan
 
 (* {1 Replication specs (CLI surface)} *)
 

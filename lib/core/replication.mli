@@ -11,9 +11,8 @@
     stay unscaled.
 
     With all replica counts equal to 1 every formula below degenerates to the
-    paper's model, and {!evaluate} is numerically identical to
-    {!Evaluator.evaluate} (the unreplicated closed forms are reused
-    verbatim, so the fast paths are bit-identical). *)
+    paper's model: {!evaluate} is the one Theorem 3 recurrence of the
+    library, and {!Evaluator.evaluate} is a counted call to it. *)
 
 val default_cost : float
 (** Default per-extra-replica execution surcharge (1.0: each extra copy
@@ -22,7 +21,7 @@ val default_cost : float
 val effective_weight : cost:float -> weight:float -> r:int -> float
 (** [weight *. (1. +. cost *. float (r - 1))] — the execution time a task
     occupies on the platform once its [r - 1] extra copies are priced in.
-    For [r = 1] this is exactly [weight] (multiplying by [1.] is exact).
+    For [r = 1] this is exactly [weight].
 
     @raise Invalid_argument if [cost] is negative or NaN. *)
 
@@ -43,9 +42,12 @@ val conditional_mean_elapsed : lambda:float -> r:int -> float -> float
 val equivalent_exposure : lambda:float -> r:int -> float -> float
 (** [equivalent_exposure ~lambda ~r t] is the exposure [e] with
     [exp (-lambda * e)] equal to the attempt's survival probability
-    [1 - (1 - e^{-lambda t})^r]. Accumulating these per separating attempt
-    turns products of per-attempt survivals into the single-exponential form
-    of the Theorem 3 recurrences. The identity for [r = 1]. *)
+    [1 - (1 - e^{-lambda t})^r], computed as
+    [-expm1 (r log1p (-e^{-lambda t}))] so that it keeps its relative
+    precision when the attempt is almost surely lost. Accumulating these
+    per separating attempt turns products of per-attempt survivals into the
+    single-exponential form of the Theorem 3 recurrences. The identity for
+    [r = 1]. *)
 
 val expected_attempt_time :
   lambda:float ->
@@ -59,10 +61,12 @@ val expected_attempt_time :
     [r]-replicated attempts to complete [work] seconds plus a [checkpoint]
     write, every post-failure retry preceded by [recovery] and one constant
     [downtime] repair per loss. Reduces algebraically to
-    {!Wfc_platform.Failure_model.expected_exec_time} at [r = 1]; may return
+    {!Wfc_platform.Failure_model.expected_exec_time} at [r = 1]; the retry
+    term divides by the survival probability of {!equivalent_exposure}, so
+    it stays accurate when a retry almost surely fails. May return
     [infinity] when a retry can never succeed at the float level. *)
 
-(** {1 Replicated Theorem 3 evaluation} *)
+(** {1 Theorem 3 evaluation} *)
 
 type result = {
   makespan : float;  (** expected makespan E[M] = sum of E[X_i] *)
@@ -73,7 +77,12 @@ type result = {
 }
 
 val evaluate :
-  ?cost:float -> Wfc_platform.Failure_model.t -> Wfc_dag.Dag.t -> Schedule.t -> result
+  ?lost:Lost_work.t ->
+  ?cost:float ->
+  Wfc_platform.Failure_model.t ->
+  Wfc_dag.Dag.t ->
+  Schedule.t ->
+  result
 (** [evaluate model g sched] runs the Theorem 3 dynamic program on a
     (possibly) replicated schedule: per-task effective weights via
     {!effective_weight} (the lost-work matrix included — replayed tasks
@@ -81,14 +90,26 @@ val evaluate :
     {!expected_attempt_time}, and separating-segment survival via
     {!equivalent_exposure}. An "effective fault" is an attempt in which all
     replicas of the executing task died. [cost] defaults to
-    {!default_cost}.
+    {!default_cost}; the replay sums are computed unless [lost] provides
+    them. Tasks with one replica take the paper's closed forms
+    ({!Wfc_platform.Failure_model.expected_exec_time}, plain work sums), so
+    an unreplicated schedule gets the same bits whatever [cost] is.
 
-    With [Schedule.is_replicated sched = false] the result equals
-    {!Evaluator.evaluate} exactly (same closed forms, same operation
-    order). *)
+    Evaluations of replicated schedules add one to the [repl.evaluations]
+    counter of {!Wfc_obs.Metrics}.
+
+    @raise Invalid_argument if [lost] is given with a replicated schedule
+    (the matrix must be recomputed over surcharged weights), or if [cost] is
+    negative. *)
 
 val expected_makespan :
-  ?cost:float -> Wfc_platform.Failure_model.t -> Wfc_dag.Dag.t -> Schedule.t -> float
+  ?lost:Lost_work.t ->
+  ?cost:float ->
+  Wfc_platform.Failure_model.t ->
+  Wfc_dag.Dag.t ->
+  Schedule.t ->
+  float
+(** [expected_makespan model g s = (evaluate model g s).makespan]. *)
 
 (** {1 Replication specs (CLI / heuristics surface)} *)
 

@@ -141,7 +141,7 @@ let job config instances scenarios k =
   let scen = scenarios.(k mod n_scen) in
   let g = inst.dag in
   let model = scenario_model ~downtime:config.downtime scen g in
-  let tinf = Wfc_core.Evaluator.fail_free_time g in
+  let tinf = Wfc_dag.Dag.total_weight g in
   (* each job owns its RF stream, derived from the job index: results do not
      depend on which domain runs the job *)
   let rng = Wfc_platform.Rng.create (config.seed + (7919 * k)) in

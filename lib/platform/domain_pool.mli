@@ -4,7 +4,7 @@
     deriving its own RNG stream or engine state from the slice index), so
     results are independent of the parallelism degree; this module only
     owns the spawn/join choreography. Used by {!Wfc_simulator.Monte_carlo}
-    and by [Wfc_core.Eval_engine.batch_evaluate]. *)
+    and by the corpus sweep. *)
 
 val default_domains : unit -> int
 (** [recommended_domain_count () - 1] (one domain is the caller), at

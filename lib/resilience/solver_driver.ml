@@ -186,17 +186,17 @@ let solve_suffix ?(budget = default_suffix_budget) ?engine
     | Eval_engine.Flat ->
         let e =
           match engine with
-          | None -> Eval_engine.handle backend model g ~order
+          | None -> Flat_engine.create model g ~order
           | Some e ->
-              if Eval_engine.h_order e <> order then
+              if Flat_engine.order e <> order then
                 invalid_arg
                   "Solver_driver.solve_suffix: engine bound to another order";
-              Eval_engine.h_set_model e model;
+              Flat_engine.set_model e model;
               e
         in
         fun cand ->
-          Eval_engine.h_set_flags e cand;
-          Eval_engine.h_suffix_makespan e ~from
+          Flat_engine.set_flags e cand;
+          Flat_engine.suffix_makespan e ~from
   in
   let evals = ref 0 in
   let eval cand = incr evals; score cand in
@@ -245,7 +245,7 @@ let solve_suffix ?(budget = default_suffix_budget) ?engine
   (* leave a reused engine holding the chosen flags *)
   (match (backend, engine) with
   | Eval_engine.Flat, Some e ->
-      Eval_engine.h_set_flags e best_flags
+      Flat_engine.set_flags e best_flags
   | _ -> ());
   if Metrics.enabled () then begin
     Metrics.incr m_replans;
@@ -270,7 +270,7 @@ let replanner ?(budget = default_suffix_budget)
         match List.find_opt (fun (o, _) -> o = order) !cache with
         | Some (_, e) -> Some e
         | None ->
-            let e = Eval_engine.handle backend model g ~order in
+            let e = Flat_engine.create model g ~order in
             cache :=
               (Array.copy order, e)
               :: (if List.length !cache >= max_cached then

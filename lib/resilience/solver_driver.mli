@@ -81,7 +81,7 @@ type suffix_result = {
 
 val solve_suffix :
   ?budget:int ->
-  ?engine:Wfc_core.Eval_engine.handle ->
+  ?engine:Wfc_core.Flat_engine.t ->
   ?backend:Wfc_core.Eval_engine.backend ->
   Wfc_platform.Failure_model.t ->
   Wfc_dag.Dag.t ->
@@ -103,9 +103,9 @@ val solve_suffix :
     evaluations — the per-replan budget of the adaptive executor.
 
     With the [Flat] backend (the default), [engine]
-    supplies an {!Wfc_core.Eval_engine.handle} already bound to
+    supplies a {!Wfc_core.Flat_engine} already bound to
     [(g, order)] to reuse across replans: the model is rebound with
-    {!Wfc_core.Eval_engine.h_set_model} (cached lost-work rows survive) and
+    {!Wfc_core.Flat_engine.set_model} (cached lost-work rows survive) and
     each candidate costs only the suffix it dirties; on return the engine
     holds the chosen flags. Without [engine] a fresh one is built. The
     candidate sequence is backend-independent, so a reused engine, a fresh
@@ -129,7 +129,7 @@ val replanner :
     {!Wfc_simulator.Sim_adaptive}'s callback slot, caching evaluation
     engines per order so successive replans reuse their lost-work rows
     (the re-estimated model is rebound with
-    {!Wfc_core.Eval_engine.h_set_model}).
+    {!Wfc_core.Flat_engine.set_model}).
 
     With [relinearize], each replan also builds a second candidate order —
     the executed prefix followed by the given strategy's linearization

@@ -92,7 +92,7 @@ let evaluate ?replica_cost ?(runs = 2000) ?domains ?(max_failures = 10_000)
   in
   let domains = Int.min domains runs in
   let nominal_makespan =
-    Wfc_core.Evaluator.expected_makespan ?replica_cost nominal g sched
+    Wfc_core.Replication.expected_makespan ?cost:replica_cost nominal g sched
   in
   let results =
     List.mapi

@@ -1,7 +1,7 @@
 (* Bounded LRU of warm evaluation engines, keyed by Engine_key.
 
    Checkout semantics: [take] REMOVES the entry it returns, and the server
-   [put]s the engine back after the solve. An engine handle is mutable
+   [put]s the engine back after the solve. An engine is mutable
    state, so two workers solving the same keyed workflow concurrently must
    not share one — the second taker simply misses and builds cold, and the
    later of the two check-ins wins the cache slot. [put] re-inserts at the
@@ -14,7 +14,7 @@
 
 module Key = Wfc_core.Engine_key
 
-type entry = Key.t * Wfc_core.Eval_engine.handle
+type entry = Key.t * Wfc_core.Flat_engine.t
 
 type t = {
   mutex : Mutex.t;
@@ -68,12 +68,12 @@ let take (t : t) key =
           t.misses <- t.misses + 1;
           None)
 
-let put (t : t) key handle =
+let put (t : t) key engine =
   if t.capacity > 0 then
     Mutex.protect t.mutex (fun () ->
         t.puts <- t.puts + 1;
         let without = List.filter (fun (k, _) -> not (Key.equal k key)) t.entries in
-        let entries = (key, handle) :: without in
+        let entries = (key, engine) :: without in
         let rec trim n = function
           | [] -> []
           | kept :: rest ->

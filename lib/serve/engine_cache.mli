@@ -2,8 +2,8 @@
     {!Wfc_core.Engine_key}. Thread-safe.
 
     The cache uses {e checkout} semantics: {!take} removes the entry it
-    returns and the caller {!put}s the engine back once done. Engine
-    handles are mutable, so concurrent solves for the same key must never
+    returns and the caller {!put}s the engine back once done. Engines are
+    mutable, so concurrent solves for the same key must never
     share one — a concurrent second taker misses and builds cold, and the
     later check-in wins the slot. [put] inserts at the MRU position;
     when the cache is over capacity the LRU tail is evicted.
@@ -30,11 +30,11 @@ val create : capacity:int -> t
 
 val capacity : t -> int
 
-val take : t -> Wfc_core.Engine_key.t -> Wfc_core.Eval_engine.handle option
+val take : t -> Wfc_core.Engine_key.t -> Wfc_core.Flat_engine.t option
 (** Checkout: removes and returns the cached engine for this key, counting
     a hit, or counts a miss and returns [None]. *)
 
-val put : t -> Wfc_core.Engine_key.t -> Wfc_core.Eval_engine.handle -> unit
+val put : t -> Wfc_core.Engine_key.t -> Wfc_core.Flat_engine.t -> unit
 (** Check-in at the MRU position. Replaces any entry with the same key;
     evicts from the LRU tail beyond capacity. *)
 

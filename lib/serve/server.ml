@@ -23,7 +23,6 @@ module H = Wfc_core.Heuristics
 module E = Wfc_core.Eval_engine
 module Key = Wfc_core.Engine_key
 module Schedule = Wfc_core.Schedule
-module Evaluator = Wfc_core.Evaluator
 module LS = Wfc_core.Local_search
 module Driver = Wfc_resilience.Solver_driver
 module Robust = Wfc_resilience.Robust
@@ -172,7 +171,7 @@ let with_engine t (p : Pr.solve_params) model g ~order f =
     let engine =
       match Engine_cache.take t.cache key with
       | Some h -> h
-      | None -> E.handle p.backend model g ~order
+      | None -> Wfc_core.Flat_engine.create model g ~order
     in
     Atomic.incr t.engines_out;
     Fun.protect
@@ -192,7 +191,7 @@ let run_solve t ~cancel (p : Pr.solve_params) =
       let heuristic = H.name p.lin p.ckpt in
       let finish ~tier ~evaluations sched makespan =
         Metrics.incr (List.assoc tier m_tier_counters);
-        let tinf = Evaluator.fail_free_time g in
+        let tinf = Dag.total_weight g in
         ( {
             Pr.source = Pr.spec_source p.workflow;
             n_tasks = Dag.n_tasks g;

@@ -70,7 +70,7 @@ let prop_suffix_backends_agree =
       (* the reused engine starts bound to another model and warm rows:
          set_model must rebind it without corrupting the cache *)
       let engine = E.handle ~flags E.Flat planning g ~order in
-      ignore (E.h_makespan engine);
+      ignore (Wfc_core.Flat_engine.makespan engine);
       let reused =
         SD.solve_suffix ~budget:64 ~engine model g ~order ~flags ~from
       in
@@ -90,7 +90,7 @@ let prop_suffix_backends_agree =
         (fun p -> reused.SD.flags.(order.(p)) = flags.(order.(p)))
         (Array.init from (fun p -> p))
       && (* the engine is left holding the chosen flags *)
-      E.h_flags engine = reused.SD.flags)
+      Wfc_core.Flat_engine.flags engine = reused.SD.flags)
 
 let prop_suffix_never_worse =
   Wfc_test_util.qtest ~count:100 "solve_suffix never worsens the incumbent"

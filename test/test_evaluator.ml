@@ -282,6 +282,49 @@ let test_ratio_zero_weight () =
     (Evaluator.expected_makespan m g s /. 5.)
     (Evaluator.ratio m g s)
 
+(* ---- known answers ---- *)
+
+(* Oracle values captured as hex floats: the Theorem 3 recurrence may be
+   restructured, but these bits may not move (naive and flat searches
+   compare node for node on them). *)
+let pegasus family ~n ~seed =
+  Wfc_workflows.Cost_model.apply (Wfc_workflows.Cost_model.Proportional 0.1)
+    (Wfc_workflows.Pegasus.generate family ~n ~seed)
+
+let test_known_makespans () =
+  List.iter
+    (fun (family, n, seed, mtbf, expected) ->
+      let g = pegasus family ~n ~seed in
+      let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
+      let s =
+        Schedule.make g ~order
+          ~checkpointed:(Array.init (Dag.n_tasks g) (fun v -> v mod 3 = 0))
+      in
+      Alcotest.(check (float 0.))
+        (Wfc_workflows.Pegasus.family_name family)
+        expected
+        (Evaluator.expected_makespan (FM.of_mtbf ~mtbf ()) g s))
+    Wfc_workflows.Pegasus.
+      [
+        (Montage, 25, 1, 20., 0x1.6a04195a726b2p+14);
+        (Ligo, 30, 2, 1e3, 0x1.29b67b963660ap+14);
+        (Cybershake, 40, 3, 1e5, 0x1.02446e71e519cp+10);
+      ]
+
+let test_known_naive_optimum () =
+  let g = pegasus Wfc_workflows.Pegasus.Genome ~n:12 ~seed:4 in
+  let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
+  let sol, status =
+    Exact_solver.optimal_checkpoints_within ~backend:Eval_engine.Naive
+      (FM.of_mtbf ~mtbf:2e4 ()) g ~order
+  in
+  Alcotest.(check bool) "optimal" true (status = `Optimal);
+  Alcotest.(check (float 0.))
+    "E" 0x1.89cf4596d6205p+13 sol.Exact_solver.makespan;
+  Alcotest.(check (list int)) "flags" [ 0; 7; 8; 3; 9 ]
+    (Schedule.checkpointed_tasks sol.Exact_solver.schedule);
+  Alcotest.(check int) "nodes" 931 sol.Exact_solver.nodes
+
 let () =
   Alcotest.run "evaluator"
     [
@@ -312,5 +355,12 @@ let () =
           prop_at_least_fail_free;
           prop_fail_free_exact;
           prop_probabilities_valid;
+        ] );
+      ( "pins",
+        [
+          Alcotest.test_case "Pegasus oracle values" `Quick
+            test_known_makespans;
+          Alcotest.test_case "naive B&B optimum" `Quick
+            test_known_naive_optimum;
         ] );
     ]

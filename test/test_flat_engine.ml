@@ -6,8 +6,8 @@
      costs a few ulps, not more);
    - against a fresh engine created at the same flags, bit for bit: a
      makespan is a pure function of the flag vector, whatever mutation path
-     led there. Warm-engine serving and the domain-split invariance of batch
-     evaluation both rest on this. *)
+     led there. Warm-engine serving and the domain-split invariance of the
+     parallel searches both rest on this. *)
 
 open Wfc_core
 module Builders = Wfc_dag.Builders
@@ -450,7 +450,8 @@ let test_set_model () =
 (* ---- engine handles ---- *)
 
 let test_flat_handle () =
-  (* a plain handle is the kernel: every h_* op returns its bits *)
+  (* [Eval_engine.handle Flat] is [Flat_engine.create]: same bits at build
+     and after the same mutations; [Naive] has no engine *)
   let g =
     Builders.fork_join ~source_weight:3. ~middle_weights:[| 2.; 5.; 1. |]
       ~sink_weight:4.
@@ -460,36 +461,27 @@ let test_flat_handle () =
   let model = FM.make ~lambda:0.04 ~downtime:0.2 () in
   let order = Wfc_dag.Dag.topological_order g in
   let n = Array.length order in
-  let h = Eval_engine.handle Eval_engine.Flat model g ~order in
-  let e = Flat_engine.create model g ~order in
+  let flags = Array.init n (fun v -> v mod 2 = 1) in
+  let h = Eval_engine.handle ~flags Eval_engine.Flat model g ~order in
+  let e = Flat_engine.create ~flags model g ~order in
   let same msg a b = Alcotest.(check (float 0.)) msg a b in
-  same "initial" (Flat_engine.makespan e) (Eval_engine.h_makespan h);
-  same "flip" (Flat_engine.flip e 1) (Eval_engine.h_flip h 1);
-  Eval_engine.h_commit h;
-  Flat_engine.commit e;
-  Eval_engine.h_set_flag_at h ~pos:0 true;
-  Flat_engine.set_flag_at e ~pos:0 true;
-  same "prefix" (Flat_engine.prefix_makespan e ~upto:2)
-    (Eval_engine.h_prefix_makespan h ~upto:2);
-  Eval_engine.h_rollback h;
-  Flat_engine.rollback e;
-  same "suffix" (Flat_engine.suffix_makespan e ~from:2)
-    (Eval_engine.h_suffix_makespan h ~from:2);
+  same "initial" (Flat_engine.makespan e) (Flat_engine.makespan h);
+  same "flip" (Flat_engine.flip e 1) (Flat_engine.flip h 1);
   let m1 = FM.make ~lambda:0.1 () in
-  Eval_engine.h_set_model h m1;
+  Flat_engine.set_model h m1;
   Flat_engine.set_model e m1;
-  let target = Array.init n (fun v -> v mod 2 = 0) in
-  Eval_engine.h_set_flags h target;
-  Flat_engine.set_flags e target;
-  same "set_flags" (Flat_engine.makespan e) (Eval_engine.h_makespan h);
-  Alcotest.(check (array bool)) "flags" target (Eval_engine.h_flags h);
-  Alcotest.(check (array int)) "order" order (Eval_engine.h_order h);
-  Alcotest.(check int) "n_tasks" n (Eval_engine.h_n_tasks h);
-  Alcotest.(check bool) "no replicas" true (Eval_engine.h_replicas h = None)
+  same "set_model" (Flat_engine.makespan e) (Flat_engine.makespan h);
+  Alcotest.(check (array bool)) "flags" (Flat_engine.flags e)
+    (Flat_engine.flags h);
+  Alcotest.(check (array int)) "order" order (Flat_engine.order h);
+  Alcotest.check_raises "naive has no engine"
+    (Invalid_argument "Eval_engine.handle: the naive backend has no engine")
+    (fun () -> ignore (Eval_engine.handle Eval_engine.Naive model g ~order))
 
 let test_replicated_handle () =
-  (* a replicated handle scores through Replication.evaluate, with the same
-     prefix/suffix accounting and flag-state semantics as the kernel *)
+  (* replicated schedules are scored per candidate by Replication.evaluate:
+     the replication heuristic and the replica-aware local search report
+     bitwise its value for the schedule they return *)
   let g =
     Builders.fork_join ~source_weight:3. ~middle_weights:[| 2.; 5.; 1. |]
       ~sink_weight:4.
@@ -498,59 +490,34 @@ let test_replicated_handle () =
       ()
   in
   let model = FM.make ~lambda:0.04 ~downtime:0.2 () in
-  let order = Wfc_dag.Dag.topological_order g in
-  let n = Array.length order in
-  let replicas = Array.init n (fun v -> if v = 2 then 3 else 1) in
   let cost = 0.3 in
-  let h =
-    Eval_engine.handle ~replicas ~replica_cost:cost Eval_engine.Flat model g
-      ~order
+  let same msg sched m =
+    Alcotest.(check (float 0.)) msg
+      (Replication.expected_makespan ~cost model g sched) m
   in
-  let reference model flags =
-    Replication.evaluate ~cost model g
-      (Schedule.make ~replicas g ~order ~checkpointed:flags)
+  let o =
+    Heuristics.run_replicated ~cost (Replication.Heavy 2) model g
+      ~lin:Wfc_dag.Linearize.Depth_first ~ckpt:Heuristics.Ckpt_weight
   in
-  let check msg model =
-    let flags = Eval_engine.h_flags h in
-    let r = reference model flags in
-    Wfc_test_util.check_close (msg ^ " makespan") r.Replication.makespan
-      (Eval_engine.h_makespan h);
-    let prefix = ref 0. in
-    for upto = 0 to n do
-      Wfc_test_util.check_close
-        (Printf.sprintf "%s prefix %d" msg upto)
-        !prefix
-        (Eval_engine.h_prefix_makespan h ~upto);
-      Wfc_test_util.check_close
-        (Printf.sprintf "%s suffix %d" msg upto)
-        (Eval_engine.h_makespan h -. !prefix)
-        (Eval_engine.h_suffix_makespan h ~from:upto);
-      if upto < n then prefix := !prefix +. r.Replication.per_position.(upto)
-    done
+  Alcotest.(check bool) "replicated" true
+    (Schedule.is_replicated o.Heuristics.schedule);
+  same "Heuristics.replicate" o.Heuristics.schedule o.Heuristics.makespan;
+  let ls =
+    Local_search.improve ~replica_cost:cost ~max_evaluations:60 model g
+      o.Heuristics.schedule
   in
-  check "initial" model;
-  let m = Eval_engine.h_flip h order.(1) in
-  Alcotest.(check bool) "flip toggles" true (Eval_engine.h_flags h).(order.(1));
-  Alcotest.(check (float 0.)) "flip returns the makespan" m
-    (Eval_engine.h_makespan h);
-  check "after flip" model;
-  Eval_engine.h_commit h;
-  let committed = Eval_engine.h_flags h in
-  Eval_engine.h_set_flag_at h ~pos:0 true;
-  Alcotest.(check bool) "set_flag_at" true (Eval_engine.h_flags h).(order.(0));
-  check "after set_flag_at" model;
-  Eval_engine.h_set_flags h (Array.make n true);
-  check "after set_flags" model;
-  Eval_engine.h_rollback h;
-  Alcotest.(check (array bool)) "rollback" committed (Eval_engine.h_flags h);
-  check "after rollback" model;
-  let m1 = FM.make ~lambda:0.1 ~downtime:0.5 () in
-  Eval_engine.h_set_model h m1;
-  check "after set_model" m1;
-  Alcotest.(check (array int)) "order" order (Eval_engine.h_order h);
-  Alcotest.(check int) "n_tasks" n (Eval_engine.h_n_tasks h);
-  Alcotest.(check bool) "replicas" true
-    (Eval_engine.h_replicas h = Some replicas)
+  same "Local_search.improve" ls.Local_search.schedule ls.Local_search.makespan;
+  let seed =
+    Schedule.with_replicas o.Heuristics.schedule
+      (Array.make (Wfc_dag.Dag.n_tasks g) 1)
+  in
+  let grown =
+    Local_search.improve ~replica_cost:cost ~max_replicas:3
+      ~max_evaluations:60 model g seed
+  in
+  same "improve ~max_replicas" grown.Local_search.schedule
+    grown.Local_search.makespan;
+  same "initial" seed grown.Local_search.initial_makespan
 
 (* ---- reported makespans ---- *)
 
@@ -653,9 +620,11 @@ let test_driver_tiers_report_kernel () =
       ({ tight with Driver.ls_evaluations = 1 }, Driver.Heuristic);
     ]
 
-(* ---- batch evaluation ---- *)
+(* ---- candidate batches ---- *)
 
 let test_batch_matches_oracle_and_split () =
+  (* a batch of candidates scored on one engine via [set_flags] gets the
+     bits of a fresh engine per candidate, and the oracle's value to 1e-9 *)
   let g =
     Builders.fork_join ~source_weight:2. ~middle_weights:[| 3.; 1.; 4. |]
       ~sink_weight:2.
@@ -670,20 +639,20 @@ let test_batch_matches_oracle_and_split () =
     List.init 23 (fun _ ->
         Array.init n (fun _ -> Wfc_platform.Rng.int rng 2 = 0))
   in
-  let results = Eval_engine.batch_evaluate ~domains:1 model g ~order candidates in
-  List.iter2
-    (fun flags m ->
+  let e = Flat_engine.create model g ~order in
+  List.iter
+    (fun flags ->
+      Flat_engine.set_flags e flags;
+      let m = Flat_engine.makespan e in
+      let cold =
+        Flat_engine.makespan (Flat_engine.create ~flags model g ~order)
+      in
+      if not (Float.equal m cold) then
+        Alcotest.failf "shared engine vs fresh: %.17g <> %.17g" m cold;
       let m' = oracle model g ~order flags in
       if not (rel_close m m') then
         Alcotest.failf "batch vs oracle: %.17g <> %.17g" m m')
-    candidates results;
-  (* bit-identical whatever the parallelism degree *)
-  List.iter
-    (fun domains ->
-      let r = Eval_engine.batch_evaluate ~domains model g ~order candidates in
-      if not (List.for_all2 (fun a b -> a = b) results r) then
-        Alcotest.failf "batch not deterministic at %d domains" domains)
-    [ 2; 3; 4; 5; 64 ]
+    candidates
 
 (* ---- allocation guard ---- *)
 
@@ -747,10 +716,7 @@ let test_validation () =
   expect_invalid (fun () ->
       Flat_engine.lost_entry engine ~last_fault:1 ~position:0);
   expect_invalid (fun () ->
-      Eval_engine.handle Eval_engine.Naive model g ~order:[| 0; 1 |]);
-  expect_invalid (fun () ->
-      Eval_engine.batch_evaluate ~domains:0 model g ~order:[| 0; 1 |]
-        [ [| false; false |] ])
+      Eval_engine.handle Eval_engine.Naive model g ~order:[| 0; 1 |])
 
 let () =
   Alcotest.run "flat_engine"

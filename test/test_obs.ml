@@ -355,8 +355,9 @@ let test_sim_counts_engine_independent () =
 (* ---- the oracle stays off the flat hot path ---------------------------- *)
 
 (* Every flat search reports the kernel's own makespan, so no request,
-   sweep or degraded solve on the flat backend may reach the Evaluator;
-   the naive backend, which scores through it, shows the counter is live. *)
+   sweep (replicated or not) or degraded solve on the flat backend may
+   reach the Evaluator; the naive backend, which scores through it, shows
+   the counter is live. *)
 let test_oracle_off_flat_paths () =
   with_obs @@ fun () ->
   let module Pr = Wfc_serve.Protocol in
@@ -389,7 +390,8 @@ let test_oracle_off_flat_paths () =
           [ Pr.Solve params; Pr.Simulate { params; runs = 20; mcseed = 1 } ])
       [ None; Some 0.01; Some 0.05 ]
   in
-  let sweep backend () =
+  (* replicated cells are scored by Replication.evaluate, not the oracle *)
+  let sweep replication backend () =
     let cost = Wfc_workflows.Cost_model.Proportional 0.1 in
     match Corpus.load_dir ~cost "corpus" with
     | Error e -> Alcotest.fail e
@@ -399,6 +401,7 @@ let test_oracle_off_flat_paths () =
             ~config:
               { Corpus.default_config with
                 Corpus.backend;
+                replication;
                 exact_budget = 20_000 }
             instances
         in
@@ -423,7 +426,8 @@ let test_oracle_off_flat_paths () =
         (oracle_calls (run Eval_engine.Naive) > 0))
     [
       ("server", serve);
-      ("corpus sweep", sweep);
+      ("corpus sweep", sweep Wfc_core.Replication.No_replication);
+      ("replicated corpus sweep", sweep (Wfc_core.Replication.Budget 0.2));
       ("exhausted driver", exhausted);
     ]
 

@@ -2,11 +2,11 @@
 
    The load-bearing invariant: an all-ones replica vector is the paper's
    unreplicated model, and must be indistinguishable from it — analytically
-   (Replication.evaluate vs Evaluator, engine handles with and without
-   ~replicas) and in simulation (one failure lane vs run_with_source, the
-   fault engine at zero fault probability vs the plain lane engine). On top
-   of that, the generalized per-attempt math must agree with the paper's
-   Eq. (1) at r = 1 and with Monte Carlo at r > 1. *)
+   (Replication.evaluate vs Evaluator, bit for bit) and in simulation (one
+   failure lane vs run_with_source, the fault engine at zero fault
+   probability vs the plain lane engine). On top of that, the generalized
+   per-attempt math must agree with the paper's Eq. (1) at r = 1 and with
+   Monte Carlo at r > 1. *)
 
 module FM = Wfc_platform.Failure_model
 module D = Wfc_platform.Distribution
@@ -55,23 +55,39 @@ let prop_all_ones_evaluator =
                r.Replication.fault_probability e.Evaluator.fault_probability)
         Wfc_test_util.models)
 
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_result (a : Evaluator.result) (b : Evaluator.result) =
+  same_bits a.Evaluator.makespan b.Evaluator.makespan
+  && Array.for_all2 same_bits a.Evaluator.per_position b.Evaluator.per_position
+  && Array.for_all2 same_bits a.Evaluator.fault_probability
+       b.Evaluator.fault_probability
+
+(* one recurrence serves both: at one replica per task the replicated
+   oracle takes the plain oracle's operations, whatever the surcharge *)
+let prop_all_ones_bitwise =
+  Wfc_test_util.qtest ~count:200
+    "all-ones replicated oracle = plain oracle, bitwise" gen_case print_case
+    (fun ((g, s), _) ->
+      let ones = Schedule.with_replicas s (Array.make (Schedule.n_tasks s) 1) in
+      List.for_all
+        (fun model ->
+          same_result
+            (Replication.evaluate ~cost:0.7 model g ones)
+            (Evaluator.evaluate model g s))
+        Wfc_test_util.models)
+
 let prop_all_ones_engine =
   Wfc_test_util.qtest ~count:150
     "handle ~replicas:all-ones is bit-identical to handle without"
     gen_case print_case
     (fun ((g, s), _) ->
-      let n = Wfc_dag.Dag.n_tasks g in
-      let order = Array.init n (Schedule.task_at s) in
-      let flags = Array.init n (Schedule.is_checkpointed s) in
-      let ones = Array.make n 1 in
+      let ones = Schedule.with_replicas s (Array.make (Schedule.n_tasks s) 1) in
       List.for_all
         (fun model ->
-          let plain = Eval_engine.handle ~flags Eval_engine.Flat model g ~order in
-          let with_ones =
-            Eval_engine.handle ~flags ~replicas:ones Eval_engine.Flat model g
-              ~order
-          in
-          Eval_engine.h_makespan plain = Eval_engine.h_makespan with_ones)
+          same_result
+            (Evaluator.evaluate model g ones)
+            (Evaluator.evaluate model g s))
         Wfc_test_util.models)
 
 let prop_one_lane_is_run_with_source =
@@ -158,6 +174,17 @@ let prop_attempt_time_r1 =
         (Replication.expected_attempt_time ~lambda ~downtime ~r:1 ~work
            ~checkpoint ~recovery)
         (FM.expected_exec_time model ~work ~checkpoint ~recovery))
+
+(* lambda (w + c + R) = 18: the retry survival 1 - q1 is ~1.5e-8, where
+   computing it as a subtraction kept only seven digits *)
+let test_attempt_time_r1_harsh () =
+  let lambda = 0.3 and downtime = 0. in
+  let work = 50. and checkpoint = 5. and recovery = 5. in
+  let model = FM.make ~lambda ~downtime () in
+  Wfc_test_util.check_close ~eps:1e-12 "Eq. (1)"
+    (FM.expected_exec_time model ~work ~checkpoint ~recovery)
+    (Replication.expected_attempt_time ~lambda ~downtime ~r:1 ~work
+       ~checkpoint ~recovery)
 
 let prop_replication_never_hurts_reliability =
   Wfc_test_util.qtest ~count:300
@@ -305,6 +332,7 @@ let () =
         [
           prop_all_ones_evaluator;
           prop_all_ones_engine;
+          prop_all_ones_bitwise;
           prop_one_lane_is_run_with_source;
           prop_run_dispatch_unchanged;
         ] );
@@ -313,6 +341,8 @@ let () =
       ( "attempt math",
         [
           prop_attempt_time_r1;
+          Alcotest.test_case "Eq. (1) where retries almost surely fail" `Quick
+            test_attempt_time_r1_harsh;
           prop_replication_never_hurts_reliability;
           Alcotest.test_case "effective weight" `Quick
             test_free_replicas_at_zero_cost;
