@@ -12,7 +12,7 @@ let m_evaluations = Wfc_obs.Metrics.counter "evaluator.evaluations"
 
 let evaluate ?lost ?replica_cost model g sched =
   Wfc_obs.Metrics.incr m_evaluations;
-  Replication.evaluate ?lost ?cost:replica_cost model g sched
+  Replication.recurrence ?lost ?cost:replica_cost model g sched
 
 let expected_makespan ?lost ?replica_cost model g sched =
   (evaluate ?lost ?replica_cost model g sched).makespan

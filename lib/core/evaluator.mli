@@ -16,7 +16,7 @@
     The computation is exact for exponentially distributed failures, costs
     [O(n^2)] once the replay sums are known, and is valid even when failures
     strike during checkpoints and recoveries. The recurrence itself is
-    {!Replication.evaluate}, which reduces to the paper's at one replica per
+    {!Replication.recurrence}, which reduces to the paper's at one replica per
     task; this module is the counted entry point the oracle paths call. *)
 
 type result = Replication.result = {
@@ -35,7 +35,7 @@ val evaluate :
   Schedule.t ->
   result
 (** [evaluate model g s] computes the full decomposition: it is
-    {!Replication.evaluate} with [replica_cost] as its surcharge (default
+    {!Replication.recurrence} with [replica_cost] as its surcharge (default
     {!Replication.default_cost}), which an unreplicated schedule ignores.
     The replay sums are computed on the fly unless [lost] provides them. The
     makespan is [infinity] when the failure rate makes some segment's
@@ -46,7 +46,7 @@ val evaluate :
     {!Wfc_obs.Metrics} (one branch when the layer is off), which lets tests
     pin that no flat search path reaches the oracle.
 
-    @raise Invalid_argument as {!Replication.evaluate}. *)
+    @raise Invalid_argument as {!Replication.recurrence}. *)
 
 val expected_makespan :
   ?lost:Lost_work.t ->

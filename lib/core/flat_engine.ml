@@ -643,7 +643,7 @@ let restore t p =
   end
 
 (* One position of the Theorem 3 recurrence, algebraically equal to the
-   oracle's loop body (Replication.evaluate at one replica per task) but
+   oracle's loop body (Replication.recurrence at one replica per task) but
    with the expectation rearranged so each fault row needs a single
    transcendental:
 

@@ -56,6 +56,11 @@ let compute ?weight g sched =
   done;
   { lost }
 
+let row t k =
+  if k < 0 || k >= n_positions t then
+    invalid_arg (Printf.sprintf "Lost_work.row: invalid row %d" k);
+  t.lost.(k)
+
 let replay_time t ~last_fault:k ~position:i =
   let n = n_positions t in
   if k < -1 || i < 0 || i >= n || k > i then

@@ -34,4 +34,12 @@ val replay_time : t -> last_fault:int -> position:int -> float
 
     @raise Invalid_argument unless [-1 <= k <= i < n]. *)
 
+val row : t -> int -> float array
+(** [row t k] holds [replay_time t ~last_fault:k ~position:i] at index
+    [i - k], for [i = k..n-1]: one bounds check per row instead of per
+    pair, for the O(n^2) loops that read them all. The row is shared, not
+    copied; callers must not mutate it.
+
+    @raise Invalid_argument unless [0 <= k < n]. *)
+
 val n_positions : t -> int

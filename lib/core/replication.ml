@@ -62,14 +62,21 @@ let conditional_mean_elapsed ~lambda ~r t =
     end
   end
 
-(* The attempt's survival probability 1 - (1 - e^{-lambda t})^r, as
-   -expm1 (r log (1 - e^{-lambda t})): the subtraction 1 - q cancels when the
-   loss probability q is near 1 (lambda t around 16 keeps barely seven
-   digits), this form keeps its relative precision there. *)
-let attempt_survival ~lambda ~r t =
-  if lambda <= 0. || t <= 0. then 1.
-  else
-    -.Float.expm1 (float_of_int r *. Float.log1p (-.Float.exp (-.lambda *. t)))
+(* The attempt's survival probability 1 - q, given its loss probability
+   q = p^r with p = 1 - e^{-lambda t}. Past q = 1/2 the subtraction cancels
+   (lambda t around 16 keeps barely seven digits), so there the survival is
+   summed as e^{-lambda t} (1 + p + ... + p^{r-1}), whose terms are all
+   positive; below, 1 - q loses nothing and costs no transcendental. *)
+let attempt_survival ~lambda ~r t q =
+  if q <= 0.5 then 1. -. q
+  else begin
+    let p = -.Float.expm1 (-.lambda *. t) in
+    let sum = ref 1. in
+    for _ = 2 to r do
+      sum := 1. +. (p *. !sum)
+    done;
+    Float.exp (-.lambda *. t) *. !sum
+  end
 
 (* The exposure e(t) such that exp (-lambda * e(t)) equals the attempt's
    survival probability: accumulating these per separating attempt turns
@@ -78,7 +85,12 @@ let attempt_survival ~lambda ~r t =
 let equivalent_exposure ~lambda ~r t =
   if r = 1 then t
   else if lambda <= 0. then 0.
-  else -.Float.log (attempt_survival ~lambda ~r t) /. lambda
+  else begin
+    let q = attempt_failure_probability ~lambda ~r t in
+    (* log1p keeps the digits of a small q *)
+    if q <= 0.5 then -.Float.log1p (-.q) /. lambda
+    else -.Float.log (attempt_survival ~lambda ~r t q) /. lambda
+  end
 
 (* Replicated generalization of the paper's Eq (1): a renewal of attempts
    whose first try lasts [work + checkpoint] and whose retries prepend the
@@ -94,10 +106,10 @@ let expected_attempt_time ~lambda ~downtime ~r ~work ~checkpoint ~recovery =
     if q0 <= 0. then a0
     else begin
       let a1 = recovery +. a0 in
-      let s1 = attempt_survival ~lambda ~r a1 in
+      let q1 = attempt_failure_probability ~lambda ~r a1 in
+      let s1 = attempt_survival ~lambda ~r a1 q1 in
       if s1 <= 0. then Float.infinity
       else begin
-        let q1 = attempt_failure_probability ~lambda ~r a1 in
         let t0 = conditional_mean_elapsed ~lambda ~r a0 in
         let t1 = conditional_mean_elapsed ~lambda ~r a1 in
         let retry = ((s1 *. a1) +. (q1 *. (t1 +. downtime))) /. s1 in
@@ -114,14 +126,11 @@ type result = {
   fault_probability : float array;
 }
 
-let evaluate ?lost ?(cost = default_cost) model g sched =
-  if Schedule.is_replicated sched then begin
-    (* replicas change the lost-work weights themselves, so a
-       caller-provided unreplicated matrix would silently be wrong *)
-    if lost <> None then
-      invalid_arg "Replication.evaluate: ?lost with a replicated schedule";
-    if Metrics.enabled () then Metrics.incr m_evaluations
-  end;
+let recurrence ?lost ?(cost = default_cost) model g sched =
+  (* replicas change the lost-work weights themselves, so a caller-provided
+     unreplicated matrix would silently be wrong *)
+  if lost <> None && Schedule.is_replicated sched then
+    invalid_arg "Replication.recurrence: ?lost with a replicated schedule";
   let n = Schedule.n_tasks sched in
   let lambda = model.FM.lambda in
   (* effective weights: every extra replica re-executes the task's work,
@@ -138,7 +147,8 @@ let evaluate ?lost ?(cost = default_cost) model g sched =
   let lost =
     match lost with Some l -> l | None -> Lost_work.compute ~weight g sched
   in
-  let replay k i = Lost_work.replay_time lost ~last_fault:k ~position:i in
+  let rows = Array.init n (Lost_work.row lost) in
+  let replay k i = if k < 0 then 0. else rows.(k).(i - k) in
   (* segment.(k) holds the failure-free work separating X_k from X_i, in
      survival-equivalent exposure units, updated incrementally as i
      advances; segment_start is the k = -1 ("no failure yet") variant *)
@@ -207,8 +217,12 @@ let evaluate ?lost ?(cost = default_cost) model g sched =
   end;
   { makespan = !makespan; per_position; fault_probability }
 
-let expected_makespan ?lost ?cost model g sched =
-  (evaluate ?lost ?cost model g sched).makespan
+let evaluate ?cost model g sched =
+  if Metrics.enabled () then Metrics.incr m_evaluations;
+  recurrence ?cost model g sched
+
+let expected_makespan ?cost model g sched =
+  (evaluate ?cost model g sched).makespan
 
 (* {1 Replication specs (CLI surface)} *)
 

@@ -42,12 +42,12 @@ val conditional_mean_elapsed : lambda:float -> r:int -> float -> float
 val equivalent_exposure : lambda:float -> r:int -> float -> float
 (** [equivalent_exposure ~lambda ~r t] is the exposure [e] with
     [exp (-lambda * e)] equal to the attempt's survival probability
-    [1 - (1 - e^{-lambda t})^r], computed as
-    [-expm1 (r log1p (-e^{-lambda t}))] so that it keeps its relative
-    precision when the attempt is almost surely lost. Accumulating these
-    per separating attempt turns products of per-attempt survivals into the
-    single-exponential form of the Theorem 3 recurrences. The identity for
-    [r = 1]. *)
+    [1 - p^r] with [p = 1 - e^{-lambda t}]. Where the attempt is more
+    likely lost than not, the survival is summed as
+    [e^{-lambda t} (1 + p + ... + p^{r-1})], which keeps its relative
+    precision when the attempt is almost surely lost. Accumulating these per separating attempt turns products of
+    per-attempt survivals into the single-exponential form of the Theorem 3
+    recurrences. The identity for [r = 1]. *)
 
 val expected_attempt_time :
   lambda:float ->
@@ -76,14 +76,14 @@ type result = {
           interval of position [k]) as seen by the final virtual step *)
 }
 
-val evaluate :
+val recurrence :
   ?lost:Lost_work.t ->
   ?cost:float ->
   Wfc_platform.Failure_model.t ->
   Wfc_dag.Dag.t ->
   Schedule.t ->
   result
-(** [evaluate model g sched] runs the Theorem 3 dynamic program on a
+(** [recurrence model g sched] runs the Theorem 3 dynamic program on a
     (possibly) replicated schedule: per-task effective weights via
     {!effective_weight} (the lost-work matrix included — replayed tasks
     re-run with their replicas), per-attempt expectations via
@@ -95,15 +95,28 @@ val evaluate :
     ({!Wfc_platform.Failure_model.expected_exec_time}, plain work sums), so
     an unreplicated schedule gets the same bits whatever [cost] is.
 
-    Evaluations of replicated schedules add one to the [repl.evaluations]
-    counter of {!Wfc_obs.Metrics}.
+    It counts nothing: its two entry points are {!evaluate} and
+    {!Evaluator.evaluate}, each with its own counter, so every evaluation
+    is counted once.
 
     @raise Invalid_argument if [lost] is given with a replicated schedule
-    (the matrix must be recomputed over surcharged weights), or if [cost] is
-    negative. *)
+    (the matrix must be recomputed over surcharged weights) or covers fewer
+    positions than [sched], or if [cost] is negative. *)
+
+val evaluate :
+  ?cost:float ->
+  Wfc_platform.Failure_model.t ->
+  Wfc_dag.Dag.t ->
+  Schedule.t ->
+  result
+(** [evaluate model g sched] is {!recurrence} without precomputed replay
+    sums, the entry point of replicated scoring. Every call, replicated
+    schedule or not, adds one to the [repl.evaluations] counter of
+    {!Wfc_obs.Metrics}.
+
+    @raise Invalid_argument if [cost] is negative. *)
 
 val expected_makespan :
-  ?lost:Lost_work.t ->
   ?cost:float ->
   Wfc_platform.Failure_model.t ->
   Wfc_dag.Dag.t ->
