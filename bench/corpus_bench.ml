@@ -4,10 +4,10 @@
    This is a correctness guard, not a timing bench. The whole sweep is
    analytic, so its report must be a pure function of the corpus and the
    configuration; the guard re-runs it on four domains and FAILs unless
-   that report is byte-identical to the flat single-domain baseline. It
-   also re-runs it on the naive backend, which reports oracle makespans:
-   every name, tier, winner and count must match exactly and every ratio
-   to 1e-9 relative ({!Corpus.diff}).
+   that report is byte-identical to the single-domain baseline. It also
+   checks every cell of the baseline against the Evaluator oracle: the
+   ratio must be the oracle's makespan of the heuristic's winning schedule
+   over the total weight, within 1e-9 relative (Corpus_oracle).
 
    Run with: FIG=corpus dune exec bench/main.exe
    Knobs:    CORPUS_DIR     corpus directory (default test/corpus)
@@ -21,11 +21,10 @@ let getenv_int name default =
   | Some s -> ( try int_of_string s with Failure _ -> default)
   | None -> default
 
-let config ~budget backend domains =
+let config ~budget domains =
   {
     Corpus.default_config with
     Corpus.search = Wfc_core.Heuristics.Grid 8;
-    backend;
     exact_budget = budget;
     domains;
   }
@@ -47,22 +46,24 @@ let run () =
         Printf.printf "FAIL: no workflow files in %s\n" dir;
         exit 1
       end;
-      let sweep backend domains =
-        Corpus.sweep ~config:(config ~budget backend domains) instances
+      let sweep domains =
+        Corpus.sweep ~config:(config ~budget domains) instances
       in
-      let base = sweep Wfc_core.Eval_engine.Flat 1 in
+      let base = sweep 1 in
       Corpus.print_report base;
       print_newline ();
       let bytes report = Json.to_string (Corpus.to_json report) in
-      let four = sweep Wfc_core.Eval_engine.Flat 4 in
-      let naive = sweep Wfc_core.Eval_engine.Naive 1 in
+      let four = sweep 4 in
+      let oracle =
+        Wfc_test_util.Corpus_oracle.check (config ~budget 1) instances base
+      in
       let failures =
         (if bytes four = bytes base then []
          else [ "4 domains sweep is not byte-identical to the baseline" ])
         @
-        match Corpus.diff base naive with
-        | None -> []
-        | Some msg -> [ "naive engine sweep diverges: " ^ msg ]
+        match oracle with
+        | Ok _ -> []
+        | Error msg -> [ "a cell disagrees with the oracle: " ^ msg ]
       in
       List.iter (Printf.printf "FAIL: %s\n") failures;
       if failures <> [] then exit 1;
@@ -74,7 +75,8 @@ let run () =
           output_char oc '\n');
       Printf.printf
         "PASS: %d instances x %d scenarios byte-identical across domain \
-         counts, naive engine within 1e-9 (discrete fields exact); wrote \
+         counts, %d cells within 1e-9 of the Evaluator oracle; wrote \
          BENCH_corpus.json\n"
         (List.length instances)
         (List.length base.Corpus.scenario_names)
+        (Result.get_ok oracle)

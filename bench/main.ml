@@ -6,12 +6,12 @@
           FIG=ablation dune exec bench/main.exe  extension/ablation studies
           FIG=micro dune exec bench/main.exe     only the micro-benchmarks
           FIG=stress dune exec bench/main.exe    resilience stress micro-campaign
-          FIG=engine dune exec bench/main.exe    flat kernel vs naive timing
+          FIG=engine dune exec bench/main.exe    flat kernel timing, oracle baselines
           FIG=scale dune exec bench/main.exe     flat kernel at scale, exact B&B n~30
           FIG=obs dune exec bench/main.exe       observability overhead guard
           FIG=adaptive dune exec bench/main.exe  adaptive vs static, misspecified lambda
           FIG=replication dune exec bench/main.exe  checkpoint-vs-replica CVaR trade-off
-          FIG=corpus dune exec bench/main.exe    golden mini-corpus sweep, engine/domain invariance
+          FIG=corpus dune exec bench/main.exe    golden mini-corpus sweep, oracle/domain invariance
           FIG=chaos dune exec bench/main.exe     chaos soak: fault injection, watchdog, crash-only guard
           FULL=1 ...                             full 50..700 task range
           SEEDS=3 ...                            average over 3 workflow seeds

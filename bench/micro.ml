@@ -96,7 +96,7 @@ let heuristic_tests =
 
 let flat_tests =
   (* single-flag flip throughput of the flat kernel, against one full
-     cached-lost-work evaluation (the naive per-candidate cost) above.
+     cached-lost-work evaluation (the oracle's per-candidate cost) above.
      The steady-state flip path must not allocate: the one-time assertion
      below runs a settled flip cycle and checks the minor allocation
      pointer did not move. *)

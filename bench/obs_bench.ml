@@ -45,8 +45,7 @@ let workloads () =
     done
   in
   let sweep () =
-    Heuristics.run ~search:Heuristics.Exhaustive ~backend:Eval_engine.Flat
-      model g200
+    Heuristics.run ~search:Heuristics.Exhaustive model g200
       ~lin:Wfc_dag.Linearize.Depth_first ~ckpt:Heuristics.Ckpt_weight
   in
   let flags =
@@ -55,7 +54,7 @@ let workloads () =
   in
   let seed_sched = Schedule.make g200 ~order:order200 ~checkpointed:flags in
   let local_search () =
-    Local_search.improve ~backend:Eval_engine.Flat model g200 seed_sched
+    Local_search.improve model g200 seed_sched
   in
   let exact = Engine_bench.exact_audit_flat g20 ~order:order20 in
   [

@@ -122,8 +122,8 @@ let bench_exact ~n ~domains =
   let g, order = instance P.Ligo n in
   let (sol, status), seconds =
     Timing.once (fun () ->
-        Exact_solver.optimal_checkpoints_within ~backend:Eval_engine.Flat
-          ~domains ~max_nodes:50_000_000 model g ~order)
+        Exact_solver.optimal_checkpoints_within ~domains ~max_nodes:50_000_000
+          model g ~order)
   in
   {
     exact_n = n;
@@ -138,8 +138,8 @@ let bench_exact ~n ~domains =
 let parallel_guard ~n ~domains =
   let g, order = instance P.Genome n in
   let run domains =
-    (Exact_solver.optimal_checkpoints_within ~backend:Eval_engine.Flat ~domains
-       ~max_nodes:5_000_000 model g ~order
+    (Exact_solver.optimal_checkpoints_within ~domains ~max_nodes:5_000_000
+       model g ~order
     |> fst)
       .Exact_solver.makespan
   in

@@ -242,25 +242,6 @@ let grid_t =
   Arg.(value & opt int 0
        & info [ "grid" ] ~doc:"Search the checkpoint count on a grid of at most this many values (0 = exhaustive).")
 
-let engine_conv =
-  let parse s =
-    match Wfc_core.Eval_engine.backend_of_string s with
-    | Some b -> Ok b
-    | None -> Error (`Msg (Printf.sprintf "unknown engine '%s' (naive or flat)" s))
-  in
-  Arg.conv
-    (parse, fun ppf b -> Format.pp_print_string ppf (Wfc_core.Eval_engine.backend_name b))
-
-let engine_t =
-  Arg.(value & opt engine_conv Wfc_core.Eval_engine.Flat
-       & info [ "engine" ]
-           ~doc:"Evaluation backend for checkpoint searches: flat (the \
-                 incremental kernel: cached suffix re-evaluation on \
-                 contiguous zero-allocation buffers, with a dominance-pruned \
-                 parallel branch and bound) or naive (one full evaluator \
-                 call per candidate, the reference path). Both report \
-                 oracle makespans.")
-
 let load_t =
   Arg.(value & opt (some string) None
        & info [ "load" ] ~docv:"FILE"
@@ -400,14 +381,13 @@ let generate_cmd =
 let source_name ~load family =
   match load with Some path -> path | None -> P.family_name family
 
-let evaluate family n seed cost mtbf downtime lin ckpt grid engine load save
+let evaluate family n seed cost mtbf downtime lin ckpt grid load save
     metrics trace =
   with_obs ~metrics ~trace @@ fun () ->
   let g = workflow ~load family n seed cost in
   let model = model mtbf downtime in
   let o =
-    Heuristics.run ~search:(search_of_grid grid) ~backend:engine model g ~lin
-      ~ckpt
+    Heuristics.run ~search:(search_of_grid grid) model g ~lin ~ckpt
   in
   (match save with
   | Some path ->
@@ -435,12 +415,12 @@ let evaluate_cmd =
   Cmd.v
     (Cmd.info "evaluate" ~doc:"Expected makespan of one heuristic schedule")
     Term.(const evaluate $ family_t $ n_t $ seed_t $ cost_t $ mtbf_t
-          $ downtime_t $ lin_t $ ckpt_t $ grid_t $ engine_t $ load_t $ save_t
+          $ downtime_t $ lin_t $ ckpt_t $ grid_t $ load_t $ save_t
           $ metrics_t $ obs_trace_t)
 
 (* ---- schedule (compare heuristics) ---- *)
 
-let schedule family n seed cost mtbf downtime grid engine load extended
+let schedule family n seed cost mtbf downtime grid load extended
     metrics trace =
   with_obs ~metrics ~trace @@ fun () ->
   let g = workflow ~load family n seed cost in
@@ -468,8 +448,7 @@ let schedule family n seed cost mtbf downtime grid engine load extended
       List.iter
         (fun lin ->
           let o =
-            Heuristics.run ~search:(search_of_grid grid) ~backend:engine model
-              g ~lin ~ckpt
+            Heuristics.run ~search:(search_of_grid grid) model g ~lin ~ckpt
           in
           Wfc_reporting.Table.add_row table
             [
@@ -492,12 +471,12 @@ let schedule_cmd =
   Cmd.v
     (Cmd.info "schedule" ~doc:"Compare all 14 heuristics on one workflow")
     Term.(const schedule $ family_t $ n_t $ seed_t $ cost_t $ mtbf_t
-          $ downtime_t $ grid_t $ engine_t $ load_t $ extended_t $ metrics_t
+          $ downtime_t $ grid_t $ load_t $ extended_t $ metrics_t
           $ obs_trace_t)
 
 (* ---- simulate ---- *)
 
-let simulate family n seed cost mtbf downtime lin ckpt grid engine runs load
+let simulate family n seed cost mtbf downtime lin ckpt grid runs load
     replicas replica_cost failures_opt weibull_shape overlap events metrics
     trace =
   with_obs ~metrics ~trace @@ fun () ->
@@ -510,8 +489,7 @@ let simulate family n seed cost mtbf downtime lin ckpt grid engine runs load
   let g = workflow ~load family n seed cost in
   let model = model mtbf downtime in
   let o =
-    Heuristics.run ~search:(search_of_grid grid) ~backend:engine model g ~lin
-      ~ckpt
+    Heuristics.run ~search:(search_of_grid grid) model g ~lin ~ckpt
   in
   (match events with
   | Some limit ->
@@ -607,13 +585,13 @@ let simulate_cmd =
   Cmd.v
     (Cmd.info "simulate" ~doc:"Monte Carlo fault injection vs the analytic evaluator")
     Term.(const simulate $ family_t $ n_t $ seed_t $ cost_t $ mtbf_t
-          $ downtime_t $ lin_t $ ckpt_t $ grid_t $ engine_t $ runs_t $ load_t
+          $ downtime_t $ lin_t $ ckpt_t $ grid_t $ runs_t $ load_t
           $ replicas_t $ replica_cost_t $ failures_t $ weibull_t $ overlap_t
           $ events_t $ metrics_t $ obs_trace_t)
 
 (* ---- stress (misspecification campaign) ---- *)
 
-let stress family n seed cost mtbf downtime grid engine load replicas
+let stress family n seed cost mtbf downtime grid load replicas
     replica_cost runs domains csv exact_budget deadline failures_opt p_ckpt
     p_rec max_failures metrics trace =
   with_obs ~metrics ~trace @@ fun () ->
@@ -661,8 +639,8 @@ let stress family n seed cost mtbf downtime grid engine load replicas
   in
   let ranked =
     Stress.rank ~runs ?domains ~max_failures ~search:(search_of_grid grid)
-      ~backend:engine ~replication:replicas ~replica_cost ~seed ~nominal
-      ~scenarios g heuristics
+      ~replication:replicas ~replica_cost ~seed ~nominal ~scenarios g
+      heuristics
   in
   let rows =
     List.map
@@ -683,7 +661,6 @@ let stress family n seed cost mtbf downtime grid engine load replicas
           Driver.max_nodes = exact_budget;
           deadline;
           search = search_of_grid grid;
-          backend = engine;
         }
       in
       let d = Driver.solve ~config nominal g ~order in
@@ -854,7 +831,7 @@ let stress_cmd =
        ~doc:"Misspecification campaign: rank schedules by tail behavior under \
              perturbed platforms")
     Term.(const stress $ family_t $ n_t $ seed_t $ cost_t $ mtbf_t $ downtime_t
-          $ grid_t $ engine_t $ load_t $ replicas_t $ replica_cost_t $ runs_t
+          $ grid_t $ load_t $ replicas_t $ replica_cost_t $ runs_t
           $ domains_t $ csv_t $ exact_budget_t $ deadline_t $ failures_t
           $ p_ckpt_t $ p_rec_t $ max_failures_t $ metrics_t $ obs_trace_t)
 
@@ -1015,7 +992,7 @@ let criterion_conv =
   Arg.conv
     (parse, fun ppf c -> Format.pp_print_string ppf (Robust.criterion_name c))
 
-let adapt family n seed cost mtbf downtime lin ckpt grid engine load replicas
+let adapt family n seed cost mtbf downtime lin ckpt grid load replicas
     replica_cost true_mtbf failures_opt trigger budget traces criterion
     horizon relinearize csv metrics trace =
   with_obs ~metrics ~trace @@ fun () ->
@@ -1023,8 +1000,7 @@ let adapt family n seed cost mtbf downtime lin ckpt grid engine load replicas
   let g = workflow ~load family n seed cost in
   let planning = model mtbf downtime in
   let o =
-    Heuristics.run ~search:(search_of_grid grid) ~backend:engine planning g
-      ~lin ~ckpt
+    Heuristics.run ~search:(search_of_grid grid) planning g ~lin ~ckpt
   in
   let true_mtbf = Option.value true_mtbf ~default:mtbf in
   let truth = FM.of_mtbf ~mtbf:true_mtbf ~downtime () in
@@ -1036,9 +1012,8 @@ let adapt family n seed cost mtbf downtime lin ckpt grid engine load replicas
     | None -> Robust.default_scenarios truth
   in
   let replanner =
-    Driver.replanner ~budget ~backend:engine
-      ?relinearize:(if relinearize then Some lin else None)
-      g
+    Driver.replanner ~budget
+      ?relinearize:(if relinearize then Some lin else None) g
   in
   let config =
     { (SA.default_config planning) with SA.trigger; replan = Some replanner }
@@ -1223,7 +1198,7 @@ let adapt_cmd =
        ~doc:"Score static vs adaptive execution on shared failure traces and \
              pick by risk-aware criterion")
     Term.(const adapt $ family_t $ n_t $ seed_t $ cost_t $ mtbf_t $ downtime_t
-          $ lin_t $ ckpt_t $ grid_t $ engine_t $ load_t $ replicas_t
+          $ lin_t $ ckpt_t $ grid_t $ load_t $ replicas_t
           $ replica_cost_t $ true_mtbf_t $ failures_t $ trigger_t $ budget_t
           $ traces_t $ criterion_t $ horizon_t $ relinearize_t $ csv_t
           $ metrics_t $ obs_trace_t)
@@ -1246,14 +1221,14 @@ let kind_conv =
   in
   Arg.conv (parse, print)
 
-let replay family n seed cost mtbf downtime lin ckpt grid engine load
+let replay family n seed cost mtbf downtime lin ckpt grid load
     failures_opt record input kind metrics trace =
   with_obs ~metrics ~trace @@ fun () ->
   let module Sim = Wfc_simulator.Sim in
   let g = workflow ~load family n seed cost in
   let m = model mtbf downtime in
   let o =
-    Heuristics.run ~search:(search_of_grid grid) ~backend:engine m g ~lin ~ckpt
+    Heuristics.run ~search:(search_of_grid grid) m g ~lin ~ckpt
   in
   let sched = o.Heuristics.schedule in
   let describe verb t =
@@ -1335,12 +1310,12 @@ let replay_cmd =
     (Cmd.info "replay"
        ~doc:"Record a failure trace to disk, or replay one deterministically")
     Term.(const replay $ family_t $ n_t $ seed_t $ cost_t $ mtbf_t $ downtime_t
-          $ lin_t $ ckpt_t $ grid_t $ engine_t $ load_t $ failures_t
+          $ lin_t $ ckpt_t $ grid_t $ load_t $ failures_t
           $ record_t $ input_t $ kind_t $ metrics_t $ obs_trace_t)
 
 (* ---- profile (instrumented end-to-end workload) ---- *)
 
-let profile family n seed cost mtbf downtime grid engine bnb_domains runs
+let profile family n seed cost mtbf downtime grid bnb_domains runs
     budget replicas replica_cost csv trace =
   let module Driver = Wfc_resilience.Solver_driver in
   let g = workflow ~load:None family n seed cost in
@@ -1352,21 +1327,19 @@ let profile family n seed cost mtbf downtime grid engine bnb_domains runs
   List.iter
     (fun ckpt ->
       ignore
-        (Heuristics.run ~search ~backend:engine model g
-           ~lin:Linearize.Depth_first ~ckpt))
+        (Heuristics.run ~search model g ~lin:Linearize.Depth_first ~ckpt))
     Heuristics.all_ckpt_strategies;
   (* stage 2: exact tier (branch and bound), degrading gracefully when the
      node budget runs out *)
   let order = Linearize.run Linearize.Depth_first g in
   let config =
-    { Driver.default_config with Driver.max_nodes = budget; search;
-      backend = engine; bnb_domains }
+    { Driver.default_config with
+      Driver.max_nodes = budget; search; bnb_domains }
   in
   let d = Driver.solve ~config model g ~order in
   (* stage 3: refine the winner, then fault-inject it *)
   let ls =
-    Local_search.improve ~max_evaluations:500 ~backend:engine model g
-      d.Driver.schedule
+    Local_search.improve ~max_evaluations:500 model g d.Driver.schedule
   in
   let est =
     Wfc_simulator.Monte_carlo.estimate ~runs ~seed model g
@@ -1437,15 +1410,14 @@ let profile_cmd =
     Arg.(value & opt (positive_int "domain count") 1
          & info [ "bnb-domains" ] ~docv:"N"
              ~doc:"Explore the exact tier's branch-and-bound tree over this \
-                   many parallel domains (flat engine only; the sequential \
-                   engines ignore it).")
+                   many parallel domains.")
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:"Run an instrumented end-to-end workload (heuristics, exact \
              search, local search, simulation) and report internal metrics")
     Term.(const profile $ family_t $ n_t $ seed_t $ cost_t $ mtbf_t
-          $ downtime_t $ grid_t $ engine_t $ bnb_domains_t $ runs_t $ budget_t
+          $ downtime_t $ grid_t $ bnb_domains_t $ runs_t $ budget_t
           $ replicas_t $ replica_cost_t $ csv_t $ obs_trace_t)
 
 (* ---- corpus ---- *)
@@ -1480,7 +1452,7 @@ let ratios_conv =
   in
   Arg.conv (parse, print)
 
-let corpus dir ratios laws cost grid engine replicas replica_cost downtime
+let corpus dir ratios laws cost grid replicas replica_cost downtime
     exact_budget deadline exact_max_n domains seed json metrics trace =
   with_obs ~metrics ~trace (fun () ->
       let scenarios =
@@ -1509,7 +1481,6 @@ let corpus dir ratios laws cost grid engine replicas replica_cost downtime
               Corpus.default_config with
               Corpus.scenarios;
               search = search_of_grid grid;
-              backend = engine;
               replication = replicas;
               replica_cost;
               downtime;
@@ -1597,7 +1568,7 @@ let corpus_cmd =
              producing Figure-style ratio tables and an optional JSON \
              report")
     Term.(const corpus $ dir_t $ ratios_t $ laws_t $ cost_t $ grid_t
-          $ engine_t $ replicas_t $ replica_cost_t $ downtime_t $ budget_t
+          $ replicas_t $ replica_cost_t $ downtime_t $ budget_t
           $ deadline_t $ exact_max_n_t $ domains_t $ seed_t $ json_t
           $ metrics_t $ obs_trace_t)
 

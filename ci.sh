@@ -1,8 +1,9 @@
 #!/bin/sh
-# CI entry point: build, run the full tier-1 suite, the oracle property
-# suites on fixed seeds, a reduced-seed chaos soak as a serving-layer smoke
-# guard, the flat-vs-oracle scale guard up to n = 1000, then a short traced
-# run of each end-to-end benchmark workload, whose replay byte-compares the
+# CI entry point: build, check that lib/ and bin/ keep one search path,
+# run the full tier-1 suite, the oracle property suites on fixed seeds, a
+# reduced-seed chaos soak as a serving-layer smoke guard, the
+# flat-vs-oracle scale guard up to n = 1000, then a short traced run of
+# each end-to-end benchmark workload, whose replay byte-compares the
 # library's answers with the daemon's and the CLI's. Every phase is
 # wall-clock capped so a wedged daemon fails the run instead of hanging CI.
 #
@@ -13,6 +14,24 @@ cd "$(dirname "$0")"
 
 echo "== build =="
 timeout 600 dune build
+
+# one production path: searches run on the flat kernel, and the Evaluator
+# oracle checks that path from the tests instead of being a second one. So
+# lib/ and bin/ name no Naive backend, and no code there (comments
+# excluded) calls Evaluator outside the oracle modules Brute_force and
+# Bounds.
+echo "== one production path =="
+stray=$(grep -rln 'Naive' lib bin || true)
+for f in $(find lib bin -name '*.ml' -o -name '*.mli' | sort); do
+  case "$f" in lib/core/brute_force.ml | lib/core/bounds.ml) continue ;; esac
+  perl -0777 -ne 's/\(\*(?:(?>[^(*]+)|\((?!\*)|\*(?!\))|(?R))*\*\)//g;
+    exit(/\bEvaluator\./ ? 0 : 1)' "$f" && stray="$stray $f"
+done
+if [ -n "$stray" ]; then
+  echo "a second search path in:" $stray >&2
+  exit 1
+fi
+echo "ok"
 
 echo "== tests =="
 timeout 900 dune runtest

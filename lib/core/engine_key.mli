@@ -2,8 +2,7 @@
     engine LRU.
 
     A warm {!Flat_engine} may answer for a request exactly when the
-    [(backend, model, dag, order)] quadruple it was built for matches the
-    request's.
+    [(model, dag, order)] triple it was built for matches the request's.
     This key digests each component into 64-bit fingerprints — the DAG via
     {!Wfc_dag.Dag.fingerprint}, the linearization via the same FNV-1a fold,
     the model via the raw IEEE bits of lambda and downtime — so lookups are
@@ -16,7 +15,6 @@ type t = {
   order : int64;  (** FNV-1a fold of the linearization *)
   lambda : int64;  (** IEEE bits of the failure rate *)
   downtime : int64;  (** IEEE bits of the downtime *)
-  backend : Eval_engine.backend;
 }
 
 val make :
@@ -25,6 +23,8 @@ val make :
   Wfc_dag.Dag.t ->
   order:int array ->
   t
+(** [make Flat model g ~order]. The backend argument is always [Flat]; it
+    is kept for wfcbench, see ROADMAP item 3. *)
 
 val order_fingerprint : int array -> int64
 (** The FNV-1a fold used for the [order] component (exposed for tests). *)

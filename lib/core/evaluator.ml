@@ -7,7 +7,7 @@ type result = Replication.result = {
 let fail_free_time g = Wfc_dag.Dag.total_weight g
 
 (* Every oracle evaluation is counted, so a test can pin that no search
-   path on the flat backend reaches this module. *)
+   path reaches this module. *)
 let m_evaluations = Wfc_obs.Metrics.counter "evaluator.evaluations"
 
 let evaluate ?lost ?replica_cost model g sched =

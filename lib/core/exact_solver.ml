@@ -17,9 +17,10 @@ let m_dominance = Metrics.counter "bnb.dominance_pruned"
 let m_memo_hits = Metrics.counter "bnb.memo_hits"
 let m_steals = Metrics.counter "bnb.steals"
 
-(* Warm-start candidates, in a fixed order shared by every backend: the
-   incumbent both searches start from is identical, which keeps the flat
-   backend's node walk comparable node-for-node with the sequential one. *)
+(* Warm-start candidates, in a fixed order: the all-off and all-on
+   vectors, then the CkptW and CkptC grids. With pruning off (the parity
+   configuration), the node walk starts from the incumbent they give and is
+   pinned node for node by the test suite. *)
 let warm_candidates g ~order =
   let n = Array.length order in
   Array.make n false :: Array.make n true
@@ -44,7 +45,7 @@ let tail_bound model g ~order =
   done;
   tail
 
-(* ---- flat backend: dominance-pruned, memoized, parallel ---------------- *)
+(* ---- dominance-pruned, memoized, parallel search ----------------------- *)
 
 (* Everything a search domain owns privately; only the incumbent, the node
    budget and the stop flag are shared. *)
@@ -94,12 +95,12 @@ let flat_bnb ~max_nodes ~should_stop ~cancel ~domains ~dominance ~memo model g
   List.iter try_inc (warm_candidates g ~order);
   (* hill-climb the warm start on the flat engine: a tight incumbent is the
      strongest pruner. Skipped when both pruning features are disabled so a
-     parity run matches the sequential search's node walk exactly. *)
+     parity run keeps the plain depth-first node walk. *)
   if dominance || memo then begin
     let ls =
       Local_search.improve
         ~max_evaluations:(Int.min 4000 (Int.max 256 (8 * n)))
-        ~cancel ~backend:Eval_engine.Flat model g
+        ~cancel model g
         (Schedule.make g ~order ~checkpointed:!inc0_flags)
     in
     if ls.Local_search.makespan < !inc0 then begin
@@ -160,7 +161,7 @@ let flat_bnb ~max_nodes ~should_stop ~cancel ~domains ~dominance ~memo model g
   let node_total = Atomic.make 0 in
   let stopped = Atomic.make false in
   (* root splitting: with one domain the split depth is 0 — a single root
-     explored exactly like the sequential search. With more, enumerate all
+     explored as a plain depth-first search. With more, enumerate all
      flag prefixes of a depth giving ~4 subtrees per domain, self-scheduled
      so slow subtrees are stolen. *)
   let rec clog2 x = if x <= 1 then 0 else 1 + clog2 ((x + 1) / 2) in
@@ -206,7 +207,7 @@ let flat_bnb ~max_nodes ~should_stop ~cancel ~domains ~dominance ~memo model g
   in
   let exception Stop in
   (* the deadline predicate and the cancellation token are polled every 1024
-     expansions, as in the sequential search; the stop flag broadcasts
+     expansions; the stop flag broadcasts
      exhaustion (or cancellation) to the pool. Cancellation is remembered
      separately so it can re-raise as [Cancelled] once every domain has
      wound down and joined. *)
@@ -341,123 +342,22 @@ let flat_bnb ~max_nodes ~should_stop ~cancel ~domains ~dominance ~memo model g
   let schedule = Schedule.make g ~order ~checkpointed:!best_flags in
   ({ schedule; makespan; nodes }, status)
 
-(* ---- sequential search (naive backend) --------------------------------- *)
-
-let sequential_bnb ~max_nodes ~should_stop ~cancel model g ~order =
-  let n = Array.length order in
-  Trace.with_span "exact.bnb"
-    ~args:
-      [ ("n", string_of_int n);
-        ("backend", Eval_engine.backend_name Eval_engine.Naive) ]
-  @@ fun () ->
-  let tail = tail_bound model g ~order in
-  let flags = Array.make n false in
-  (* E[X_j] for j < i only depends on flags at positions < i, so evaluating
-     with the suffix left untouched yields exact prefix costs: one oracle
-     evaluation per child, the reference the flat search is pinned
-     against node for node. *)
-  let set_flag p b = flags.(order.(p)) <- b in
-  let prefix_cost upto =
-    let r =
-      Evaluator.evaluate model g (Schedule.make g ~order ~checkpointed:flags)
-    in
-    let acc = ref 0. in
-    for j = 0 to upto - 1 do
-      acc := !acc +. r.Evaluator.per_position.(j)
-    done;
-    !acc
-  in
-  (* warm start: best searched heuristic as the incumbent *)
-  let incumbent_flags = ref (Array.make n false) in
-  let incumbent = ref infinity in
-  let try_incumbent candidate =
-    Wfc_platform.Cancel.check cancel;
-    let m =
-      Evaluator.expected_makespan model g
-        (Schedule.make g ~order ~checkpointed:candidate)
-    in
-    if m < !incumbent then begin
-      incumbent := m;
-      incumbent_flags := Array.copy candidate
-    end
-  in
-  List.iter try_incumbent (warm_candidates g ~order);
-  let nodes = ref 0 in
-  let pruned = ref 0 in
-  let incumbent_updates = ref 0 in
-  let exception Stop in
-  (* the deadline predicate is polled every 1024 expansions: cheap enough to
-     leave in the hot path, frequent enough for sub-second deadlines *)
-  let rec go i cost =
-    incr nodes;
-    (* same 1024-node throttle as the deadline predicate; Cancelled escapes
-       the search instead of degrading to Budget_exhausted *)
-    if !nodes land 1023 = 0 then Wfc_platform.Cancel.check cancel;
-    if !nodes > max_nodes || (!nodes land 1023 = 0 && should_stop ()) then
-      raise Stop;
-    if i = n then begin
-      if cost < !incumbent then begin
-        incumbent := cost;
-        incumbent_flags := Array.copy flags;
-        incr incumbent_updates
-      end
-    end
-    else begin
-      (* evaluate both children, then explore the cheaper one first: good
-         incumbents early tighten the pruning *)
-      let child b =
-        set_flag i b;
-        prefix_cost (i + 1)
-      in
-      let cost_true = child true in
-      let cost_false = child false in
-      let ordered =
-        if cost_false <= cost_true then [ (false, cost_false); (true, cost_true) ]
-        else [ (true, cost_true); (false, cost_false) ]
-      in
-      List.iter
-        (fun (b, c) ->
-          if c +. tail.(i + 1) < !incumbent -. 1e-12 then begin
-            set_flag i b;
-            go (i + 1) c
-          end
-          else incr pruned)
-        ordered;
-      set_flag i false
-    end
-  in
-  let status = match go 0 0. with () -> `Optimal | exception Stop -> `Budget_exhausted in
-  if Metrics.enabled () then begin
-    Metrics.add m_nodes !nodes;
-    Metrics.add m_pruned !pruned;
-    Metrics.add m_incumbents !incumbent_updates;
-    Metrics.incr
-      (match status with `Optimal -> m_completed | `Budget_exhausted -> m_exhausted)
-  end;
-  let schedule = Schedule.make g ~order ~checkpointed:!incumbent_flags in
-  ({ schedule; makespan = !incumbent; nodes = !nodes }, status)
-
 let optimal_checkpoints_within ?(max_nodes = 1_000_000)
     ?(should_stop = fun () -> false)
-    ?(cancel = Wfc_platform.Cancel.never)
-    ?(backend = Eval_engine.Flat) ?(domains = 1) ?(dominance = true)
+    ?(cancel = Wfc_platform.Cancel.never) ?(domains = 1) ?(dominance = true)
     ?(memo = true) model g ~order =
   if domains < 1 then
     invalid_arg "Exact_solver.optimal_checkpoints: domains < 1";
   if not (Wfc_dag.Dag.is_linearization g order) then
     invalid_arg "Exact_solver.optimal_checkpoints: invalid order";
-  match backend with
-  | Eval_engine.Flat ->
-      flat_bnb ~max_nodes ~should_stop ~cancel ~domains ~dominance ~memo model
-        g ~order
-  | Eval_engine.Naive ->
-      sequential_bnb ~max_nodes ~should_stop ~cancel model g ~order
+  flat_bnb ~max_nodes ~should_stop ~cancel ~domains ~dominance ~memo model g
+    ~order
 
-let optimal_checkpoints ?max_nodes ?cancel ?backend ?domains ?dominance ?memo
-    model g ~order =
+let optimal_checkpoints ?max_nodes ?cancel ?domains ?dominance ?memo model g
+    ~order =
   match
-    optimal_checkpoints_within ?max_nodes ?cancel ?backend ?domains ?dominance
-      ?memo model g ~order
+    optimal_checkpoints_within ?max_nodes ?cancel ?domains ?dominance ?memo
+      model g ~order
   with
   | sol, `Optimal -> sol
   | _, `Budget_exhausted -> raise Node_budget_exceeded

@@ -27,7 +27,6 @@ val optimal_checkpoints_within :
   ?max_nodes:int ->
   ?should_stop:(unit -> bool) ->
   ?cancel:Wfc_platform.Cancel.t ->
-  ?backend:Eval_engine.backend ->
   ?domains:int ->
   ?dominance:bool ->
   ?memo:bool ->
@@ -46,22 +45,18 @@ val optimal_checkpoints_within :
     [cancel] (default {!Wfc_platform.Cancel.never}) is polled at the same
     1024-node throttle as [should_stop] but aborts instead of degrading:
     a cancelled token makes the search raise
-    {!Wfc_platform.Cancel.Cancelled} (on the [Flat] backend only after
-    every worker domain has wound down and joined) rather than return the
-    incumbent. Use [should_stop] for "give me your best under a budget",
-    [cancel] for "stop computing, the caller no longer wants any answer".
+    {!Wfc_platform.Cancel.Cancelled} (only after every worker domain has
+    wound down and joined) rather than return the incumbent. Use
+    [should_stop] for "give me your best under a budget", [cancel] for
+    "stop computing, the caller no longer wants any answer".
 
-    [backend] (default [Flat]) selects how prefix costs are computed: a
-    {!Flat_engine} cursor tracking the tree's flag assignments
-    ({!Flat_engine.prefix_makespan} — [O(n)] per node), or a full
-    {!Evaluator.evaluate} per child in a sequential search ([Naive], the
-    reference path). The reported makespan is that backend's value of the
-    returned flags: on [Flat], bitwise what a fresh {!Flat_engine} computes
-    for them (so it does not depend on [domains] or on which domain found
-    the optimum), within ~1e-15 relative of the oracle.
+    Prefix costs come from a {!Flat_engine} cursor tracking the tree's
+    flag assignments ({!Flat_engine.prefix_makespan} — [O(n)] per node).
+    The reported makespan is bitwise what a fresh {!Flat_engine} computes
+    for the returned flags (so it does not depend on [domains] or on which
+    domain found the optimum), within ~1e-15 relative of the oracle.
 
-    The remaining options apply to the [Flat] backend only (ignored
-    otherwise):
+    Options:
 
     - [domains] (default [1]) explores root subtrees in parallel over
       {!Wfc_platform.Domain_pool}: the tree is split at a small depth into
@@ -77,9 +72,10 @@ val optimal_checkpoints_within :
       descendants cross the current depth) and re-evaluates them as
       warm-start incumbent candidates when an equal frontier recurs.
 
-    With [~domains:1 ~dominance:false ~memo:false], the flat search expands
-    exactly the same nodes in the same order as the sequential [Naive]
-    search — the parity configuration used by the test suite.
+    With [~domains:1 ~dominance:false ~memo:false] the search is a plain
+    depth-first branch and bound from the heuristic warm start, with no
+    pruning beyond the tail bound — the parity configuration whose flags
+    and node counts the test suite pins.
 
     @raise Invalid_argument if [order] is not a linearization of [g] or
       [domains < 1]. *)
@@ -87,7 +83,6 @@ val optimal_checkpoints_within :
 val optimal_checkpoints :
   ?max_nodes:int ->
   ?cancel:Wfc_platform.Cancel.t ->
-  ?backend:Eval_engine.backend ->
   ?domains:int ->
   ?dominance:bool ->
   ?memo:bool ->

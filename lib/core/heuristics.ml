@@ -156,8 +156,8 @@ let record_outcome ckpt (o : outcome) =
   Metrics.add (List.assoc ckpt m_strategy_candidates) o.evaluations;
   o
 
-let run ?(search = Exhaustive) ?(backend = Eval_engine.Flat) ?rand
-    ?engine ?(cancel = Wfc_platform.Cancel.never) model g ~lin ~ckpt =
+let run ?(search = Exhaustive) ?backend:_ ?rand ?engine
+    ?(cancel = Wfc_platform.Cancel.never) model g ~lin ~ckpt =
   Wfc_obs.Trace.with_span "heuristics.run" ~args:[ ("heuristic", name lin ckpt) ]
   @@ fun () ->
   record_outcome ckpt
@@ -192,33 +192,25 @@ let run ?(search = Exhaustive) ?(backend = Eval_engine.Flat) ?rand
     | Ckpt_never | Ckpt_always | Ckpt_periodic ->
         fun n_ckpt -> checkpoint_flags ckpt g ~order ~n_ckpt
   in
-  let score =
-    match backend with
-    | Eval_engine.Naive ->
-        fun flags ->
-          Evaluator.expected_makespan model g
-            (Schedule.make g ~order ~checkpointed:flags)
-    | Eval_engine.Flat ->
-        (* one engine across the sweep: consecutive candidate flag vectors
-           differ in a handful of tasks, so each step costs a suffix
-           re-evaluation instead of a full one. A warm [engine] (the serving
-           layer's LRU) skips the build; the sweep only ever sets whole flag
-           vectors and the engine's makespan is a pure function of them, so
-           a warm engine scores every candidate bit-identically to a cold
-           one whatever flags and model it was left holding. *)
-        let engine =
-          match engine with
-          | Some h ->
-              if Flat_engine.order h <> order then
-                invalid_arg
-                  "Heuristics.run: warm engine bound to another order";
-              Flat_engine.set_model h model;
-              h
-          | None -> Flat_engine.create model g ~order
-        in
-        fun flags ->
-          Flat_engine.set_flags engine flags;
-          Flat_engine.makespan engine
+  (* one engine across the sweep: consecutive candidate flag vectors differ
+     in a handful of tasks, so each step costs a suffix re-evaluation
+     instead of a full one. A warm [engine] (the serving layer's LRU) skips
+     the build; the sweep only ever sets whole flag vectors and the engine's
+     makespan is a pure function of them, so a warm engine scores every
+     candidate bit-identically to a cold one whatever flags and model it
+     was left holding. *)
+  let engine =
+    match engine with
+    | Some h ->
+        if Flat_engine.order h <> order then
+          invalid_arg "Heuristics.run: warm engine bound to another order";
+        Flat_engine.set_model h model;
+        h
+    | None -> Flat_engine.create model g ~order
+  in
+  let score flags =
+    Flat_engine.set_flags engine flags;
+    Flat_engine.makespan engine
   in
   let evaluations = ref 0 in
   let best = ref None in
@@ -322,15 +314,15 @@ let replicate ?max_replicas ?cost ?cancel spec model g (o : outcome) =
         let makespan = Replication.expected_makespan ?cost model g schedule in
         { o with schedule; makespan; evaluations = o.evaluations + 1 }
 
-let run_replicated ?search ?backend ?rand ?max_replicas ?cost ?cancel spec
+let run_replicated ?search ?backend:_ ?rand ?max_replicas ?cost ?cancel spec
     model g ~lin ~ckpt =
   replicate ?max_replicas ?cost ?cancel spec model g
-    (run ?search ?backend ?rand ?cancel model g ~lin ~ckpt)
+    (run ?search ?rand ?cancel model g ~lin ~ckpt)
 
-let best_over_linearizations ?search ?backend ?rand ?cancel model g ~ckpt =
+let best_over_linearizations ?search ?rand ?cancel model g ~ckpt =
   let outcomes =
     List.map
-      (fun lin -> (lin, run ?search ?backend ?rand ?cancel model g ~lin ~ckpt))
+      (fun lin -> (lin, run ?search ?rand ?cancel model g ~lin ~ckpt))
       Wfc_dag.Linearize.all
   in
   List.fold_left

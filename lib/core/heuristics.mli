@@ -6,8 +6,7 @@
     under their respective criteria, and CkptPer spreads [N - 1] checkpoints
     evenly over the failure-free timeline; all four search the checkpoint
     count [N] that minimizes the expected makespan (Theorem 3, computed by
-    the {!Flat_engine} kernel or, on the [Naive] backend, by
-    {!Evaluator}). *)
+    the {!Flat_engine} kernel). *)
 
 type ckpt_strategy =
   | Ckpt_never  (** no checkpoint at all *)
@@ -57,11 +56,11 @@ val checkpoint_flags :
 type outcome = {
   schedule : Schedule.t;
   makespan : float;
-      (** the score the winner got during the search: on the [Flat]
-          backend the kernel's own value, bitwise
+      (** the score the winner got during the search: the kernel's own
+          value, bitwise
           [Flat_engine.makespan (Flat_engine.create ~flags model g ~order)]
           of the returned schedule and within ~1e-15 relative of
-          {!Evaluator.expected_makespan}; on [Naive] the oracle's *)
+          {!Evaluator.expected_makespan} *)
   n_ckpt : int;  (** the best checkpoint budget found *)
   evaluations : int;  (** number of candidate evaluations performed *)
 }
@@ -78,14 +77,14 @@ val run :
   ckpt:ckpt_strategy ->
   outcome
 (** [run model g ~lin ~ckpt] linearizes [g] with [lin] then optimizes the
-    checkpoint placement with [ckpt]. [search] defaults to [Exhaustive];
-    [backend] (default [Flat]) selects whether the candidates (the [N]-sweep,
-    or the single CkptNvr/CkptAlws schedule) are scored on a
-    {!Flat_engine} or by one {!Evaluator} call each, and the reported
-    makespan is that score; [rand] seeds the RF linearization. [cancel] (default
-    {!Wfc_platform.Cancel.never}) is polled once per candidate: a cancelled
-    token makes the sweep raise {!Wfc_platform.Cancel.Cancelled} instead of
-    returning a partial best.
+    checkpoint placement with [ckpt]. [search] defaults to [Exhaustive].
+    The candidates (the [N]-sweep, or the single CkptNvr/CkptAlws schedule)
+    are scored on one {!Flat_engine}, and the reported makespan is that
+    score. [backend] is always [Flat] and is ignored; it is kept for
+    wfcbench, see ROADMAP item 3. [rand] seeds the RF linearization.
+    [cancel] (default {!Wfc_platform.Cancel.never}) is polled once per
+    candidate: a cancelled token makes the sweep raise
+    {!Wfc_platform.Cancel.Cancelled} instead of returning a partial best.
 
     [engine] supplies a warm {!Flat_engine} already bound to [(g, order)]
     — the serving layer's LRU hands one back for repeat requests so the
@@ -93,8 +92,7 @@ val run :
     {!Flat_engine.set_model} (cached lost-work rows survive); because the
     sweep only assigns whole flag vectors and an engine's makespan is a pure
     function of its flags, the outcome is bit-identical to a cold run
-    whatever flags and model the engine was left holding. Ignored by the
-    [Naive] backend.
+    whatever flags and model the engine was left holding.
 
     @raise Invalid_argument if [engine] is bound to a different order than
       [lin]'s linearization of [g]. *)
@@ -150,11 +148,12 @@ val run_replicated :
   ckpt:ckpt_strategy ->
   outcome
 (** {!run} followed by {!replicate}: checkpoint placement is optimized
-    unreplicated, then the replication policy spends its budget on top. *)
+    unreplicated, then the replication policy spends its budget on top.
+    [backend] is always [Flat] and is ignored; it is kept for wfcbench, see
+    ROADMAP item 3. *)
 
 val best_over_linearizations :
   ?search:search ->
-  ?backend:Eval_engine.backend ->
   ?rand:(int -> int) ->
   ?cancel:Wfc_platform.Cancel.t ->
   Wfc_platform.Failure_model.t ->

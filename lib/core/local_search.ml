@@ -93,45 +93,21 @@ let improve_replicated ~max_evaluations ~replica_cost ~max_replicas ~cancel
       flips = !flips;
     }
 
-let improve ?(max_evaluations = 4000) ?(backend = Eval_engine.Flat)
-    ?replica_cost ?max_replicas ?(cancel = Wfc_platform.Cancel.never) model g
-    seed =
+let improve ?(max_evaluations = 4000) ?replica_cost ?max_replicas
+    ?(cancel = Wfc_platform.Cancel.never) model g seed =
   if Schedule.is_replicated seed || Option.is_some max_replicas then
     improve_replicated ~max_evaluations ~replica_cost ~max_replicas ~cancel
       model g seed
   else
   Wfc_obs.Trace.with_span "local_search.improve"
-    ~args:[ ("backend", Eval_engine.backend_name backend) ]
+    ~args:[ ("backend", "flat") ]
   @@ fun () ->
   let n = Schedule.n_tasks seed in
   let flags = Array.init n (Schedule.is_checkpointed seed) in
   let order = Array.init n (Schedule.task_at seed) in
-  (* [score_flip v] is the makespan with task [v]'s flag toggled, leaving
-     [flags] as it was; [revert ()] undoes a rejected move *)
-  let current, score_flip, revert =
-    match backend with
-    | Eval_engine.Naive ->
-        let evaluate () =
-          Evaluator.expected_makespan model g
-            (Schedule.make g ~order ~checkpointed:flags)
-        in
-        ( evaluate,
-          (fun v ->
-            flags.(v) <- not flags.(v);
-            let m = evaluate () in
-            flags.(v) <- not flags.(v);
-            m),
-          ignore )
-    | Eval_engine.Flat ->
-        let engine = Flat_engine.create ~flags model g ~order in
-        ( (fun () -> Flat_engine.makespan engine),
-          Flat_engine.flip engine,
-          (* lazy revert: marks the same suffix dirty again without forcing
-             a re-evaluation *)
-          fun () -> Flat_engine.set_flags engine flags )
-  in
+  let engine = Flat_engine.create ~flags model g ~order in
   Wfc_platform.Cancel.check cancel;
-  let initial_makespan = current () in
+  let initial_makespan = Flat_engine.makespan engine in
   let evaluations = ref 1 in
   let flips = ref 0 in
   let best = ref initial_makespan in
@@ -145,7 +121,7 @@ let improve ?(max_evaluations = 4000) ?(backend = Eval_engine.Flat)
       (fun v ->
         if !evaluations < max_evaluations then begin
           Wfc_platform.Cancel.check cancel;
-          let m = score_flip v in
+          let m = Flat_engine.flip engine v in
           incr evaluations;
           if m < !best -. (1e-12 *. Float.abs !best) then begin
             best := m;
@@ -153,12 +129,15 @@ let improve ?(max_evaluations = 4000) ?(backend = Eval_engine.Flat)
             incr flips;
             improved := true
           end
-          else revert ()
+          else
+            (* lazy revert: marks the same suffix dirty again without
+               forcing a re-evaluation *)
+            Flat_engine.set_flags engine flags
         end)
       order
   done;
-  (* the reported makespan is the score of the accepted flags, so on the
-     flat backend it is the engine's own value *)
+  (* the reported makespan is the engine's own score of the accepted
+     flags *)
   record_metrics ~sweeps:!sweeps
     {
       schedule = Schedule.make g ~order ~checkpointed:flags;

@@ -17,7 +17,6 @@ type result = {
 
 val improve :
   ?max_evaluations:int ->
-  ?backend:Eval_engine.backend ->
   ?replica_cost:float ->
   ?max_replicas:int ->
   ?cancel:Wfc_platform.Cancel.t ->
@@ -31,19 +30,17 @@ val improve :
     full sweep yields no improvement or [max_evaluations] (default [4000])
     evaluator calls have been spent. The result never degrades the seed.
 
-    [backend] (default [Flat]) selects how candidate flips are
-    evaluated: through {!Flat_engine.flip} — each flip then costs a suffix
-    re-evaluation instead of a full one — or through one {!Evaluator} call
-    per flip. The reported [makespan] and [initial_makespan] are the
-    backend's own scores: on [Flat], bitwise the value a fresh
-    {!Flat_engine} gives the returned (resp. seed) flags, within ~1e-15
-    relative of the oracle.
+    Candidate flips are scored through {!Flat_engine.flip}, so each flip
+    costs a suffix re-evaluation instead of a full one. The reported
+    [makespan] and [initial_makespan] are the kernel's own scores: bitwise
+    the value a fresh {!Flat_engine} gives the returned (resp. seed) flags,
+    within ~1e-15 relative of the oracle.
 
     When [s] is replicated, or [max_replicas] is given, the move set also
     includes per-task replica-count steps ([+1] up to [max_replicas],
     default [max 4 (max_replica_count s)]; [-1] down to a single copy), and
     every candidate is scored through the replication-aware evaluator with
-    [replica_cost] per extra copy — this path ignores [backend].
+    [replica_cost] per extra copy.
 
     [cancel] (default {!Wfc_platform.Cancel.never}) is polled once per
     candidate move on every path; a cancelled token aborts the climb with

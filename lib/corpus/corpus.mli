@@ -9,9 +9,10 @@
 
     Everything is analytic (Theorem 3 expectations, no simulation), so a
     sweep is a pure function of the corpus and the configuration: results
-    are byte-identical across runs and across domain counts, and agree
-    across evaluation backends up to the last ulps of each ratio (see
-    {!diff}). That determinism is what makes the committed mini-corpus
+    are byte-identical across runs and across domain counts, and every
+    ratio is the flat kernel's makespan of the winning schedule, within
+    1e-9 of the {!Wfc_core.Evaluator} oracle's (the test suite checks each
+    cell). That determinism is what makes the committed mini-corpus
     under [test/corpus/] a golden regression suite: re-run the sweep, diff
     the tables byte for byte. *)
 
@@ -73,6 +74,7 @@ type config = {
       (** table columns, in order *)
   search : Wfc_core.Heuristics.search;
   backend : Wfc_core.Eval_engine.backend;
+      (** always [Flat] and ignored; kept for wfcbench, see ROADMAP item 3 *)
   replication : Wfc_core.Replication.spec;
   replica_cost : float;  (** surcharge per extra replica *)
   downtime : float;
@@ -91,7 +93,7 @@ type config = {
 
 val default_config : config
 (** Default scenarios, the paper's six checkpoint strategies under DF,
-    [Grid 16] search, flat backend, no replication, no downtime,
+    [Grid 16] search, [backend = Flat], no replication, no downtime,
     [exact_budget = 0], [exact_max_n = 24], one domain, seed 42. *)
 
 type cell = {
@@ -121,6 +123,8 @@ type report = {
   scenario_names : string list;
   heuristic_names : string list;
   backend_name : string;
+      (** always ["flat"], printed in each table header and the JSON
+          report; kept for wfcbench, see ROADMAP item 3 *)
 }
 
 val sweep :
@@ -133,13 +137,6 @@ val sweep :
     chunks; each job derives its own RF stream from [seed] and the job
     index, so the report is independent of the domain count. [skipped] is
     carried into the report verbatim. *)
-
-val diff : report -> report -> string option
-(** [diff a b] is [None] when the two reports agree: every name, tier,
-    winner and count exactly, every float within 1e-9 relative
-    ({!Wfc_core.Eval_engine.backends_agree}). Otherwise it names the first difference. The backend label is
-    not compared — this is how a naive-backend sweep is checked against a
-    flat one, whose makespans agree only to the last ulps. *)
 
 val tables : report -> (string * Wfc_reporting.Table.t) list
 (** One Figure-style table per scenario: a row per instance, a ratio column

@@ -73,8 +73,7 @@ let solve ?(config = default_config) ?(cancel = Wfc_platform.Cancel.never)
   let sol, status =
     Trace.with_span "driver.exact" (fun () ->
         Exact_solver.optimal_checkpoints_within ~max_nodes:config.max_nodes
-          ~should_stop ~cancel ~backend:config.backend
-          ~domains:config.bnb_domains model g ~order)
+          ~should_stop ~cancel ~domains:config.bnb_domains model g ~order)
   in
   let elapsed () = Unix.gettimeofday () -. t0 in
   match status with
@@ -94,8 +93,7 @@ let solve ?(config = default_config) ?(cancel = Wfc_platform.Cancel.never)
       let ls =
         Trace.with_span "driver.local_search" (fun () ->
             Local_search.improve ~max_evaluations:config.ls_evaluations
-              ~cancel ~backend:config.backend model g
-              sol.Exact_solver.schedule)
+              ~cancel model g sol.Exact_solver.schedule)
       in
       (* tier 3: the configured heuristic chain, on their own linearizations *)
       let best_fallback =
@@ -103,8 +101,7 @@ let solve ?(config = default_config) ?(cancel = Wfc_platform.Cancel.never)
         List.fold_left
           (fun best (lin, ckpt) ->
             let o =
-              Heuristics.run ~search:config.search ~backend:config.backend
-                ~cancel model g ~lin ~ckpt
+              Heuristics.run ~search:config.search ~cancel model g ~lin ~ckpt
             in
             match best with
             | Some (_, b) when b.Heuristics.makespan <= o.Heuristics.makespan ->
@@ -157,14 +154,14 @@ type suffix_result = {
 
 let default_suffix_budget = 256
 
-(* Candidate order is deterministic and identical for every backend:
-   incumbent, suffix-all-off, suffix-all-on, then best-improvement single
-   flips scanned in position order. Scores from a reused engine, a fresh
-   engine and the oracle agree (bit-identically for engines — the makespan
-   is a pure function of the flag vector — and at ~1e-12 for the oracle),
-   so the search path and the returned flags are backend-independent. *)
-let solve_suffix ?(budget = default_suffix_budget) ?engine
-    ?(backend = Eval_engine.Flat) model g ~order ~flags ~from =
+(* Candidate order is deterministic: incumbent, suffix-all-off,
+   suffix-all-on, then best-improvement single flips scanned in position
+   order. A reused engine and a fresh one score every candidate
+   bit-identically (the makespan is a pure function of the flag vector),
+   so the search path and the returned flags do not depend on which engine
+   ran it. *)
+let solve_suffix ?(budget = default_suffix_budget) ?engine model g ~order
+    ~flags ~from =
   Trace.with_span "driver.solve_suffix" @@ fun () ->
   let n = Array.length order in
   if budget < 1 then invalid_arg "Solver_driver.solve_suffix: budget < 1";
@@ -172,34 +169,22 @@ let solve_suffix ?(budget = default_suffix_budget) ?engine
     invalid_arg "Solver_driver.solve_suffix: flags have the wrong size";
   if from < 0 || from > n then
     invalid_arg "Solver_driver.solve_suffix: position out of range";
-  let score =
-    match backend with
-    | Eval_engine.Naive ->
-        fun cand ->
-          let s = Schedule.make g ~order ~checkpointed:cand in
-          let r = Evaluator.evaluate model g s in
-          let sum = ref 0. in
-          for i = from to n - 1 do
-            sum := !sum +. r.Evaluator.per_position.(i)
-          done;
-          !sum
-    | Eval_engine.Flat ->
-        let e =
-          match engine with
-          | None -> Flat_engine.create model g ~order
-          | Some e ->
-              if Flat_engine.order e <> order then
-                invalid_arg
-                  "Solver_driver.solve_suffix: engine bound to another order";
-              Flat_engine.set_model e model;
-              e
-        in
-        fun cand ->
-          Flat_engine.set_flags e cand;
-          Flat_engine.suffix_makespan e ~from
+  let e =
+    match engine with
+    | None -> Flat_engine.create model g ~order
+    | Some e ->
+        if Flat_engine.order e <> order then
+          invalid_arg
+            "Solver_driver.solve_suffix: engine bound to another order";
+        Flat_engine.set_model e model;
+        e
   in
   let evals = ref 0 in
-  let eval cand = incr evals; score cand in
+  let eval cand =
+    incr evals;
+    Flat_engine.set_flags e cand;
+    Flat_engine.suffix_makespan e ~from
+  in
   let best_flags = Array.copy flags in
   let best = ref (eval best_flags) in
   let consider cand =
@@ -243,10 +228,7 @@ let solve_suffix ?(budget = default_suffix_budget) ?engine
     end
   done;
   (* leave a reused engine holding the chosen flags *)
-  (match (backend, engine) with
-  | Eval_engine.Flat, Some e ->
-      Flat_engine.set_flags e best_flags
-  | _ -> ());
+  if Option.is_some engine then Flat_engine.set_flags e best_flags;
   if Metrics.enabled () then begin
     Metrics.incr m_replans;
     Metrics.add m_replan_evals !evals
@@ -259,29 +241,25 @@ let solve_suffix ?(budget = default_suffix_budget) ?engine
    lineages with relinearization — so a tiny LRU covers every replan after
    the first, and [set_model] inside [solve_suffix] rebinds the estimated
    rate without losing the cached lost-work rows. *)
-let replanner ?(budget = default_suffix_budget)
-    ?(backend = Eval_engine.Flat) ?relinearize g =
+let replanner ?(budget = default_suffix_budget) ?relinearize g =
   let cache = ref [] in
   let max_cached = 4 in
   let engine_for model order =
-    match backend with
-    | Eval_engine.Naive -> None
-    | Eval_engine.Flat -> (
-        match List.find_opt (fun (o, _) -> o = order) !cache with
-        | Some (_, e) -> Some e
-        | None ->
-            let e = Flat_engine.create model g ~order in
-            cache :=
-              (Array.copy order, e)
-              :: (if List.length !cache >= max_cached then
-                    List.filteri (fun i _ -> i < max_cached - 1) !cache
-                  else !cache);
-            Some e)
+    match List.find_opt (fun (o, _) -> o = order) !cache with
+    | Some (_, e) -> e
+    | None ->
+        let e = Flat_engine.create model g ~order in
+        cache :=
+          (Array.copy order, e)
+          :: (if List.length !cache >= max_cached then
+                List.filteri (fun i _ -> i < max_cached - 1) !cache
+              else !cache);
+        e
   in
   fun ~model ~order ~flags ~from ->
     let solve ~budget order flags =
       let engine = engine_for model order in
-      solve_suffix ~budget ?engine ~backend model g ~order ~flags ~from
+      solve_suffix ~budget ~engine model g ~order ~flags ~from
     in
     match relinearize with
     | None ->

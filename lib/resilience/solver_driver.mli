@@ -30,16 +30,15 @@ type config = {
   ls_evaluations : int;
       (** evaluator budget for hill climbing the exact incumbent *)
   backend : Wfc_core.Eval_engine.backend;
-      (** evaluation backend threaded through every tier *)
+      (** always [Flat] and ignored; kept for wfcbench, see ROADMAP item 3 *)
   bnb_domains : int;
-      (** domains for the exact tier's parallel branch and bound (flat
-          backend only; the naive backend ignores it) *)
+      (** domains for the exact tier's parallel branch and bound *)
 }
 
 val default_config : config
 (** [max_nodes = 1_000_000], [deadline = None], exhaustive search, the
     paper's four searched strategies under DF as fallbacks,
-    [ls_evaluations = 2000], flat backend, [bnb_domains = 1]. *)
+    [ls_evaluations = 2000], [backend = Flat], [bnb_domains = 1]. *)
 
 type result = {
   schedule : Wfc_core.Schedule.t;
@@ -82,7 +81,6 @@ type suffix_result = {
 val solve_suffix :
   ?budget:int ->
   ?engine:Wfc_core.Flat_engine.t ->
-  ?backend:Wfc_core.Eval_engine.backend ->
   Wfc_platform.Failure_model.t ->
   Wfc_dag.Dag.t ->
   order:int array ->
@@ -102,15 +100,14 @@ val solve_suffix :
     earliest position) and spends at most [budget] (default 256) candidate
     evaluations — the per-replan budget of the adaptive executor.
 
-    With the [Flat] backend (the default), [engine]
-    supplies a {!Wfc_core.Flat_engine} already bound to
-    [(g, order)] to reuse across replans: the model is rebound with
-    {!Wfc_core.Flat_engine.set_model} (cached lost-work rows survive) and
-    each candidate costs only the suffix it dirties; on return the engine
-    holds the chosen flags. Without [engine] a fresh one is built. The
-    candidate sequence is backend-independent, so a reused engine, a fresh
-    engine and the [Naive] oracle return the same flags and agree on
-    [expected_remaining] to the usual 1e-9.
+    Candidates are scored on a {!Wfc_core.Flat_engine}. [engine] supplies
+    one already bound to [(g, order)] to reuse across replans: the model is
+    rebound with {!Wfc_core.Flat_engine.set_model} (cached lost-work rows
+    survive) and each candidate costs only the suffix it dirties; on return
+    the engine holds the chosen flags. Without [engine] a fresh one is
+    built. A reused engine and a fresh one return the same flags and the
+    same [expected_remaining], bit for bit, within 1e-9 of the oracle's
+    suffix sum.
 
     @raise Invalid_argument if [budget < 1], [flags] has the wrong size,
       [from] is outside [\[0, n\]], [order] is not a linearization, or
@@ -121,7 +118,6 @@ val default_suffix_budget : int
 
 val replanner :
   ?budget:int ->
-  ?backend:Wfc_core.Eval_engine.backend ->
   ?relinearize:Wfc_dag.Linearize.strategy ->
   Wfc_dag.Dag.t ->
   Wfc_simulator.Sim_adaptive.replan

@@ -163,11 +163,10 @@ type ranked = {
 }
 
 let rank ?runs ?domains ?max_failures ?(search = Heuristics.Exhaustive)
-    ?backend ?replication ?replica_cost ~seed ~nominal ~scenarios g heuristics
-    =
+    ?replication ?replica_cost ~seed ~nominal ~scenarios g heuristics =
   List.map
     (fun (lin, ckpt) ->
-      let outcome = Heuristics.run ~search ?backend nominal g ~lin ~ckpt in
+      let outcome = Heuristics.run ~search nominal g ~lin ~ckpt in
       (* the checkpoint placement is optimized unreplicated; the replication
          policy then spends its budget on top, and the stressed schedule is
          the replicated one *)

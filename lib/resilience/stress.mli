@@ -95,7 +95,6 @@ val rank :
   ?domains:int ->
   ?max_failures:int ->
   ?search:Wfc_core.Heuristics.search ->
-  ?backend:Wfc_core.Eval_engine.backend ->
   ?replication:Wfc_core.Replication.spec ->
   ?replica_cost:float ->
   seed:int ->

@@ -213,12 +213,12 @@ let w_request b = function
       w_f64 b true_mtbf;
       w_int b traces;
       w_int b mcseed
-  | Corpus { dir; ratios; grid; backend } ->
+  | Corpus { dir; ratios; grid } ->
       w_u8 b 5;
       w_string b dir;
       w_list w_f64 b ratios;
       w_int b grid;
-      w_backend b backend
+      w_backend b E.Flat
   | Stats -> w_u8 b 6
   | Sleep s ->
       w_u8 b 7;
@@ -244,8 +244,8 @@ let r_request r =
       let dir = r_string r in
       let ratios = r_list r_f64 r in
       let grid = r_int r in
-      let backend = r_backend r in
-      Corpus { dir; ratios; grid; backend }
+      let E.Flat = r_backend r in
+      Corpus { dir; ratios; grid }
   | 6 -> Stats
   | 7 -> Sleep (r_f64 r)
   | 8 -> Shutdown

@@ -42,12 +42,7 @@ type request =
       traces : int;
       mcseed : int;
     }
-  | Corpus of {
-      dir : string;
-      ratios : float list;
-      grid : int;
-      backend : E.backend;
-    }
+  | Corpus of { dir : string; ratios : float list; grid : int }
   | Stats
   | Sleep of float  (* seconds; a test and bench aid *)
   | Shutdown
@@ -362,29 +357,30 @@ let request_of_line line =
                      mcseed;
                    }))
       | "corpus" ->
-          let* (dir, ratios, grid, backend), rest =
+          let* (dir, ratios, grid), rest =
             List.fold_left
               (fun acc (k, v) ->
-                let* (dir, ratios, grid, backend), rest = acc in
+                let* (dir, ratios, grid), rest = acc in
                 match k with
-                | "dir" -> Ok ((Some v, ratios, grid, backend), rest)
+                | "dir" -> Ok ((Some v, ratios, grid), rest)
                 | "ratios" ->
                     let* rs = parse_ratios v in
-                    Ok ((dir, rs, grid, backend), rest)
+                    Ok ((dir, rs, grid), rest)
                 | "grid" ->
                     let* g = parse_int "grid" v in
-                    Ok ((dir, ratios, g, backend), rest)
+                    Ok ((dir, ratios, g), rest)
                 | "engine" ->
-                    let* b = parse_with "engine" E.backend_of_string v in
-                    Ok ((dir, ratios, grid, b), rest)
-                | _ -> Ok ((dir, ratios, grid, backend), (k, v) :: rest))
-              (Ok ((None, [ 0.1; 1.; 10. ], 16, E.Flat), []))
+                    (* [flat] is the only engine: checked, then dropped *)
+                    let* E.Flat = parse_with "engine" E.backend_of_string v in
+                    Ok ((dir, ratios, grid), rest)
+                | _ -> Ok ((dir, ratios, grid), (k, v) :: rest))
+              (Ok ((None, [ 0.1; 1.; 10. ], 16), []))
               kvs
           in
           no_extras cmd rest (fun () ->
               match dir with
               | None -> Error "corpus needs dir=PATH"
-              | Some dir -> Ok (Corpus { dir; ratios; grid; backend }))
+              | Some dir -> Ok (Corpus { dir; ratios; grid }))
       | _ ->
           Error
             (Printf.sprintf

@@ -28,6 +28,9 @@ type solve_params = {
   ckpt : Wfc_core.Heuristics.ckpt_strategy;
   grid : int;  (** 0 = exhaustive checkpoint-count search *)
   backend : Wfc_core.Eval_engine.backend;
+      (** the wire's [engine] slot: always [Flat] (any other name is a
+          [bad-request]) and ignored; kept for wfcbench, see ROADMAP
+          item 3 *)
   deadline : float option;
       (** compute budget in seconds; mapped deterministically onto the
           solver-driver tiers (never a wall-clock abort, so responses stay
@@ -44,12 +47,9 @@ type request =
       traces : int;
       mcseed : int;
     }
-  | Corpus of {
-      dir : string;
-      ratios : float list;
-      grid : int;
-      backend : Wfc_core.Eval_engine.backend;
-    }
+  | Corpus of { dir : string; ratios : float list; grid : int }
+      (** the binary frame still carries an [engine] string after [grid];
+          [flat] is its only legal value *)
   | Stats
   | Sleep of float  (** seconds; deterministic load for tests and bench *)
   | Shutdown
@@ -73,8 +73,7 @@ val error_code_name : error_code -> string
 val error_code_of_string : string -> error_code option
 
 (** Responses deliberately carry no timing, cache or backend fields: a warm
-    solve must be byte-identical to a cold one (and the same schedule across
-    engines, whose makespans differ only in the last ulps), so everything
+    solve must be byte-identical to a cold one, so everything
     nondeterministic lives in the [Stats] endpoint only. *)
 type solved = {
   source : string;

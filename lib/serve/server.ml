@@ -2,8 +2,8 @@
    tests and the bench) plus the socket serving loop around it.
 
    Responses must be byte-identical whether the warm-engine cache is on or
-   off, across evaluation backends and across worker/domain counts — that
-   is the regression contract the serve bench pins. Consequently:
+   off and across worker/domain counts — that is the regression contract
+   the serving tests pin. Consequently:
 
    - the warm cache only short-circuits the engine {e build}; the search it
      feeds ([Heuristics.run ?engine]) is bit-identical to a cold run;
@@ -164,10 +164,10 @@ let deadline_plan cfg ~n d =
    [engines_out] counter is the observable pin: it is non-zero only while a
    checkout is live, so [cache.outstanding] in [stats] must read 0 at
    rest. *)
-let with_engine t (p : Pr.solve_params) model g ~order f =
-  if Engine_cache.capacity t.cache = 0 || p.backend = E.Naive then f None
+let with_engine t model g ~order f =
+  if Engine_cache.capacity t.cache = 0 then f None
   else begin
-    let key = Key.make p.backend model g ~order in
+    let key = Key.make E.Flat model g ~order in
     let engine =
       match Engine_cache.take t.cache key with
       | Some h -> h
@@ -215,10 +215,9 @@ let run_solve t ~cancel (p : Pr.solve_params) =
       Ok
         (match plan with
         | (`Heuristic | `Local_search _) as plan ->
-            with_engine t p model g ~order (fun engine ->
+            with_engine t model g ~order (fun engine ->
                 let o =
-                  H.run ~search ~backend:p.backend ?engine ~cancel model g
-                    ~lin:p.lin ~ckpt:p.ckpt
+                  H.run ~search ?engine ~cancel model g ~lin:p.lin ~ckpt:p.ckpt
                 in
                 match plan with
                 | `Heuristic ->
@@ -226,8 +225,8 @@ let run_solve t ~cancel (p : Pr.solve_params) =
                       o.H.schedule o.H.makespan
                 | `Local_search evals ->
                     let ls =
-                      LS.improve ~max_evaluations:evals ~backend:p.backend
-                        ~cancel model g o.H.schedule
+                      LS.improve ~max_evaluations:evals ~cancel model g
+                        o.H.schedule
                     in
                     finish ~tier:Driver.Local_search
                       ~evaluations:(o.H.evaluations + ls.LS.evaluations)
@@ -240,7 +239,6 @@ let run_solve t ~cancel (p : Pr.solve_params) =
               { Driver.default_config with
                 Driver.max_nodes = nodes;
                 search;
-                backend = p.backend;
                 fallbacks = [ (p.lin, p.ckpt) ];
               }
             in
@@ -270,7 +268,7 @@ let run_adapt t ~cancel (p : Pr.solve_params) ~true_mtbf ~traces ~mcseed =
     (fun ((solved : Pr.solved), sched, g, planning) ->
       let truth = FM.of_mtbf ~mtbf:true_mtbf ~downtime:p.downtime () in
       let scenarios = Robust.default_scenarios truth in
-      let replanner = Driver.replanner ~backend:p.backend g in
+      let replanner = Driver.replanner g in
       let config =
         { (SA.default_config planning) with SA.replan = Some replanner }
       in
@@ -296,7 +294,7 @@ let run_adapt t ~cancel (p : Pr.solve_params) ~true_mtbf ~traces ~mcseed =
       })
     (run_solve t ~cancel p)
 
-let run_corpus t ~dir ~ratios ~grid ~backend =
+let run_corpus t ~dir ~ratios ~grid =
   match Corpus.load_dir ~cost:(CM.Proportional 0.1) dir with
   | Stdlib.Error msg -> err Pr.Bad_request msg
   | Ok ([], _) -> err Pr.Bad_request ("no workflow files in " ^ dir)
@@ -305,7 +303,6 @@ let run_corpus t ~dir ~ratios ~grid ~backend =
         { Corpus.default_config with
           Corpus.scenarios = List.map (fun r -> Corpus.Relative r) ratios;
           search = (if grid <= 0 then H.Exhaustive else H.Grid grid);
-          backend;
           domains = t.config.domains;
         }
       in
@@ -432,8 +429,7 @@ let dispatch t ~cancel req =
           match run_adapt t ~cancel params ~true_mtbf ~traces ~mcseed with
           | Ok a -> Pr.Adapted a
           | Stdlib.Error msg -> err Pr.Bad_request msg)
-      | Pr.Corpus { dir; ratios; grid; backend } ->
-          run_corpus t ~dir ~ratios ~grid ~backend)
+      | Pr.Corpus { dir; ratios; grid } -> run_corpus t ~dir ~ratios ~grid)
 
 let handle ?cancel t req =
   let m = ep_metrics.(endpoint_index req) in

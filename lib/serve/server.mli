@@ -7,9 +7,9 @@
     sniffed by a [0x00] first byte) and {!Protocol} (line-oriented text).
 
     The serving regression contract: responses are byte-identical with the
-    warm-engine cache on or off and across worker/domain counts; the two
-    evaluation backends return the same schedules, with makespans that
-    differ only in the last ulps. Deadlines therefore map to {e deterministic}
+    warm-engine cache on or off and across worker/domain counts. Every
+    search runs on the flat kernel; the wire's [engine] key accepts only
+    [flat]. Deadlines therefore map to {e deterministic}
     solver budgets (node counts at a fixed calibration rate) rather than
     wall-clock aborts, and everything nondeterministic — latency
     histograms, uptime, hit rates — is reachable only through the [Stats]

@@ -1,5 +1,5 @@
 (* Corpus sweep rig: directory ingestion with per-file error collection,
-   scenario semantics, and the determinism contract (engine- and
+   scenario semantics, and the determinism contract (oracle-checked,
    domain-invariant reports) that makes the golden cram test meaningful. *)
 
 module Corpus = Wfc_corpus.Corpus
@@ -138,17 +138,13 @@ let test_sweep_shape () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "report JSON invalid: %s" e
 
-(* each backend reports its own makespans, which agree to the last ulps:
-   names, tiers, winners and counts must match exactly, ratios to 1e-9 *)
+(* every cell's ratio is the oracle's makespan of that heuristic's winning
+   schedule over the total weight, to 1e-9 relative *)
 let test_engine_invariance () =
   let instances = mini_corpus () in
-  let with_backend backend =
-    Corpus.sweep ~config:{ quick_config with Corpus.backend } instances
-  in
-  Alcotest.(check (option string)) "naive = flat" None
-    (Corpus.diff
-       (with_backend Wfc_core.Eval_engine.Flat)
-       (with_backend Wfc_core.Eval_engine.Naive))
+  let report = Corpus.sweep ~config:quick_config instances in
+  Alcotest.(check (result int string)) "every cell = oracle" (Ok 48)
+    (Wfc_test_util.Corpus_oracle.check quick_config instances report)
 
 let test_domain_invariance () =
   let instances = mini_corpus () in

@@ -150,64 +150,68 @@ let test_bnb_fail_free () =
     (Schedule.checkpoint_count sol.Exact_solver.schedule);
   Wfc_test_util.check_close "T_inf" 6. sol.Exact_solver.makespan
 
-(* the flat search, with its pruning features on, must land on the same
-   optimum as the naive prefix evaluation (to 1e-9: each reports its own
-   backend's value) *)
-let test_backend_invariance () =
+(* Known answers of the sequential search that scored every child with one
+   Evaluator call, measured before it was retired: its node count, its
+   optimal flags and the oracle's makespan of them, bit for bit. *)
+let sequential_optima =
   let module P = Wfc_workflows.Pegasus in
+  [
+    (P.Montage, 14, 5, 1176, [ 1; 0; 2; 3; 4; 6; 7; 8; 10 ],
+     0x1.652f579640be4p+7);
+    (P.Ligo, 12, 9, 525, [ 1; 3; 0; 2; 4; 7; 10; 5; 8; 6; 9 ],
+     0x1.980c98f535e3fp+13);
+    (P.Genome, 16, 3, 10524, List.init 15 Fun.id, 0x1.0b48f0a6eccabp+51);
+  ]
+
+let optimum_instance family n seed =
   let module CM = Wfc_workflows.Cost_model in
+  let g =
+    CM.apply (CM.Proportional 0.1)
+      (Wfc_workflows.Pegasus.generate family ~n ~seed)
+  in
+  (g, Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g)
+
+(* the search, with its pruning features on, must land on the sequential
+   optimum (to 1e-9: it reports the kernel's value, the pin is the
+   oracle's) and pruning may only save nodes *)
+let test_backend_invariance () =
   let model = FM.make ~lambda:5e-3 ~downtime:0.5 () in
   List.iter
-    (fun (family, n, seed) ->
-      let g = CM.apply (CM.Proportional 0.1) (P.generate family ~n ~seed) in
-      let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
-      let naive, st_n =
-        Exact_solver.optimal_checkpoints_within ~backend:Eval_engine.Naive
-          model g ~order
-      in
-      let flat, st_f =
-        Exact_solver.optimal_checkpoints_within ~backend:Eval_engine.Flat
-          model g ~order
-      in
-      Alcotest.(check bool) "both optimal" true
-        (st_n = `Optimal && st_f = `Optimal);
-      Wfc_test_util.check_close "same makespan" naive.Exact_solver.makespan
+    (fun (family, n, seed, nodes, _, oracle) ->
+      let g, order = optimum_instance family n seed in
+      let flat, st_f = Exact_solver.optimal_checkpoints_within model g ~order in
+      Alcotest.(check bool) "optimal" true (st_f = `Optimal);
+      Wfc_test_util.check_close "same makespan" oracle
         flat.Exact_solver.makespan;
+      Wfc_test_util.check_close "oracle agrees" oracle
+        (Evaluator.expected_makespan model g flat.Exact_solver.schedule);
       Alcotest.(check bool) "pruning only saves nodes" true
-        (flat.Exact_solver.nodes <= naive.Exact_solver.nodes))
-    [ (P.Montage, 14, 5); (P.Ligo, 12, 9); (P.Genome, 16, 3) ]
+        (flat.Exact_solver.nodes <= nodes))
+    sequential_optima
 
 (* ---- flat branch and bound --------------------------------------------- *)
 
-(* with pruning features off and one domain, the flat search must expand the
-   same tree node for node as the sequential naive search, and land on the
-   same flags; the two optima agree to 1e-9 *)
+(* with pruning features off and one domain, the search must expand the
+   same tree node for node as the sequential search did, and land on the
+   same flags, whose oracle makespan is the pinned one bit for bit *)
 let test_flat_node_parity () =
-  let module P = Wfc_workflows.Pegasus in
-  let module CM = Wfc_workflows.Cost_model in
   let model = FM.make ~lambda:5e-3 ~downtime:0.5 () in
   List.iter
-    (fun (family, n, seed) ->
-      let g = CM.apply (CM.Proportional 0.1) (P.generate family ~n ~seed) in
-      let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
-      let naive, st_n =
-        Exact_solver.optimal_checkpoints_within ~backend:Eval_engine.Naive
-          model g ~order
-      in
+    (fun (family, n, seed, nodes, flags, oracle) ->
+      let g, order = optimum_instance family n seed in
       let flat, st_f =
-        Exact_solver.optimal_checkpoints_within ~backend:Eval_engine.Flat
-          ~domains:1 ~dominance:false ~memo:false model g ~order
+        Exact_solver.optimal_checkpoints_within ~domains:1 ~dominance:false
+          ~memo:false model g ~order
       in
-      Alcotest.(check bool) "both optimal" true
-        (st_n = `Optimal && st_f = `Optimal);
-      Alcotest.(check bool) "same flags" true
-        (naive.Exact_solver.schedule.Schedule.checkpointed
-        = flat.Exact_solver.schedule.Schedule.checkpointed);
-      Wfc_test_util.check_close "same makespan" naive.Exact_solver.makespan
+      Alcotest.(check bool) "optimal" true (st_f = `Optimal);
+      Alcotest.(check (list int)) "same flags" flags
+        (Schedule.checkpointed_tasks flat.Exact_solver.schedule);
+      Alcotest.(check (float 0.)) "oracle value of the flags" oracle
+        (Evaluator.expected_makespan model g flat.Exact_solver.schedule);
+      Wfc_test_util.check_close "same makespan" oracle
         flat.Exact_solver.makespan;
-      Alcotest.(check int) "same nodes" naive.Exact_solver.nodes
-        flat.Exact_solver.nodes)
-    [ (P.Montage, 14, 5); (P.Ligo, 12, 9); (P.Genome, 16, 3) ]
+      Alcotest.(check int) "same nodes" nodes flat.Exact_solver.nodes)
+    sequential_optima
 
 (* dominance and memo must never change the optimum, only the node count *)
 let prop_flat_bnb_equals_brute_force =
@@ -217,10 +221,7 @@ let prop_flat_bnb_equals_brute_force =
     (Format.asprintf "%a" Dag.pp_stats)
     (fun g ->
       let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
-      let sol =
-        Exact_solver.optimal_checkpoints ~backend:Eval_engine.Flat model g
-          ~order
-      in
+      let sol = Exact_solver.optimal_checkpoints model g ~order in
       let _, brute = Brute_force.optimal_checkpoints_for_order model g ~order in
       Wfc_test_util.close ~eps:1e-9 sol.Exact_solver.makespan brute)
 
@@ -248,8 +249,8 @@ let prop_flat_dominance_zero_cost_exact =
       in
       let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
       let sol =
-        Exact_solver.optimal_checkpoints ~backend:Eval_engine.Flat
-          ~dominance:true ~memo:false model g ~order
+        Exact_solver.optimal_checkpoints ~dominance:true ~memo:false model g
+          ~order
       in
       let _, brute = Brute_force.optimal_checkpoints_for_order model g ~order in
       Wfc_test_util.close ~eps:1e-9 sol.Exact_solver.makespan brute)
@@ -265,12 +266,10 @@ let test_flat_parallel_agreement () =
       let g = CM.apply (CM.Proportional 0.1) (P.generate family ~n ~seed) in
       let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
       let one, st_1 =
-        Exact_solver.optimal_checkpoints_within ~backend:Eval_engine.Flat
-          ~domains:1 model g ~order
+        Exact_solver.optimal_checkpoints_within ~domains:1 model g ~order
       in
       let four, st_4 =
-        Exact_solver.optimal_checkpoints_within ~backend:Eval_engine.Flat
-          ~domains:4 model g ~order
+        Exact_solver.optimal_checkpoints_within ~domains:4 model g ~order
       in
       Alcotest.(check bool) "both optimal" true
         (st_1 = `Optimal && st_4 = `Optimal);

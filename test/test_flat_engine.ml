@@ -451,7 +451,7 @@ let test_set_model () =
 
 let test_flat_handle () =
   (* [Eval_engine.handle Flat] is [Flat_engine.create]: same bits at build
-     and after the same mutations; [Naive] has no engine *)
+     and after the same mutations *)
   let g =
     Builders.fork_join ~source_weight:3. ~middle_weights:[| 2.; 5.; 1. |]
       ~sink_weight:4.
@@ -473,10 +473,7 @@ let test_flat_handle () =
   same "set_model" (Flat_engine.makespan e) (Flat_engine.makespan h);
   Alcotest.(check (array bool)) "flags" (Flat_engine.flags e)
     (Flat_engine.flags h);
-  Alcotest.(check (array int)) "order" order (Flat_engine.order h);
-  Alcotest.check_raises "naive has no engine"
-    (Invalid_argument "Eval_engine.handle: the naive backend has no engine")
-    (fun () -> ignore (Eval_engine.handle Eval_engine.Naive model g ~order))
+  Alcotest.(check (array int)) "order" order (Flat_engine.order h)
 
 let test_replicated_handle () =
   (* replicated schedules are scored per candidate by Replication.evaluate:
@@ -521,8 +518,8 @@ let test_replicated_handle () =
 
 (* ---- reported makespans ---- *)
 
-(* Every search on the flat backend reports the kernel's own value for the
-   schedule it returns (the server's answers are checked in test_serve). *)
+(* Every search reports the kernel's own value for the schedule it
+   returns (the server's answers are checked in test_serve). *)
 let reported_ok = Wfc_test_util.reported_ok
 
 module Driver = Wfc_resilience.Solver_driver
@@ -553,10 +550,7 @@ let prop_heuristics_report_kernel =
         (fun ckpt ->
           let cold = Heuristics.run model g ~lin ~ckpt in
           (* a warm engine left holding other flags under another model *)
-          let engine =
-            Eval_engine.handle ~flags:stale Eval_engine.Flat stale_model g
-              ~order
-          in
+          let engine = Flat_engine.create ~flags:stale stale_model g ~order in
           let warm = Heuristics.run ~engine model g ~lin ~ckpt in
           reported_ok model g cold.Heuristics.schedule cold.Heuristics.makespan
           && Float.equal warm.Heuristics.makespan cold.Heuristics.makespan
@@ -716,7 +710,7 @@ let test_validation () =
   expect_invalid (fun () ->
       Flat_engine.lost_entry engine ~last_fault:1 ~position:0);
   expect_invalid (fun () ->
-      Eval_engine.handle Eval_engine.Naive model g ~order:[| 0; 1 |])
+      Eval_engine.handle Eval_engine.Flat model g ~order:[| 1; 0 |])
 
 let () =
   Alcotest.run "flat_engine"

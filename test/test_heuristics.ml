@@ -253,50 +253,62 @@ let test_candidate_counts_edges () =
 
 (* ---- backend invariance ---- *)
 
-(* The flat engine must not change what the search finds: same order, same
-   flags, same checkpoint count and bookkeeping as the naive oracle path,
-   on realistic 50-task instances. Each path reports its own score of the
-   winner, so the makespans agree to 1e-9 relative, not to the bit. *)
+(* The flat engine must not change what the search finds: the checkpoint
+   count the oracle-scored sweep (one Evaluator call per candidate) chose
+   on these realistic 50-task instances before it was retired, for each
+   strategy under exhaustive and Grid 8 search, and the same bookkeeping.
+   The reported makespan is the kernel's, within 1e-9 relative of the
+   oracle's value of the returned schedule. *)
+let oracle_sweep_choices =
+  let module P = Wfc_workflows.Pegasus in
+  (* per strategy, in [all_ckpt_strategies] order: (exhaustive n_ckpt,
+     Grid 8 n_ckpt) *)
+  [
+    (P.Montage, 5,
+     [ (0, 0); (50, 50); (45, 49); (49, 49); (39, 33); (49, 49) ]);
+    (P.Ligo, 9, [ (0, 0); (50, 50); (49, 49); (49, 49); (46, 49); (34, 33) ]);
+  ]
+
 let test_backend_invariance () =
   let module P = Wfc_workflows.Pegasus in
   let module CM = Wfc_workflows.Cost_model in
   let model = FM.make ~lambda:1e-3 ~downtime:1. () in
   List.iter
-    (fun (family, seed) ->
+    (fun (family, seed, choices) ->
       let g = CM.apply (CM.Proportional 0.1) (P.generate family ~n:50 ~seed) in
-      List.iter
-        (fun ckpt ->
+      let order = Linearize.run Linearize.Depth_first g in
+      List.iter2
+        (fun ckpt (exhaustive, grid) ->
           List.iter
-            (fun search ->
-              let naive =
-                Heuristics.run ~search ~backend:Eval_engine.Naive model g
-                  ~lin:Linearize.Depth_first ~ckpt
-              in
+            (fun (search, n_ckpt) ->
               let flat =
-                Heuristics.run ~search ~backend:Eval_engine.Flat model g
-                  ~lin:Linearize.Depth_first ~ckpt
+                Heuristics.run ~search model g ~lin:Linearize.Depth_first ~ckpt
               in
               let name = Heuristics.ckpt_strategy_name ckpt ^ "/flat" in
               Alcotest.(check bool)
                 (name ^ " same order") true
-                (naive.Heuristics.schedule.Schedule.order
-                = flat.Heuristics.schedule.Schedule.order);
+                (flat.Heuristics.schedule.Schedule.order = order);
+              Alcotest.(check int) (name ^ " same n_ckpt") n_ckpt
+                flat.Heuristics.n_ckpt;
               Alcotest.(check bool)
                 (name ^ " same flags") true
-                (naive.Heuristics.schedule.Schedule.checkpointed
-                = flat.Heuristics.schedule.Schedule.checkpointed);
+                (flat.Heuristics.schedule.Schedule.checkpointed
+                = Heuristics.checkpoint_flags ckpt g ~order ~n_ckpt);
               Wfc_test_util.check_close
-                (name ^ " same makespan") naive.Heuristics.makespan
+                (name ^ " same makespan")
+                (Evaluator.expected_makespan model g flat.Heuristics.schedule)
                 flat.Heuristics.makespan;
+              let candidates =
+                match ckpt with
+                | Heuristics.Ckpt_never | Heuristics.Ckpt_always -> 1
+                | _ -> List.length (Heuristics.candidate_counts search ~n:50)
+              in
               Alcotest.(check int)
-                (name ^ " same n_ckpt") naive.Heuristics.n_ckpt
-                flat.Heuristics.n_ckpt;
-              Alcotest.(check int)
-                (name ^ " same evaluations") naive.Heuristics.evaluations
+                (name ^ " same evaluations") candidates
                 flat.Heuristics.evaluations)
-            [ Heuristics.Exhaustive; Heuristics.Grid 8 ])
-        Heuristics.all_ckpt_strategies)
-    [ (P.Montage, 5); (P.Ligo, 9) ]
+            [ (Heuristics.Exhaustive, exhaustive); (Heuristics.Grid 8, grid) ])
+        Heuristics.all_ckpt_strategies choices)
+    oracle_sweep_choices
 
 let () =
   Alcotest.run "heuristics"

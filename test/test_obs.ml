@@ -314,8 +314,7 @@ let test_solver_counters_nonzero () =
   let g = genome 12 in
   let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
   let sol, status =
-    Exact_solver.optimal_checkpoints_within ~max_nodes:100_000
-      ~backend:Eval_engine.Flat fm g ~order
+    Exact_solver.optimal_checkpoints_within ~max_nodes:100_000 fm g ~order
   in
   Alcotest.(check bool) "solved" true (status = `Optimal);
   let s = Metrics.snapshot () in
@@ -329,35 +328,38 @@ let test_solver_counters_nonzero () =
 
 (* ---- end to end: simulator counts are engine-independent --------------- *)
 
-let sim_counters backend =
+(* The counters are a property of the schedule and the seed, not of the
+   search that chose the schedule: the flat search picks the schedule the
+   oracle-scored search did before it was retired, and 400 runs on it
+   inject exactly the faults measured then (the non-zero sim.* counters). *)
+let test_sim_counts_engine_independent () =
+  with_obs @@ fun () ->
   Metrics.reset ();
   let g = genome 14 in
   let o =
-    Heuristics.run ~backend fm g ~lin:Wfc_dag.Linearize.Depth_first
+    Heuristics.run fm g ~lin:Wfc_dag.Linearize.Depth_first
       ~ckpt:Heuristics.Ckpt_weight
   in
   ignore
     (Wfc_simulator.Monte_carlo.estimate ~runs:400 ~seed:5 fm g
        o.Heuristics.schedule);
-  let s = Metrics.snapshot () in
-  List.filter (fun (name, _) -> String.starts_with ~prefix:"sim." name)
-    s.Metrics.counters
-
-let test_sim_counts_engine_independent () =
-  with_obs @@ fun () ->
-  let naive = sim_counters Eval_engine.Naive in
-  let flat = sim_counters Eval_engine.Flat in
+  let sim =
+    List.filter
+      (fun (name, v) -> String.starts_with ~prefix:"sim." name && v <> 0)
+      (Metrics.snapshot ()).Metrics.counters
+  in
   Alcotest.(check (list (pair string int)))
-    "replica/failure/recovery counts identical across engines" naive flat;
-  Alcotest.(check bool) "replicas recorded" true
-    (List.assoc "sim.replicas" naive = 400)
+    "replica/failure/recovery counts identical across engines"
+    [ ("sim.failures_injected", 728836); ("sim.recoveries", 738617);
+      ("sim.replicas", 400) ]
+    sim
 
 (* ---- the oracle stays off the flat hot path ---------------------------- *)
 
-(* Every flat search reports the kernel's own makespan, so no request,
-   sweep (replicated or not) or degraded solve on the flat backend may
-   reach the Evaluator; the naive backend, which scores through it, shows
-   the counter is live. *)
+(* Every search reports the kernel's own makespan, so no request, sweep
+   (replicated or not) or degraded solve may reach the Evaluator; one
+   direct oracle call moving the counter by exactly one shows the zero
+   means something. *)
 let test_oracle_off_flat_paths () =
   with_obs @@ fun () ->
   let module Pr = Wfc_serve.Protocol in
@@ -371,14 +373,14 @@ let test_oracle_off_flat_paths () =
   in
   (* no deadline, 200 nodes and 1000 nodes: the heuristic, local-search
      and exact tiers *)
-  let serve backend () =
+  let serve () =
     let cold =
       Server.create ~config:{ Server.default_config with cache_size = 0 } ()
     in
     let warm = Server.create () in
     List.iter
       (fun deadline ->
-        let params = { Pr.default_solve with Pr.backend; deadline } in
+        let params = { Pr.default_solve with Pr.deadline } in
         List.iter
           (fun req ->
             List.iter
@@ -391,7 +393,7 @@ let test_oracle_off_flat_paths () =
       [ None; Some 0.01; Some 0.05 ]
   in
   (* replicated cells are scored by Replication.evaluate, not the oracle *)
-  let sweep replication backend () =
+  let sweep replication () =
     let cost = Wfc_workflows.Cost_model.Proportional 0.1 in
     match Corpus.load_dir ~cost "corpus" with
     | Error e -> Alcotest.fail e
@@ -399,21 +401,16 @@ let test_oracle_off_flat_paths () =
         let report =
           Corpus.sweep
             ~config:
-              { Corpus.default_config with
-                Corpus.backend;
-                replication;
-                exact_budget = 20_000 }
+              { Corpus.default_config with replication; exact_budget = 20_000 }
             instances
         in
         Alcotest.(check bool) "exact column present" true
           (List.exists (fun r -> r.Corpus.exact <> None) report.Corpus.rows)
   in
-  let exhausted backend () =
+  let exhausted () =
     let g = genome 20 in
     let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
-    let config =
-      { Driver.default_config with Driver.max_nodes = 10; backend }
-    in
+    let config = { Driver.default_config with Driver.max_nodes = 10 } in
     let r = Driver.solve ~config fm g ~order in
     Alcotest.(check bool) "budget exhausted" true
       (r.Driver.tier <> Driver.Exact)
@@ -421,15 +418,18 @@ let test_oracle_off_flat_paths () =
   List.iter
     (fun (name, run) ->
       Alcotest.(check int) (name ^ ": no oracle call on flat") 0
-        (oracle_calls (run Eval_engine.Flat));
-      Alcotest.(check bool) (name ^ ": naive calls the oracle") true
-        (oracle_calls (run Eval_engine.Naive) > 0))
+        (oracle_calls run))
     [
       ("server", serve);
       ("corpus sweep", sweep Wfc_core.Replication.No_replication);
       ("replicated corpus sweep", sweep (Wfc_core.Replication.Budget 0.2));
       ("exhausted driver", exhausted);
-    ]
+    ];
+  let g = genome 12 in
+  let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
+  Alcotest.(check int) "one oracle call counts once" 1
+    (oracle_calls (fun () ->
+         ignore (Evaluator.evaluate fm g (Schedule.no_checkpoints g ~order))))
 
 (* ---- near-zero disabled cost ------------------------------------------- *)
 

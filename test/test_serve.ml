@@ -7,8 +7,8 @@
    2. A warm-cache solve is bit-identical to a cold one: same request
       through a cache-enabled server, a cache-disabled server, and again
       through the warm cache (hit path) must produce structurally equal
-      responses, across all three evaluation backends and under
-      interleaved eviction on a capacity-1 cache.
+      responses, on every deadline tier and under interleaved eviction on a
+      capacity-1 cache.
    3. The LRU's take/put checkout semantics hold their invariants
       (capacity bound, MRU ordering, eviction of the least recent), and
       the bounded pool admits exactly [depth] outstanding jobs. *)
@@ -32,7 +32,6 @@ open QCheck2
 let gen_family = Gen.oneofl P.extended
 let gen_lin = Gen.oneofl Lin.[ Depth_first; Breadth_first; Random_first; Depth_first_blevel ]
 let gen_ckpt = Gen.oneofl H.all_ckpt_strategies
-let gen_backend = Gen.oneofl EE.[ Naive; Flat ]
 
 let gen_cost =
   Gen.(
@@ -58,9 +57,10 @@ let gen_solve_params =
     let* workflow = gen_spec and* mtbf = float_range 1. 1e6
     and* downtime = float_range 0. 100. and* lin = gen_lin
     and* ckpt = gen_ckpt and* grid = int_range 0 64
-    and* backend = gen_backend
     and* deadline = option (float_range 0.001 100.) in
-    return { Pr.workflow; mtbf; downtime; lin; ckpt; grid; backend; deadline })
+    return
+      { Pr.workflow; mtbf; downtime; lin; ckpt; grid; backend = EE.Flat;
+        deadline })
 
 let gen_request =
   Gen.(
@@ -78,8 +78,8 @@ let gen_request =
          return (Pr.Adapt { params; true_mtbf; traces; mcseed }));
         (let* dir = string_small
          and* ratios = list_size (int_range 1 5) (float_range 0.01 100.)
-         and* grid = int_range 0 64 and* backend = gen_backend in
-         return (Pr.Corpus { dir; ratios; grid; backend }));
+         and* grid = int_range 0 64 in
+         return (Pr.Corpus { dir; ratios; grid }));
       ])
 
 let gen_solved =
@@ -211,36 +211,40 @@ let test_frame_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing bytes must be an error"
 
-(* A binary request naming the deleted incremental engine decodes to a
-   structured error, never to a request. Built by splicing the name into a
-   well-formed payload, since the encoder can only write known engines. *)
+(* A binary request naming a removed engine (the naive oracle path or the
+   incremental engine) decodes to a structured error, never to a request.
+   Built by splicing the name into a well-formed payload, since the encoder
+   can only write [flat]. *)
 let test_removed_engine_binary () =
   let req =
-    Result.get_ok (Pr.request_of_line "solve family=montage n=15 engine=naive")
+    Result.get_ok (Pr.request_of_line "solve family=montage n=15 engine=flat")
   in
   let payload = Codec.encode_request ~id:3L req in
   (* u32 big-endian length, then the bytes *)
   let field name =
     Printf.sprintf "\000\000\000%c%s" (Char.chr (String.length name)) name
   in
-  let naive = field "naive" in
+  let flat = field "flat" in
   let at =
     let rec find i =
-      if String.sub payload i (String.length naive) = naive then i
+      if String.sub payload i (String.length flat) = flat then i
       else find (i + 1)
     in
     find 0
   in
-  let spliced =
-    String.sub payload 0 at ^ field "incremental"
-    ^ String.sub payload (at + String.length naive)
-        (String.length payload - at - String.length naive)
-  in
-  match Codec.decode_request spliced with
-  | Error msg ->
-      Alcotest.(check string) "structured error"
-        "unknown engine \"incremental\"" msg
-  | Ok _ -> Alcotest.fail "the incremental engine must not decode"
+  List.iter
+    (fun engine ->
+      let spliced =
+        String.sub payload 0 at ^ field engine
+        ^ String.sub payload (at + String.length flat)
+            (String.length payload - at - String.length flat)
+      in
+      match Codec.decode_request spliced with
+      | Error msg ->
+          Alcotest.(check string) "structured error"
+            (Printf.sprintf "unknown engine %S" engine) msg
+      | Ok _ -> Alcotest.failf "the %s engine must not decode" engine)
+    [ "naive"; "incremental" ]
 
 (* Mid-stream damage, exhaustively: a valid framed request torn at every
    byte offset must read back as a clean EOF (only at offset 0), a
@@ -306,7 +310,8 @@ let test_text_parse () =
   (match Pr.request_of_line "solve frobnicate=1" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown key must not parse");
-  (* the deleted incremental engine's names are unknown engines now *)
+  (* flat is the only engine: the removed naive and incremental engines'
+     names are unknown engines *)
   List.iter
     (fun line ->
       match Pr.request_of_line line with
@@ -314,8 +319,8 @@ let test_text_parse () =
           Alcotest.(check bool) (line ^ ": names the engine") true
             (String.starts_with ~prefix:"unknown engine" msg)
       | Ok _ -> Alcotest.failf "%s must not parse" line)
-    [ "solve engine=incremental"; "solve engine=engine";
-      "corpus dir=d engine=incremental" ];
+    [ "solve engine=naive"; "solve engine=incremental"; "solve engine=engine";
+      "corpus dir=d engine=naive"; "corpus dir=d engine=incremental" ];
   (match Pr.request_of_line "launch-missiles" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown command must not parse");
@@ -331,7 +336,6 @@ let gen_warm_case =
     and* seed = int_range 0 99 and* mtbf = float_range 10. 1000.
     and* lin = gen_lin and* ckpt = gen_ckpt
     and* grid = oneofl [ 0; 4; 8 ]
-    and* backend = gen_backend
     (* 0.05 s = a 1000-node exact budget: enough to hit the exact tier on
        small instances without making the property run for minutes *)
     and* deadline = oneofl [ None; Some 0.001; Some 0.01; Some 0.05 ] in
@@ -341,34 +345,31 @@ let gen_warm_case =
     in
     return
       (Pr.Solve
-         { Pr.default_solve with workflow; mtbf; lin; ckpt; grid; backend;
-           deadline }))
+         { Pr.default_solve with workflow; mtbf; lin; ckpt; grid; deadline }))
 
 let print_warm_case = function
   | Pr.Solve
       { Pr.workflow = Pr.Generated { family; n; seed; _ }; mtbf; lin; ckpt;
-        grid; backend; deadline; _ } ->
+        grid; deadline; _ } ->
       Printf.sprintf
-        "%s n=%d seed=%d mtbf=%g lin=%s ckpt=%s grid=%d engine=%s deadline=%s"
+        "%s n=%d seed=%d mtbf=%g lin=%s ckpt=%s grid=%d deadline=%s"
         (P.family_name family) n seed mtbf (Lin.strategy_name lin)
-        (H.ckpt_strategy_name ckpt) grid (EE.backend_name backend)
+        (H.ckpt_strategy_name ckpt) grid
         (match deadline with None -> "-" | Some d -> string_of_float d)
   | _ -> "<other>"
 
 let solve_twice server req = (Server.handle server req, Server.handle server req)
 
-(* A flat answer to a generated-workflow request carries the kernel's own
+(* An answer to a generated-workflow request carries the kernel's own
    makespan of the checkpoint set it returns: bitwise a fresh engine's value
    of those flags (and within 1e-9 of the oracle). Other requests pass. *)
 let reports_kernel_value req resp =
   match (req, resp) with
   | ( ( Pr.Solve
-          ({ workflow = Pr.Generated { family; n; seed; cost };
-             backend = EE.Flat; _ } as p)
+          ({ workflow = Pr.Generated { family; n; seed; cost }; _ } as p)
       | Pr.Simulate
           { params =
-              { workflow = Pr.Generated { family; n; seed; cost };
-                backend = EE.Flat; _ } as p;
+              { workflow = Pr.Generated { family; n; seed; cost }; _ } as p;
             _ } ),
       (Pr.Solved s | Pr.Simulated { solved = s; _ }) ) ->
       let g = CM.apply cost (P.generate family ~n ~seed) in
@@ -395,13 +396,11 @@ let prop_warm_equals_cold =
       if Pr.is_error r_cold then
         Test.fail_reportf "cold solve errored: %s"
           (String.concat "\n" (Pr.render_response r_cold));
-      (* the cache only backs the heuristic and local-search plans: Naive
-         has no warmable handle, and the exact tier drives the solver
-         directly — those must still be byte-identical, just without a
-         recorded hit *)
+      (* the cache only backs the heuristic and local-search plans: the
+         exact tier drives the solver directly — it must still be
+         byte-identical, just without a recorded hit *)
       let cacheable =
         match req with
-        | Pr.Solve { backend = EE.Naive; _ } -> false
         | Pr.Solve { workflow = Pr.Generated { n; _ }; deadline = Some d; _ }
           when d >= 0.025 && n <= Server.default_config.exact_max_n ->
             false
@@ -484,8 +483,7 @@ let test_simulate_cached_identical () =
 (* ---- 3. LRU invariants -------------------------------------------------- *)
 
 let key i =
-  { Key.dag = Int64.of_int i; order = 0L; lambda = 0L; downtime = 0L;
-    backend = EE.Flat }
+  { Key.dag = Int64.of_int i; order = 0L; lambda = 0L; downtime = 0L }
 
 let dummy_handle =
   let g =
@@ -495,7 +493,7 @@ let dummy_handle =
       ~weights:[| 1.; 1.; 1. |]
       ~edges:[ (0, 1); (1, 2) ] ()
   in
-  EE.handle EE.Flat (FM.of_mtbf ~mtbf:100. ()) g ~order:[| 0; 1; 2 |]
+  Wfc_core.Flat_engine.create (FM.of_mtbf ~mtbf:100. ()) g ~order:[| 0; 1; 2 |]
 
 let test_lru_basics () =
   let c = Cache.create ~capacity:2 in

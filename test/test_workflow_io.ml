@@ -106,27 +106,28 @@ let test_differential_formats () =
       Sys.remove dax_path;
       Sys.remove wfc_path;
       Alcotest.(check bool) "bit-identical DAGs" true (dag_equal from_dax from_wfc);
-      (* identical E(M) under every heuristic and engine *)
+      (* identical E(M) under every heuristic, from the search and from
+         the oracle *)
       let cost = Wfc_workflows.Cost_model.Proportional 0.1 in
       let ga = Wfc_workflows.Cost_model.ensure cost from_dax in
       let gb = Wfc_workflows.Cost_model.ensure cost from_wfc in
       let model = Wfc_platform.Failure_model.make ~lambda:1e-3 () in
       List.iter
         (fun ckpt ->
-          List.iter
-            (fun backend ->
-              let run g =
-                (Wfc_core.Heuristics.run ~search:(Wfc_core.Heuristics.Grid 6)
-                   ~backend model g ~lin:Wfc_dag.Linearize.Depth_first ~ckpt)
-                  .Wfc_core.Heuristics.makespan
-              in
-              let ma = run ga and mb = run gb in
-              if ma <> mb then
-                Alcotest.failf "%s/%s: %.17g <> %.17g"
-                  (Wfc_core.Heuristics.ckpt_strategy_name ckpt)
-                  (Wfc_core.Eval_engine.backend_name backend)
-                  ma mb)
-            Wfc_core.Eval_engine.[ Naive; Flat ])
+          let run g =
+            let o =
+              Wfc_core.Heuristics.run ~search:(Wfc_core.Heuristics.Grid 6)
+                model g ~lin:Wfc_dag.Linearize.Depth_first ~ckpt
+            in
+            ( o.Wfc_core.Heuristics.makespan,
+              Wfc_core.Evaluator.expected_makespan model g
+                o.Wfc_core.Heuristics.schedule )
+          in
+          let (ma, oa) = run ga and (mb, ob) = run gb in
+          if ma <> mb || oa <> ob then
+            Alcotest.failf "%s: %.17g <> %.17g (oracle %.17g <> %.17g)"
+              (Wfc_core.Heuristics.ckpt_strategy_name ckpt)
+              ma mb oa ob)
         Wfc_core.Heuristics.all_ckpt_strategies)
     Wfc_workflows.Pegasus.[ Montage; Genome ]
 
