@@ -55,7 +55,7 @@ let run () =
       let bytes report = Json.to_string (Corpus.to_json report) in
       let four = sweep 4 in
       let oracle =
-        Wfc_test_util.Corpus_oracle.check (config ~budget 1) instances base
+        Corpus_oracle.check (config ~budget 1) instances base
       in
       let failures =
         (if bytes four = bytes base then []

@@ -135,6 +135,12 @@ type report = {
 (* mirror of Evaluator.ratio's zero-weight convention *)
 let ratio_of ~tinf m = if tinf > 0. then m /. tinf else if m = 0. then 1. else infinity
 
+(* each job owns its RF stream, derived from the job index: results do not
+   depend on which domain runs the job *)
+let job_rand config k =
+  let rng = Wfc_platform.Rng.create (config.seed + (7919 * k)) in
+  fun b -> Wfc_platform.Rng.int rng b
+
 let job config instances scenarios k =
   let n_scen = Array.length scenarios in
   let inst = instances.(k / n_scen) in
@@ -142,10 +148,7 @@ let job config instances scenarios k =
   let g = inst.dag in
   let model = scenario_model ~downtime:config.downtime scen g in
   let tinf = Wfc_dag.Dag.total_weight g in
-  (* each job owns its RF stream, derived from the job index: results do not
-     depend on which domain runs the job *)
-  let rng = Wfc_platform.Rng.create (config.seed + (7919 * k)) in
-  let rand b = Wfc_platform.Rng.int rng b in
+  let rand = job_rand config k in
   let evals = Metrics.counter "corpus.evaluations" in
   let cells =
     List.map

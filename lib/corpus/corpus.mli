@@ -127,6 +127,11 @@ type report = {
           report; kept for wfcbench, see ROADMAP item 3 *)
 }
 
+val job_rand : config -> int -> int -> int
+(** [job_rand config k] is a fresh copy of the RF tie-break stream that
+    {!sweep} hands job [k], the report's [k]-th row: the same [seed] and
+    job index replay the same RF linearizations. *)
+
 val sweep :
   ?config:config ->
   ?skipped:(string * string) list ->

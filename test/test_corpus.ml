@@ -144,7 +144,7 @@ let test_engine_invariance () =
   let instances = mini_corpus () in
   let report = Corpus.sweep ~config:quick_config instances in
   Alcotest.(check (result int string)) "every cell = oracle" (Ok 48)
-    (Wfc_test_util.Corpus_oracle.check quick_config instances report)
+    (Corpus_oracle.check quick_config instances report)
 
 let test_domain_invariance () =
   let instances = mini_corpus () in

@@ -3,52 +3,40 @@
    A sweep's cell ratio is the flat kernel's makespan of the heuristic's
    winning schedule over the instance's total weight. [check] rebuilds
    that schedule from the cell — the heuristic's linearization (RF replays
-   the job's own random stream, derived from the seed and the job index as
-   [Corpus.sweep] does) and its flags at the cell's checkpoint count — and
-   requires [Evaluator.expected_makespan] of it over [Dag.total_weight] to
-   match the ratio within 1e-9 relative. *)
+   the job's own stream, [Corpus.job_rand]) and its flags at the cell's
+   checkpoint count — and requires [Evaluator.ratio] of it to match the
+   cell's ratio within 1e-9 relative. *)
 
 module Corpus = Wfc_corpus.Corpus
-module Dag = Wfc_dag.Dag
 module H = Wfc_core.Heuristics
 
-(* the zero-weight convention of the sweep's own ratios *)
-let ratio_of ~tinf m =
-  if tinf > 0. then m /. tinf else if m = 0. then 1. else infinity
-
-let check_row (config : Corpus.config) instances k (row : Corpus.row) =
-  match
-    List.find_opt (fun i -> i.Corpus.name = row.Corpus.workflow) instances
-  with
-  | None -> Some (row.Corpus.workflow ^ ": no such instance")
-  | Some inst ->
-      let g = inst.Corpus.dag in
-      let model =
-        Wfc_platform.Failure_model.of_mtbf ~mtbf:row.Corpus.mtbf
-          ~downtime:config.Corpus.downtime ()
-      in
-      let rng = Wfc_platform.Rng.create (config.Corpus.seed + (7919 * k)) in
-      let rand b = Wfc_platform.Rng.int rng b in
-      let tinf = Dag.total_weight g in
-      List.find_map
-        (fun ((lin, ckpt), (c : Corpus.cell)) ->
-          let order = Wfc_dag.Linearize.run ~rand lin g in
-          let flags = H.checkpoint_flags ckpt g ~order ~n_ckpt:c.Corpus.n_ckpt in
-          let oracle =
-            ratio_of ~tinf
-              (Wfc_core.Evaluator.expected_makespan model g
-                 (Wfc_core.Schedule.make g ~order ~checkpointed:flags))
-          in
-          if
-            c.Corpus.heuristic = H.name lin ckpt
-            && Wfc_core.Eval_engine.rel_diff oracle c.Corpus.ratio <= 1e-9
-          then None
-          else
-            Some
-              (Printf.sprintf "%s %s %s: ratio %.17g, oracle %.17g"
-                 row.Corpus.workflow row.Corpus.scenario c.Corpus.heuristic
-                 c.Corpus.ratio oracle))
-        (List.combine config.Corpus.heuristics row.Corpus.cells)
+let check_row (config : Corpus.config) k (inst, scen) (row : Corpus.row) =
+  let g = inst.Corpus.dag in
+  let model = Corpus.scenario_model ~downtime:config.Corpus.downtime scen g in
+  let rand = Corpus.job_rand config k in
+  let where = row.Corpus.workflow ^ " " ^ row.Corpus.scenario in
+  if
+    row.Corpus.workflow <> inst.Corpus.name
+    || row.Corpus.scenario <> Corpus.scenario_name scen
+  then Some (where ^ ": row out of order")
+  else
+    List.find_map
+      (fun ((lin, ckpt), (c : Corpus.cell)) ->
+        let order = Wfc_dag.Linearize.run ~rand lin g in
+        let flags = H.checkpoint_flags ckpt g ~order ~n_ckpt:c.Corpus.n_ckpt in
+        let oracle =
+          Wfc_core.Evaluator.ratio model g
+            (Wfc_core.Schedule.make g ~order ~checkpointed:flags)
+        in
+        if
+          c.Corpus.heuristic = H.name lin ckpt
+          && Wfc_core.Eval_engine.rel_diff oracle c.Corpus.ratio <= 1e-9
+        then None
+        else
+          Some
+            (Printf.sprintf "%s %s: ratio %.17g, oracle %.17g" where
+               c.Corpus.heuristic c.Corpus.ratio oracle))
+      (List.combine config.Corpus.heuristics row.Corpus.cells)
 
 (* [check config instances report] is [Ok cells], the number of cells
    checked, or [Error] naming the first cell that disagrees. Replicated
@@ -56,17 +44,21 @@ let check_row (config : Corpus.config) instances k (row : Corpus.row) =
 let check (config : Corpus.config) instances (report : Corpus.report) =
   if config.Corpus.replication <> Wfc_core.Replication.No_replication then
     invalid_arg "Corpus_oracle.check: replicated sweeps are not supported";
-  let expected =
-    List.length instances * List.length report.Corpus.scenario_names
+  let jobs =
+    List.concat_map
+      (fun inst -> List.map (fun scen -> (inst, scen)) config.Corpus.scenarios)
+      instances
   in
-  if List.length report.Corpus.rows <> expected then
+  if List.length report.Corpus.rows <> List.length jobs then
     Error
       (Printf.sprintf "%d rows, expected %d" (List.length report.Corpus.rows)
-         expected)
+         (List.length jobs))
   else
     match
       List.find_map Fun.id
-        (List.mapi (check_row config instances) report.Corpus.rows)
+        (List.mapi
+           (fun k (job, row) -> check_row config k job row)
+           (List.combine jobs report.Corpus.rows))
     with
     | Some msg -> Error msg
     | None ->

@@ -108,6 +108,3 @@ let qtest ?(count = 200) name gen print prop =
 (* The pre-executor single-source simulator, as an oracle for the lane
    executor. *)
 module Sim_reference = Sim_reference
-
-(* Corpus reports checked cell by cell against the oracle. *)
-module Corpus_oracle = Corpus_oracle
