@@ -4,7 +4,8 @@
 # reduced-seed chaos soak as a serving-layer smoke guard, the
 # flat-vs-oracle scale guard up to n = 1000, then a short traced run of
 # each end-to-end benchmark workload, whose replay byte-compares the
-# library's answers with the daemon's and the CLI's. Every phase is
+# library's answers with the daemon's and the CLI's (and whose serve-warm
+# line must show at most 1 MB of minor heap per request). Every phase is
 # wall-clock capped so a wedged daemon fails the run instead of hanging CI.
 #
 #   ./ci.sh            # what CI runs
@@ -80,6 +81,18 @@ for w in serve-warm simulate-cold corpus-sweep; do
     exit 1
     ;;
   esac
+  # a warm hit re-derives nothing (no DAG generation, linearization or
+  # fingerprint on the hit path): serve-warm's in-process Server.handle
+  # stays under 1 MB of minor heap per request
+  if [ "$w" = serve-warm ]; then
+    mb=$(printf '%s\n' "$last" |
+      sed -n 's/.*"gc\.minor_mb_per_req": {"value": \([-0-9.eE+]*\).*/\1/p')
+    if [ -z "$mb" ] || awk -v mb="$mb" 'BEGIN { exit !(mb > 1) }'; then
+      echo "serve-warm: gc.minor_mb_per_req = ${mb:-missing}, above 1 MB" >&2
+      exit 1
+    fi
+    echo "serve-warm: gc.minor_mb_per_req = $mb MB"
+  fi
 done
 
 echo "ci: all green"

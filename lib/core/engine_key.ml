@@ -29,15 +29,13 @@ let fold_int64 h x =
   done;
   !h
 
-let order_fingerprint order =
-  Array.fold_left
-    (fun h v -> fold_int64 h (Int64.of_int v))
-    0xcbf29ce484222325L order
-
 let make Eval_engine.Flat (model : Wfc_platform.Failure_model.t) g ~order =
   {
     dag = Wfc_dag.Dag.fingerprint g;
-    order = order_fingerprint order;
+    order =
+      Array.fold_left
+        (fun h v -> fold_int64 h (Int64.of_int v))
+        0xcbf29ce484222325L order;
     lambda = Int64.bits_of_float model.Wfc_platform.Failure_model.lambda;
     downtime = Int64.bits_of_float model.Wfc_platform.Failure_model.downtime;
   }
@@ -46,13 +44,6 @@ let equal a b =
   Int64.equal a.dag b.dag && Int64.equal a.order b.order
   && Int64.equal a.lambda b.lambda
   && Int64.equal a.downtime b.downtime
-
-let hash k =
-  let h = fold_int64 0xcbf29ce484222325L k.dag in
-  let h = fold_int64 h k.order in
-  let h = fold_int64 h k.lambda in
-  let h = fold_int64 h k.downtime in
-  Int64.to_int (Int64.logand h 0x3fffffffffffffffL)
 
 let to_string k =
   Printf.sprintf "%Lx-%Lx-%Lx-%Lx" k.dag k.order k.lambda k.downtime

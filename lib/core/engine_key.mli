@@ -26,11 +26,7 @@ val make :
 (** [make Flat model g ~order]. The backend argument is always [Flat]; it
     is kept for wfcbench, see ROADMAP item 3. *)
 
-val order_fingerprint : int array -> int64
-(** The FNV-1a fold used for the [order] component (exposed for tests). *)
-
 val equal : t -> t -> bool
-val hash : t -> int
 
 val to_string : t -> string
 (** Hex rendering, e.g. for cache-debug logs. *)

@@ -344,8 +344,17 @@ let create ?flags model g ~order =
   t
 
 let n_tasks t = t.n
+let dag t = t.g
 let order t = Array.copy t.order
 let flags t = Array.copy t.flags
+
+let checkpoint_count t =
+  let c = ref 0 in
+  for v = 0 to t.n - 1 do
+    if t.flags.(v) then incr c
+  done;
+  !c
+
 let model t = t.model
 
 let set_model t model =

@@ -62,9 +62,17 @@ val create :
       [flags] has the wrong length. *)
 
 val n_tasks : t -> int
+
+val dag : t -> Wfc_dag.Dag.t
+(** The workflow the engine was created for (shared, not copied): a warm
+    engine carries its own DAG, so a cache hit needs no regeneration. *)
+
 val order : t -> int array
 val flags : t -> bool array
 (** Copies of the bound order and the current flag vector. *)
+
+val checkpoint_count : t -> int
+(** Number of tasks flagged in the current vector; allocates nothing. *)
 
 val model : t -> Wfc_platform.Failure_model.t
 

@@ -79,9 +79,12 @@ let ranked_tasks strategy g =
     | Ckpt_never | Ckpt_always | Ckpt_periodic ->
         invalid_arg "Heuristics.ranked_tasks: not a ranking strategy"
   in
+  (* keys computed once into an unboxed array: the sort compares without
+     boxing a float per comparison *)
+  let keys = Array.init n key in
   Array.sort
     (fun a b ->
-      match Float.compare (key a) (key b) with
+      match Float.compare keys.(a) keys.(b) with
       | 0 -> Int.compare a b
       | c -> c)
     ids;
@@ -172,11 +175,10 @@ let run ?(search = Exhaustive) ?backend:_ ?rand ?engine
     | Ckpt_always -> [ n ]
     | _ -> ( match candidate_counts search ~n with [] -> [ 0 ] | c -> c)
   in
-  (* ranking strategies yield nested candidates and [candidate_counts]
-     ascends, so the ranking is computed once and each candidate extends the
-     previous flag vector in place instead of re-sorting the tasks per
-     count. The shared vector is never stored: only the winning count is
-     kept and its flags are rebuilt afterwards. *)
+  (* ranking strategies yield nested candidates, so the ranking is computed
+     once and each candidate grows or shrinks one shared flag vector in
+     place instead of re-sorting the tasks per count. The shared vector is
+     never stored: the schedule copies the winner's flags. *)
   let next_flags =
     match ckpt with
     | Ckpt_weight | Ckpt_cost | Ckpt_outweight | Ckpt_efficiency ->
@@ -187,6 +189,10 @@ let run ?(search = Exhaustive) ?backend:_ ?rand ?engine
           while !filled < n_ckpt do
             flags.(ranked.(!filled)) <- true;
             incr filled
+          done;
+          while !filled > n_ckpt do
+            decr filled;
+            flags.(ranked.(!filled)) <- false
           done;
           flags
     | Ckpt_never | Ckpt_always | Ckpt_periodic ->
@@ -208,28 +214,39 @@ let run ?(search = Exhaustive) ?backend:_ ?rand ?engine
         h
     | None -> Flat_engine.create model g ~order
   in
-  let score flags =
-    Flat_engine.set_flags engine flags;
-    Flat_engine.makespan engine
+  let counts = Array.of_list counts in
+  let scores = Array.make (Array.length counts) 0. in
+  let score i =
+    poll ();
+    Flat_engine.set_flags engine (next_flags counts.(i));
+    scores.(i) <- Flat_engine.makespan engine
   in
-  let evaluations = ref 0 in
-  let best = ref None in
-  List.iter
-    (fun n_ckpt ->
-      poll ();
-      let m = score (next_flags n_ckpt) in
-      incr evaluations;
-      match !best with
-      | Some (bm, _) when bm <= m -> ()
-      | _ -> best := Some (m, n_ckpt))
-    counts;
+  (* a warm engine left at one of the candidate counts (the previous
+     request's last score) is scored there first, where its flags may
+     already stand, then the rest ascending: one large flag transition per
+     sweep instead of two. Scores are recorded by candidate, so the order
+     of scoring never reaches the selection below. *)
+  let start =
+    let c = Flat_engine.checkpoint_count engine in
+    let rec find i =
+      if i >= Array.length counts then -1
+      else if counts.(i) = c then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  if start >= 0 then score start;
+  Array.iteri (fun i _ -> if i <> start then score i) counts;
+  (* ascending scan: ties keep the smaller count *)
+  let best = ref 0 in
+  for i = 1 to Array.length counts - 1 do
+    if not (scores.(!best) <= scores.(i)) then best := i
+  done;
   (* the reported makespan is the score the winner got in the sweep *)
-  let makespan, n_ckpt = Option.get !best in
-  let schedule =
-    Schedule.make g ~order
-      ~checkpointed:(checkpoint_flags ckpt g ~order ~n_ckpt)
-  in
-  { schedule; makespan; n_ckpt; evaluations = !evaluations }
+  let n_ckpt = counts.(!best) in
+  let schedule = Schedule.make g ~order ~checkpointed:(next_flags n_ckpt) in
+  { schedule; makespan = scores.(!best); n_ckpt;
+    evaluations = Array.length counts }
 
 (* ---- replication: the second resilience axis ---- *)
 

@@ -89,10 +89,17 @@ val run :
     [engine] supplies a warm {!Flat_engine} already bound to [(g, order)]
     — the serving layer's LRU hands one back for repeat requests so the
     sweep skips the engine build. The model is rebound with
-    {!Flat_engine.set_model} (cached lost-work rows survive); because the
-    sweep only assigns whole flag vectors and an engine's makespan is a pure
-    function of its flags, the outcome is bit-identical to a cold run
-    whatever flags and model the engine was left holding.
+    {!Flat_engine.set_model} (cached lost-work rows survive). When the
+    engine's current checkpoint count is one of the candidate counts, that
+    candidate is scored first, where the engine's flags may already stand,
+    and the rest follow in ascending order: a sweep left at one end of the
+    grid then pays one large flag transition instead of two. Scores are
+    recorded by candidate and the winner is picked by the same ascending
+    scan as always (ties keep the smaller count; a [nan] score displaces
+    the incumbent). Because the sweep only assigns whole flag vectors and
+    an engine's makespan is a pure function of its flags, the outcome is
+    bit-identical to a cold run whatever flags and model the engine was
+    left holding; the engine is left at the last candidate scored.
 
     @raise Invalid_argument if [engine] is bound to a different order than
       [lin]'s linearization of [g]. *)

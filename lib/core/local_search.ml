@@ -93,7 +93,7 @@ let improve_replicated ~max_evaluations ~replica_cost ~max_replicas ~cancel
       flips = !flips;
     }
 
-let improve ?(max_evaluations = 4000) ?replica_cost ?max_replicas
+let improve ?(max_evaluations = 4000) ?replica_cost ?max_replicas ?engine
     ?(cancel = Wfc_platform.Cancel.never) model g seed =
   if Schedule.is_replicated seed || Option.is_some max_replicas then
     improve_replicated ~max_evaluations ~replica_cost ~max_replicas ~cancel
@@ -105,7 +105,19 @@ let improve ?(max_evaluations = 4000) ?replica_cost ?max_replicas
   let n = Schedule.n_tasks seed in
   let flags = Array.init n (Schedule.is_checkpointed seed) in
   let order = Array.init n (Schedule.task_at seed) in
-  let engine = Flat_engine.create ~flags model g ~order in
+  (* a supplied engine is rebound to the seed's flags and the model: every
+     query is a pure function of the flags, so it scores each move
+     bit-identically to a fresh engine *)
+  let engine =
+    match engine with
+    | None -> Flat_engine.create ~flags model g ~order
+    | Some e ->
+        if Flat_engine.order e <> order then
+          invalid_arg "Local_search.improve: engine bound to another order";
+        Flat_engine.set_model e model;
+        Flat_engine.set_flags e flags;
+        e
+  in
   Wfc_platform.Cancel.check cancel;
   let initial_makespan = Flat_engine.makespan engine in
   let evaluations = ref 1 in

@@ -19,6 +19,7 @@ val improve :
   ?max_evaluations:int ->
   ?replica_cost:float ->
   ?max_replicas:int ->
+  ?engine:Flat_engine.t ->
   ?cancel:Wfc_platform.Cancel.t ->
   Wfc_platform.Failure_model.t ->
   Wfc_dag.Dag.t ->
@@ -36,6 +37,14 @@ val improve :
     the value a fresh {!Flat_engine} gives the returned (resp. seed) flags,
     within ~1e-15 relative of the oracle.
 
+    [engine] supplies a {!Flat_engine} already bound to [(g, order)] of
+    [s] — the serving layer passes the warm engine its heuristic sweep just
+    used, so the climb skips a second engine build. It is rebound to the
+    model and the seed's flags, and because every query is a pure function
+    of the flag vector the reported values stay bitwise those of a fresh
+    engine; the engine is left holding the returned schedule's flags. The
+    replica-aware path ignores it.
+
     When [s] is replicated, or [max_replicas] is given, the move set also
     includes per-task replica-count steps ([+1] up to [max_replicas],
     default [max 4 (max_replica_count s)]; [-1] down to a single copy), and
@@ -47,4 +56,5 @@ val improve :
     {!Wfc_platform.Cancel.Cancelled} instead of returning a partial result.
 
     @raise Invalid_argument if [max_replicas] is outside
-      [1..Schedule.max_replicas]. *)
+      [1..Schedule.max_replicas], or if [engine] is bound to another order
+      than [s]'s. *)

@@ -7,14 +7,48 @@
    later of the two check-ins wins the cache slot. [put] re-inserts at the
    MRU position, which is what gives take/put classic LRU recency.
 
-   The entry list is a plain MRU-first assoc list: capacities are small
-   (tens to hundreds of engines, each holding O(n) arrays), so an O(cap)
-   scan is cheaper to verify than an intrusive doubly-linked list and is
-   nowhere near any hot path. *)
+   An entry checked in for a generated workflow also carries the request's
+   spec key: the generator's arguments, the linearization and the model
+   bits, which together determine the content key. [checkout] finds such
+   an entry without deriving the content key at all; the spec rides on the
+   entry, so the LRU stays the one bounded table.
+
+   The entry list is a plain MRU-first list: capacities are small (tens to
+   hundreds of engines, each holding O(n) arrays), so an O(cap) scan is
+   cheaper to verify than an intrusive doubly-linked list and is nowhere
+   near any hot path. *)
 
 module Key = Wfc_core.Engine_key
+module CM = Wfc_workflows.Cost_model
 
-type entry = Key.t * Wfc_core.Flat_engine.t
+type spec = {
+  family : Wfc_workflows.Pegasus.family;
+  n : int;
+  seed : int;
+  cost : CM.t;
+  lin : Wfc_dag.Linearize.strategy;
+  lambda : int64;
+  downtime : int64;
+}
+
+(* floats by their bits, as the content key compares the model *)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let spec_equal a b =
+  a.family = b.family && a.n = b.n && a.seed = b.seed && a.lin = b.lin
+  && Int64.equal a.lambda b.lambda
+  && Int64.equal a.downtime b.downtime
+  &&
+  match (a.cost, b.cost) with
+  | CM.Proportional x, CM.Proportional y | CM.Constant x, CM.Constant y ->
+      same_bits x y
+  | _ -> false
+
+type entry = {
+  key : Key.t;
+  spec : spec option;
+  engine : Wfc_core.Flat_engine.t;
+}
 
 type t = {
   mutex : Mutex.t;
@@ -49,31 +83,55 @@ let create ~capacity =
 
 let capacity (t : t) = t.capacity
 
+(* Removes and returns the first entry satisfying [p]; the caller holds the
+   mutex. *)
+let remove_first (t : t) p =
+  let rec split acc = function
+    | [] -> None
+    | e :: rest ->
+        if p e then begin
+          t.entries <- List.rev_append acc rest;
+          Some e
+        end
+        else split (e :: acc) rest
+  in
+  split [] t.entries
+
 let take (t : t) key =
   Mutex.protect t.mutex (fun () ->
-      let rec split acc = function
-        | [] -> None
-        | ((k, h) :: rest : entry list) ->
-            if Key.equal k key then begin
-              t.entries <- List.rev_append acc rest;
-              Some h
-            end
-            else split ((k, h) :: acc) rest
-      in
-      match split [] t.entries with
-      | Some h ->
+      match remove_first t (fun e -> Key.equal e.key key) with
+      | Some e ->
           t.hits <- t.hits + 1;
-          Some h
+          Some e.engine
       | None ->
           t.misses <- t.misses + 1;
           None)
 
-let put (t : t) key engine =
+let checkout ?spec (t : t) key_of =
+  let by_spec =
+    match spec with
+    | None -> None
+    | Some s ->
+        Mutex.protect t.mutex (fun () ->
+            let found =
+              remove_first t (fun e ->
+                  match e.spec with Some s' -> spec_equal s s' | None -> false)
+            in
+            if Option.is_some found then t.hits <- t.hits + 1;
+            found)
+  in
+  match by_spec with
+  | Some e -> (e.key, Some e.engine)
+  | None ->
+      let key = key_of () in
+      (key, take t key)
+
+let put ?spec (t : t) key engine =
   if t.capacity > 0 then
     Mutex.protect t.mutex (fun () ->
         t.puts <- t.puts + 1;
-        let without = List.filter (fun (k, _) -> not (Key.equal k key)) t.entries in
-        let entries = (key, engine) :: without in
+        let without = List.filter (fun e -> not (Key.equal e.key key)) t.entries in
+        let entries = { key; spec; engine } :: without in
         let rec trim n = function
           | [] -> []
           | kept :: rest ->
@@ -85,7 +143,9 @@ let put (t : t) key engine =
         in
         t.entries <- trim 0 entries)
 
-let keys (t : t) = Mutex.protect t.mutex (fun () -> List.map fst t.entries)
+let keys (t : t) =
+  Mutex.protect t.mutex (fun () -> List.map (fun e -> e.key) t.entries)
+
 let size (t : t) = Mutex.protect t.mutex (fun () -> List.length t.entries)
 
 let stats (t : t) =

@@ -310,6 +310,63 @@ let test_backend_invariance () =
         Heuristics.all_ckpt_strategies choices)
     oracle_sweep_choices
 
+(* A warm engine may be left at any flag vector: at one of the candidate
+   counts (which the sweep then scores first), or at another strategy's
+   choice. Scores are recorded by candidate and the winner is picked by the
+   ascending scan, so the outcome is bitwise the cold one, ties and
+   non-finite scores included: the lambda = 1 case overflows to nan, and
+   with free checkpoints at lambda = 1e-30 every candidate ties exactly,
+   so the smallest count must win from any start. *)
+let test_warm_start_invariance () =
+  let module P = Wfc_workflows.Pegasus in
+  let module CM = Wfc_workflows.Cost_model in
+  let lin = Linearize.Depth_first in
+  List.iter
+    (fun (family, seed, factor, lambda) ->
+      let model = FM.make ~lambda ~downtime:1. () in
+      let g =
+        CM.apply (CM.Proportional factor) (P.generate family ~n:50 ~seed)
+      in
+      let order = Linearize.run lin g in
+      List.iter
+        (fun ckpt ->
+          List.iter
+            (fun search ->
+              let cold = Heuristics.run ~search model g ~lin ~ckpt in
+              let starts =
+                Heuristics.checkpoint_flags Heuristics.Ckpt_cost g ~order
+                  ~n_ckpt:17
+                :: List.map
+                     (fun n_ckpt ->
+                       Heuristics.checkpoint_flags ckpt g ~order ~n_ckpt)
+                     (Heuristics.candidate_counts search ~n:50)
+              in
+              List.iter
+                (fun flags ->
+                  let engine = Flat_engine.create ~flags model g ~order in
+                  let warm = Heuristics.run ~search ~engine model g ~lin ~ckpt in
+                  let name =
+                    Printf.sprintf "%s %s lambda=%g from %d flags"
+                      (P.family_name family)
+                      (Heuristics.ckpt_strategy_name ckpt) lambda
+                      (Array.fold_left
+                         (fun c b -> if b then c + 1 else c) 0 flags)
+                  in
+                  Alcotest.(check int) (name ^ " n_ckpt") cold.Heuristics.n_ckpt
+                    warm.Heuristics.n_ckpt;
+                  Alcotest.(check int64) (name ^ " makespan bits")
+                    (Int64.bits_of_float cold.Heuristics.makespan)
+                    (Int64.bits_of_float warm.Heuristics.makespan);
+                  Alcotest.(check bool) (name ^ " schedule") true
+                    (warm.Heuristics.schedule = cold.Heuristics.schedule);
+                  Alcotest.(check int) (name ^ " evaluations")
+                    cold.Heuristics.evaluations warm.Heuristics.evaluations)
+                starts)
+            [ Heuristics.Exhaustive; Heuristics.Grid 4; Heuristics.Grid 8 ])
+        Heuristics.extended_ckpt_strategies)
+    [ (P.Montage, 5, 0.1, 1e-3); (P.Ligo, 9, 0.1, 1e-3); (P.Ligo, 9, 0.1, 1.);
+      (P.Montage, 5, 0., 1e-30) ]
+
 let () =
   Alcotest.run "heuristics"
     [
@@ -322,6 +379,8 @@ let () =
           Alcotest.test_case "counts edges" `Quick test_candidate_counts_edges;
           Alcotest.test_case "backend invariance" `Quick
             test_backend_invariance;
+          Alcotest.test_case "warm start invariance" `Quick
+            test_warm_start_invariance;
           Alcotest.test_case "flags by weight" `Quick test_flags_by_weight;
           Alcotest.test_case "flags by cost" `Quick test_flags_by_cost;
           Alcotest.test_case "flags by outweight" `Quick test_flags_by_outweight;

@@ -121,6 +121,63 @@ let test_backend_invariance () =
        0x1.a7f40a3bcc9fcp+10);
     ]
 
+(* A supplied engine, left at foreign flags under another model, climbs
+   bitwise as a fresh one: same flags, makespans, flips and evaluations. *)
+let test_supplied_engine () =
+  let module P = Wfc_workflows.Pegasus in
+  let module CM = Wfc_workflows.Cost_model in
+  let model = FM.make ~lambda:1e-3 ~downtime:1. () in
+  let other = FM.make ~lambda:5e-2 ~downtime:0. () in
+  List.iter
+    (fun (family, seed) ->
+      let g = CM.apply (CM.Proportional 0.1) (P.generate family ~n:50 ~seed) in
+      let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
+      let seed_sched =
+        Schedule.make g ~order
+          ~checkpointed:
+            (Heuristics.checkpoint_flags Heuristics.Ckpt_weight g ~order
+               ~n_ckpt:10)
+      in
+      let fresh = Local_search.improve ~max_evaluations:300 model g seed_sched in
+      let engine =
+        Flat_engine.create
+          ~flags:
+            (Heuristics.checkpoint_flags Heuristics.Ckpt_cost g ~order
+               ~n_ckpt:33)
+          other g ~order
+      in
+      ignore (Flat_engine.makespan engine);
+      let warm =
+        Local_search.improve ~max_evaluations:300 ~engine model g seed_sched
+      in
+      let bits x = Int64.bits_of_float x in
+      Alcotest.(check bool) "same schedule" true
+        (warm.Local_search.schedule = fresh.Local_search.schedule);
+      Alcotest.(check int64) "same makespan bits"
+        (bits fresh.Local_search.makespan) (bits warm.Local_search.makespan);
+      Alcotest.(check int64) "same initial bits"
+        (bits fresh.Local_search.initial_makespan)
+        (bits warm.Local_search.initial_makespan);
+      Alcotest.(check int) "same flips" fresh.Local_search.flips
+        warm.Local_search.flips;
+      Alcotest.(check int) "same evaluations" fresh.Local_search.evaluations
+        warm.Local_search.evaluations;
+      Alcotest.(check bool) "engine left at the returned flags" true
+        (Flat_engine.flags engine
+        = Array.init 50 (Schedule.is_checkpointed warm.Local_search.schedule)))
+    [ (P.Montage, 5); (P.Ligo, 9) ];
+  let g = CM.apply (CM.Proportional 0.1) (P.generate P.Montage ~n:50 ~seed:5) in
+  let df = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
+  let bf = Wfc_dag.Linearize.run Wfc_dag.Linearize.Breadth_first g in
+  Alcotest.(check bool) "two distinct orders" true (df <> bf);
+  let engine = Flat_engine.create model g ~order:df in
+  Alcotest.check_raises "engine on another order"
+    (Invalid_argument "Local_search.improve: engine bound to another order")
+    (fun () ->
+      ignore
+        (Local_search.improve ~engine model g
+           (Schedule.no_checkpoints g ~order:bf)))
+
 let () =
   Alcotest.run "local_search"
     [
@@ -135,5 +192,6 @@ let () =
           Alcotest.test_case "keeps linearization" `Quick test_keeps_linearization;
           Alcotest.test_case "backend invariance" `Quick
             test_backend_invariance;
+          Alcotest.test_case "supplied engine" `Quick test_supplied_engine;
         ] );
     ]

@@ -480,6 +480,148 @@ let test_simulate_cached_identical () =
   Alcotest.(check bool) "simulate reports the kernel's value" true
     (reports_kernel_value (mk ()) want)
 
+(* The wire bytes of a response: exact IEEE bits, so a deterministic nan
+   compares equal to itself. *)
+let wire r = Codec.encode_response ~id:0L r
+
+let cold_server () =
+  Server.create ~config:{ Server.default_config with cache_size = 0 } ()
+
+(* A warm engine starts from whatever flags and model the last request on
+   its key left: here other checkpoint strategies, grids and deadline tiers
+   ran first. The measured answer must not depend on that history. *)
+let prop_mixed_history_identical =
+  Wfc_test_util.qtest ~count:20
+    "server: a hit after foreign ckpt/grid/deadline history is cold bytes"
+    Gen.(
+      pair gen_warm_case
+        (list_size (int_range 1 3)
+           (triple gen_ckpt (oneofl [ 0; 2; 4; 8 ])
+              (oneofl [ None; Some 0.001; Some 0.01; Some 0.05 ]))))
+    (fun (req, hist) ->
+      Printf.sprintf "%s after [%s]" (print_warm_case req)
+        (String.concat "; "
+           (List.map
+              (fun (ckpt, grid, deadline) ->
+                Printf.sprintf "%s grid=%d deadline=%s"
+                  (H.ckpt_strategy_name ckpt) grid
+                  (match deadline with
+                  | None -> "-"
+                  | Some d -> string_of_float d))
+              hist)))
+    (fun (req, hist) ->
+      match req with
+      | Pr.Solve p ->
+          let warm = Server.create () in
+          List.iter
+            (fun (ckpt, grid, deadline) ->
+              ignore
+                (Server.handle warm (Pr.Solve { p with ckpt; grid; deadline })))
+            hist;
+          let want = Server.handle (cold_server ()) req in
+          let got = Server.handle warm req in
+          wire got = wire want
+          && Server.engines_outstanding warm = 0
+      | _ -> false)
+
+(* A spec-keyed hit takes the DAG from the cached engine instead of
+   regenerating it: over random generated specs, random linearizations
+   (RF included) and both cost models, it answers the bytes of a server
+   that regenerates everything. *)
+let prop_spec_hit_equals_regenerated =
+  Wfc_test_util.qtest ~count:40
+    "server: a spec-keyed hit answers the regenerated bytes"
+    Gen.(
+      let* family = gen_family and* n = int_range 5 60
+      and* seed = int_range 0 9999 and* cost = gen_cost
+      and* mtbf = float_range 10. 10_000. and* lin = gen_lin
+      and* ckpt = gen_ckpt and* grid = oneofl [ 0; 4; 8 ]
+      and* downtime = oneof [ return 0.; float_range 0. 60. ] in
+      let n = max n (P.min_size family) in
+      return
+        { Pr.default_solve with
+          workflow = Pr.Generated { family; n; seed; cost };
+          mtbf; downtime; lin; ckpt; grid })
+    (fun p ->
+      Printf.sprintf "%s %s mtbf=%h downtime=%h lin=%s ckpt=%s grid=%d"
+        (Pr.spec_source p.Pr.workflow)
+        (match p.workflow with
+        | Pr.Generated { cost; _ } -> CM.name cost
+        | _ -> "-")
+        p.mtbf p.downtime (Lin.strategy_name p.lin)
+        (H.ckpt_strategy_name p.ckpt) p.grid)
+    (fun p ->
+      let req = Pr.Solve p in
+      let want = Server.handle (cold_server ()) req in
+      let warm = Server.create () in
+      let miss = Server.handle warm req in
+      let hit = Server.handle warm req in
+      let s = Server.cache_stats warm in
+      wire miss = wire want && wire hit = wire want
+      && s.Cache.hits = 1 && s.Cache.misses = 1)
+
+(* A generated spec and an inline copy of the same DAG share a content key,
+   so on a capacity-1 cache they take one engine from each other: the
+   generated request tags it with its spec, the inline one checks it back
+   in untagged. Every answer stays the cold bytes. *)
+let test_generated_inline_churn () =
+  let family = P.Montage and n = 40 and seed = 7 in
+  let cost = CM.Proportional 0.1 in
+  let text =
+    Wfc_io.Json.to_string
+      (Wfc_io.Workflow_format.dag_to_json
+         (CM.apply cost (P.generate family ~n ~seed)))
+  in
+  let gen = Pr.Solve { Pr.default_solve with
+                       workflow = Pr.Generated { family; n; seed; cost };
+                       mtbf = 300.; grid = 8 } in
+  let inl = Pr.Solve { Pr.default_solve with
+                       workflow = Pr.Inline { name = "m40.json"; text; cost };
+                       mtbf = 300.; ckpt = H.Ckpt_cost } in
+  let cold = cold_server () in
+  let gen_cold = wire (Server.handle cold gen)
+  and inl_cold = wire (Server.handle cold inl) in
+  let tiny =
+    Server.create ~config:{ Server.default_config with cache_size = 1 } ()
+  in
+  List.iteri
+    (fun i (req, want) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "answer %d is the cold bytes" i)
+        true
+        (wire (Server.handle tiny req) = want))
+    [ (gen, gen_cold); (inl, inl_cold); (gen, gen_cold); (gen, gen_cold);
+      (inl, inl_cold); (inl, inl_cold); (gen, gen_cold) ];
+  let s = Server.cache_stats tiny in
+  Alcotest.(check int) "one engine build, then shared" 1 s.Cache.misses;
+  Alcotest.(check int) "every later request hits" 6 s.Cache.hits;
+  Alcotest.(check int) "one entry" 1 s.Cache.size
+
+(* A warm generated hit re-derives nothing: no generation, cost model,
+   linearization in the server or DAG fingerprint. At Montage-200 those
+   allocate well over 100k minor words together; the hit itself (the
+   sweep's own linearization check, the ranking and the response) stays
+   under the cap. *)
+let test_warm_hit_allocation () =
+  let req =
+    Result.get_ok
+      (Pr.request_of_line "solve family=montage n=200 seed=3 mtbf=500 grid=4")
+  in
+  let srv = Server.create () in
+  for _ = 1 to 3 do
+    ignore (Server.handle srv req)
+  done;
+  let rounds = 10 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    ignore (Server.handle srv req)
+  done;
+  let per_hit = (Gc.minor_words () -. before) /. float_of_int rounds in
+  Alcotest.(check int) "every measured request hit" (rounds + 2)
+    (Server.cache_stats srv).Cache.hits;
+  if per_hit > 40_000. then
+    Alcotest.failf "a warm hit allocates %.0f minor words (cap 40000)" per_hit
+
 (* ---- 3. LRU invariants -------------------------------------------------- *)
 
 let key i =
@@ -726,7 +868,12 @@ let () =
           Alcotest.test_case "simulate cached" `Quick
             test_simulate_cached_identical;
           Alcotest.test_case "exact fallback keeps the order" `Quick
-            test_exact_fallback_keeps_order ] );
+            test_exact_fallback_keeps_order;
+          prop_mixed_history_identical; prop_spec_hit_equals_regenerated;
+          Alcotest.test_case "generated/inline churn" `Quick
+            test_generated_inline_churn;
+          Alcotest.test_case "warm hit allocation" `Quick
+            test_warm_hit_allocation ] );
       ( "lru",
         [ Alcotest.test_case "basics" `Quick test_lru_basics;
           Alcotest.test_case "degenerate capacities" `Quick
