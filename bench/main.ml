@@ -13,6 +13,7 @@
           FIG=replication dune exec bench/main.exe  checkpoint-vs-replica CVaR trade-off
           FIG=corpus dune exec bench/main.exe    golden mini-corpus sweep, oracle/domain invariance
           FIG=chaos dune exec bench/main.exe     chaos soak: fault injection, watchdog, crash-only guard
+          FIG=sim dune exec bench/main.exe       Monte Carlo words/run and time vs its RNG draws
           FULL=1 ...                             full 50..700 task range
           SEEDS=3 ...                            average over 3 workflow seeds
           CSV=out ...                            also dump CSV series
@@ -49,14 +50,15 @@ let () =
   | Some "replication" -> Replication_bench.run ()
   | Some "corpus" -> Corpus_bench.run ()
   | Some "chaos" -> Chaos_bench.run ()
+  | Some "sim" -> Sim_bench.run ()
   | Some id -> (
       match int_of_string_opt id with
       | Some id -> Figures.run cfg (Some id)
       | None ->
           Printf.eprintf
             "FIG must be 2..7, 'ablation', 'micro', 'stress', 'engine', \
-             'scale', 'obs', 'adaptive', 'replication', 'corpus' \
-             or 'chaos'\n")
+             'scale', 'obs', 'adaptive', 'replication', 'corpus', \
+             'chaos' or 'sim'\n")
   | None ->
       Figures.run cfg None;
       Ablation.run cfg;

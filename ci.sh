@@ -37,13 +37,15 @@ echo "ok"
 echo "== tests =="
 timeout 900 dune runtest
 
-# the Theorem 3 recurrence's property suites on twenty fixed seeds, so a
-# last-ulp or cancellation regression fails CI deterministically instead of
-# on one random seed per run (~15 s)
+# the Theorem 3 recurrence's property suites, and the simulator's
+# executor-vs-reference properties, on twenty fixed seeds, so a last-ulp,
+# cancellation or draw-order regression fails CI deterministically instead
+# of on one random seed per run (~35 s)
 echo "== oracle properties (QCHECK_SEED=1..20) =="
 (cd _build/default/test && timeout 120 sh -c '
   for seed in $(seq 1 20); do
-    for t in test_replication test_evaluator test_flat_engine; do
+    for t in test_replication test_evaluator test_flat_engine \
+      test_simulator test_sim_faults test_trace_io; do
       QCHECK_SEED=$seed ./$t.exe >"$t.seed.log" 2>&1 || {
         cat "$t.seed.log" >&2
         echo "$t failed at QCHECK_SEED=$seed" >&2

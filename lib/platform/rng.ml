@@ -3,7 +3,8 @@
 
 (* The 64-bit state lives in an 8-byte buffer rather than a mutable [int64]
    field: the byte primitives load and store it unboxed, so a draw allocates
-   nothing beyond its boxed float result. *)
+   nothing beyond its boxed float result ({!exponential_into} not even
+   that). *)
 type t = Bytes.t
 
 external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64"
@@ -53,11 +54,19 @@ let[@inline] uniform t =
 
 let float t bound = bound *. uniform t
 
+(* u in [0,1) so 1 - u in (0,1]; log is finite. *)
+let[@inline] draw_exponential t rate = -.Float.log (1. -. uniform t) /. rate
+
 let exponential t ~rate =
   if not (rate > 0.) then invalid_arg "Rng.exponential: rate must be positive";
-  let u = uniform t in
-  (* u in [0,1) so 1 - u in (0,1]; log is finite. *)
-  -.Float.log (1. -. u) /. rate
+  draw_exponential t rate
+
+(* The draw is stored, not returned: a float returned across a module
+   boundary is boxed, a float stored into a float array is not. *)
+let exponential_into t ~rate (slot : float array) i =
+  if not (rate > 0.) then
+    invalid_arg "Rng.exponential_into: rate must be positive";
+  slot.(i) <- draw_exponential t rate
 
 let gaussian t ~mean ~stddev =
   if stddev < 0. then invalid_arg "Rng.gaussian: negative stddev";

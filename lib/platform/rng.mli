@@ -36,6 +36,13 @@ val exponential : t -> rate:float -> float
     parameter [rate] by inversion; mean [1 /. rate].
     @raise Invalid_argument if [rate <= 0]. *)
 
+val exponential_into : t -> rate:float -> float array -> int -> unit
+(** [exponential_into t ~rate slot i] stores into [slot.(i)] the draw
+    {!exponential} would return, from the same stream, bit for bit. A float
+    returned from another module is boxed; a stored one is not, so this
+    draw allocates nothing — the simulator's per-attempt draw.
+    @raise Invalid_argument if [rate <= 0]. *)
+
 val gaussian : t -> mean:float -> stddev:float -> float
 (** Box–Muller normal draw. @raise Invalid_argument if [stddev < 0]. *)
 

@@ -4,8 +4,9 @@ type estimate = {
   wasted : Wfc_platform.Stats.t;
 }
 
-(* The one sampling loop: [runs] draws of [run_once] on one rng. *)
-let aggregate ~runs ~seed run_once =
+(* The one sampling loop: [runs] calls of the runner [prepare] builds once
+   on the estimate's rng. *)
+let aggregate ~runs ~seed prepare =
   if runs <= 0 then invalid_arg "Monte_carlo: runs must be positive";
   Wfc_obs.Trace.with_span "monte_carlo.aggregate"
     ~args:[ ("runs", string_of_int runs) ]
@@ -14,20 +15,22 @@ let aggregate ~runs ~seed run_once =
   let makespan = Wfc_platform.Stats.create () in
   let failures = Wfc_platform.Stats.create () in
   let wasted = Wfc_platform.Stats.create () in
+  let run_once = prepare rng in
   for _ = 1 to runs do
-    let r = run_once rng in
+    let r = run_once () in
     Wfc_platform.Stats.add makespan r.Sim.makespan;
     Wfc_platform.Stats.add failures (float_of_int r.Sim.failures);
     Wfc_platform.Stats.add wasted r.Sim.wasted
   done;
   { makespan; failures; wasted }
 
-(* Memoryless runs on one executor: its state is allocated once and reused
-   by every run. *)
-let run_model ?cancel ?replica_cost model g sched =
+(* Memoryless runs on one executor and one set of lanes: both are built
+   once per estimate and reused by every run. *)
+let run_model ?cancel ?replica_cost model g sched rng =
   let ex = Sim.exec ?replica_cost g sched in
-  fun rng ->
-    Sim.execute ?cancel ex (Sim.model_lanes ~rng model sched);
+  let lanes = Sim.model_lanes ~rng model sched in
+  fun () ->
+    Sim.execute ?cancel ex lanes;
     Sim.result ex
 
 let estimate ?cancel ?replica_cost ?(runs = 1000) ~seed model g sched =
@@ -35,11 +38,11 @@ let estimate ?cancel ?replica_cost ?(runs = 1000) ~seed model g sched =
 
 let estimate_renewal ?replica_cost ?(runs = 1000) ~seed ~failures ~downtime g
     sched =
-  aggregate ~runs ~seed (fun rng ->
+  aggregate ~runs ~seed (fun rng () ->
       Sim.run_renewal ?replica_cost ~rng ~failures ~downtime g sched)
 
 let estimate_overlap ?(runs = 1000) ~seed params g sched =
-  aggregate ~runs ~seed (fun rng -> Sim_overlap.run ~rng params g sched)
+  aggregate ~runs ~seed (fun rng () -> Sim_overlap.run ~rng params g sched)
 
 type faults_estimate = {
   summary : estimate;
@@ -53,7 +56,7 @@ let estimate_faults ?(runs = 1000) ~seed params g sched =
   let failed_recoveries = Wfc_platform.Stats.create () in
   let truncated_runs = ref 0 in
   let summary =
-    aggregate ~runs ~seed (fun rng ->
+    aggregate ~runs ~seed (fun rng () ->
         let r = Sim_faults.run ~rng params g sched in
         Wfc_platform.Stats.add corrupt_reads
           (float_of_int r.Sim_faults.corrupt_reads);
@@ -68,7 +71,8 @@ let estimate_faults ?(runs = 1000) ~seed params g sched =
   in
   { summary; corrupt_reads; failed_recoveries; truncated_runs = !truncated_runs }
 
-let estimate_parallel ?(runs = 1000) ?domains ~seed model g sched =
+let estimate_parallel ?cancel ?replica_cost ?(runs = 1000) ?domains ~seed model
+    g sched =
   let domains =
     match domains with
     | Some d ->
@@ -83,7 +87,7 @@ let estimate_parallel ?(runs = 1000) ?domains ~seed model g sched =
         let _, runs = slices.(i) in
         (* distinct deterministic stream per domain *)
         aggregate ~runs ~seed:(seed + (i * 0x9E3779B9))
-          (run_model model g sched))
+          (run_model ?cancel ?replica_cost model g sched))
   in
   List.fold_left
     (fun acc e ->
@@ -94,13 +98,14 @@ let estimate_parallel ?(runs = 1000) ?domains ~seed model g sched =
       })
     (List.hd parts) (List.tl parts)
 
-let makespan_samples ?(runs = 1000) ~seed model g sched =
+let makespan_samples ?cancel ?replica_cost ?(runs = 1000) ~seed model g sched
+    =
   if runs <= 0 then invalid_arg "Monte_carlo: runs must be positive";
   let rng = Wfc_platform.Rng.create seed in
   let samples = Wfc_platform.Sample_set.create () in
-  let run_once = run_model model g sched in
+  let run_once = run_model ?cancel ?replica_cost model g sched rng in
   for _ = 1 to runs do
-    Wfc_platform.Sample_set.add samples (run_once rng).Sim.makespan
+    Wfc_platform.Sample_set.add samples (run_once ()).Sim.makespan
   done;
   samples
 

@@ -18,8 +18,9 @@ val estimate :
 (** [estimate ~seed model g s] aggregates [runs] (default 1000) independent
     simulated executions, deterministically in [seed]. Replicated schedules
     simulate with [replica_cost] per extra copy (see {!Sim.run}). Every run
-    reuses one {!Sim.exec}, and [cancel] is polled at every simulated
-    failure.
+    reuses one {!Sim.exec} and one set of {!Sim.source_of_model} lanes, so a
+    run allocates only its summary; [cancel] is polled as {!Sim.execute}
+    polls it.
 
     @raise Invalid_argument if [runs <= 0].
     @raise Wfc_platform.Cancel.Cancelled when [cancel] fires. *)
@@ -70,6 +71,8 @@ val estimate_faults :
     @raise Invalid_argument if [runs <= 0]. *)
 
 val estimate_parallel :
+  ?cancel:Wfc_platform.Cancel.t ->
+  ?replica_cost:float ->
   ?runs:int ->
   ?domains:int ->
   seed:int ->
@@ -82,18 +85,22 @@ val estimate_parallel :
     its own deterministic RNG stream derived from [seed], and merges the
     accumulators. The result is deterministic in [(seed, domains, runs)] —
     and statistically equivalent to, but not bit-identical with, the
-    sequential estimate.
+    sequential estimate, except at [domains = 1], where it is {!estimate}
+    bit for bit. [replica_cost] and [cancel] act as in {!estimate}.
 
     @raise Invalid_argument if [runs <= 0] or [domains <= 0]. *)
 
 val makespan_samples :
+  ?cancel:Wfc_platform.Cancel.t ->
+  ?replica_cost:float ->
   ?runs:int ->
   seed:int ->
   Wfc_platform.Failure_model.t ->
   Wfc_dag.Dag.t ->
   Wfc_core.Schedule.t ->
   Wfc_platform.Sample_set.t
-(** Like {!estimate} but keeping every makespan sample, for quantile and
+(** Like {!estimate} (the same [replica_cost] and [cancel]) but keeping
+    every makespan sample, for quantile and
     tail analysis ({!Wfc_platform.Sample_set.quantile}). *)
 
 val agrees_with :

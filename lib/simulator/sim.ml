@@ -22,38 +22,60 @@ let m_corrupt = Metrics.counter "sim.faults.corrupt_ckpt_detected"
 let m_failed_rec = Metrics.counter "sim.faults.failed_recoveries"
 let m_truncated = Metrics.counter "sim.faults.truncated_runs"
 
-(* One failure lane; the mli documents the call order. *)
+(* One failure lane; the mli documents the call order. The floats of
+   [memoryless] are boxed fields, so the executor hands [lambda] to
+   [Rng.exponential_into] and reads [downtime] without allocating. *)
+type memoryless = { rng : Rng.t; lambda : float; downtime : float }
+
 type source = {
   time_to_failure : unit -> float;
   consume : float -> unit;
   next_downtime : unit -> float;
   after_failure : unit -> unit;
+  memoryless : memoryless option;
 }
 
+let custom_source ~time_to_failure ~consume ~next_downtime ~after_failure =
+  { time_to_failure; consume; next_downtime; after_failure; memoryless = None }
+
+(* The one draw rule of a memoryless lane: its time to failure, stored
+   into [slot.(0)]. The executor draws into its own slot; the lane's
+   closure, for wrappers, into one of its own. *)
+let[@inline] draw_memoryless m slot =
+  if m.lambda = 0. then Array.unsafe_set slot 0 infinity
+  else Rng.exponential_into m.rng ~rate:m.lambda slot 0
+
 let source_of_model ~rng model =
-  let lambda = model.Wfc_platform.Failure_model.lambda in
-  let downtime = model.Wfc_platform.Failure_model.downtime in
+  let m =
+    {
+      rng;
+      lambda = model.Wfc_platform.Failure_model.lambda;
+      downtime = model.Wfc_platform.Failure_model.downtime;
+    }
+  in
+  let slot = Array.make 1 0. in
   {
     (* memoryless: a fresh draw per attempt is exact for exponential *)
     time_to_failure =
       (fun () ->
-        if lambda = 0. then infinity else Rng.exponential rng ~rate:lambda);
+        draw_memoryless m slot;
+        Array.unsafe_get slot 0);
     consume = (fun _ -> ());
-    next_downtime = (fun () -> downtime);
+    next_downtime = (fun () -> m.downtime);
     after_failure = (fun () -> ());
+    memoryless = Some m;
   }
 
 let renewal_source ~rng ~failures ~downtime =
   (* countdown to the next failure: consumed by successful segments, redrawn
      after each repair (the repair renews the process) *)
   let remaining = ref (Wfc_platform.Distribution.sample failures rng) in
-  {
-    time_to_failure = (fun () -> !remaining);
-    consume = (fun dt -> remaining := !remaining -. dt);
-    next_downtime = (fun () -> Wfc_platform.Distribution.sample downtime rng);
-    after_failure =
-      (fun () -> remaining := Wfc_platform.Distribution.sample failures rng);
-  }
+  custom_source
+    ~time_to_failure:(fun () -> !remaining)
+    ~consume:(fun dt -> remaining := !remaining -. dt)
+    ~next_downtime:(fun () -> Wfc_platform.Distribution.sample downtime rng)
+    ~after_failure:(fun () ->
+      remaining := Wfc_platform.Distribution.sample failures rng)
 
 (* {1 The executor} *)
 
@@ -65,7 +87,9 @@ type faults = {
 }
 
 (* Every float the loop updates lives in this all-float record, so the
-   stores are unboxed. *)
+   stores are unboxed. [death] and [death_downtime] track the attempt's
+   last copy to die, until the attempt is lost and they become [lost] and
+   [downtime]. *)
 type clock = {
   mutable time : float;
   mutable wasted : float;
@@ -77,6 +101,8 @@ type clock = {
   mutable downtime : float;
   mutable exposure : float;
   mutable downtime_total : float;
+  mutable death : float;
+  mutable death_downtime : float;
 }
 
 type exec = {
@@ -110,10 +136,12 @@ type exec = {
   stack : int array;
   next : int array;
   clock : clock;
+  draw : float array;  (* the attempt's time to failure, stored unboxed *)
   (* the position in flight and the run's counters *)
   mutable position : int;
   mutable failures : int;
   mutable lane_failures : int;
+  mutable losses : int;  (* copies of the attempt in flight lost so far *)
   mutable recoveries : int;
   mutable corrupt_reads : int;
   mutable failed_recoveries : int;
@@ -126,6 +154,9 @@ let no_faults () =
 
 let exec ?(replica_cost = Wfc_core.Replication.default_cost) ?faults g sched =
   let n = Schedule.n_tasks sched in
+  (* the walk indexes by predecessor ids unchecked *)
+  if Wfc_dag.Dag.n_tasks g <> n then
+    invalid_arg "Sim.exec: schedule and DAG differ in size";
   let task v = Wfc_dag.Dag.task g v in
   let replicas = Array.init n (Schedule.replicas_of sched) in
   let work =
@@ -163,11 +194,13 @@ let exec ?(replica_cost = Wfc_core.Replication.default_cost) ?faults g sched =
       {
         time = 0.; wasted = 0.; start = 0.; replay = 0.; recovery = 0.;
         segment = 0.; lost = 0.; downtime = 0.; exposure = 0.;
-        downtime_total = 0.;
+        downtime_total = 0.; death = 0.; death_downtime = 0.;
       };
+    draw = Array.make 1 0.;
     position = 0;
     failures = 0;
     lane_failures = 0;
+    losses = 0;
     recoveries = 0;
     corrupt_reads = 0;
     failed_recoveries = 0;
@@ -202,41 +235,49 @@ let[@inline] bernoulli ex p = p > 0. && Rng.uniform ex.faults.rng < p
    only when every copy is corrupt are they discarded and the task
    recomputed from its own ancestors. A discovery persists even if the
    attempt later fails. Fills [restored] with the outputs a successful
-   attempt brings back to memory. *)
-let replay ex v =
+   attempt brings back to memory. Sums into the clock's [replay] and
+   [recovery], so no float is boxed.
+
+   The walk and the attempt loop index the executor's arrays unchecked:
+   every index is a task of its DAG (from the plan or a predecessor list)
+   or a DFS depth, which stays below n because the walk visits each task
+   at most once. *)
+let search ex v =
   ex.epoch <- ex.epoch + 1;
   let epoch = ex.epoch in
   let p_rec = ex.faults.p_rec_fail in
-  ex.n_restored <- 0;
-  let cost = ref 0. and recovery = ref 0. in
-  ex.stack.(0) <- v;
-  ex.next.(0) <- 0;
+  let c = ex.clock in
+  Array.unsafe_set ex.stack 0 v;
+  Array.unsafe_set ex.next 0 0;
   let sp = ref 1 in
   while !sp > 0 do
     let top = !sp - 1 in
-    let ps = ex.preds.(ex.stack.(top)) in
-    let i = ex.next.(top) in
+    let ps = Array.unsafe_get ex.preds (Array.unsafe_get ex.stack top) in
+    let i = Array.unsafe_get ex.next top in
     if i >= Array.length ps then decr sp
     else begin
-      ex.next.(top) <- i + 1;
-      let u = ps.(i) in
-      if ex.mem.(u) <> ex.life && ex.seen.(u) <> epoch then begin
-        ex.seen.(u) <- epoch;
-        ex.restored.(ex.n_restored) <- u;
+      Array.unsafe_set ex.next top (i + 1);
+      let u = Array.unsafe_get ps i in
+      if
+        Array.unsafe_get ex.mem u <> ex.life
+        && Array.unsafe_get ex.seen u <> epoch
+      then begin
+        Array.unsafe_set ex.seen u epoch;
+        Array.unsafe_set ex.restored ex.n_restored u;
         ex.n_restored <- ex.n_restored + 1;
         let recompute =
-          if ex.copies.(u) > 0 then begin
-            let rc = ex.rec_cost.(u) in
+          if Array.unsafe_get ex.copies u > 0 then begin
+            let rc = Array.unsafe_get ex.rec_cost u in
             let found = ref false and j = ref 0 in
             while (not !found) && !j < ex.copies.(u) do
               while bernoulli ex p_rec do
                 ex.failed_recoveries <- ex.failed_recoveries + 1;
-                cost := !cost +. rc;
-                recovery := !recovery +. rc
+                c.replay <- c.replay +. rc;
+                c.recovery <- c.recovery +. rc
               done;
               ex.recoveries <- ex.recoveries + 1;
-              cost := !cost +. rc;
-              recovery := !recovery +. rc;
+              c.replay <- c.replay +. rc;
+              c.recovery <- c.recovery +. rc;
               if ex.corrupt.(u) land (1 lsl !j) <> 0 then
                 ex.corrupt_reads <- ex.corrupt_reads + 1
               else found := true;
@@ -248,31 +289,45 @@ let replay ex v =
           else true
         in
         if recompute then begin
-          cost := !cost +. ex.work.(u);
-          ex.stack.(!sp) <- u;
-          ex.next.(!sp) <- 0;
+          c.replay <- c.replay +. Array.unsafe_get ex.work u;
+          Array.unsafe_set ex.stack !sp u;
+          Array.unsafe_set ex.next !sp 0;
           incr sp
         end
       end
     end
-  done;
-  ex.clock.recovery <- !recovery;
-  !cost
+  done
 
-let restore ex v =
+(* Most attempts find every input of [v] in memory, with nothing to
+   search. *)
+let[@inline] walk ex v =
+  let c = ex.clock in
+  c.replay <- 0.;
+  c.recovery <- 0.;
+  ex.n_restored <- 0;
+  let ps = Array.unsafe_get ex.preds v and mem = ex.mem and life = ex.life in
+  let k = ref 0 in
+  while
+    !k < Array.length ps && Array.unsafe_get mem (Array.unsafe_get ps !k) = life
+  do
+    incr k
+  done;
+  if !k < Array.length ps then search ex v
+
+let[@inline] restore ex v =
   for k = 0 to ex.n_restored - 1 do
-    ex.mem.(ex.restored.(k)) <- ex.life
+    Array.unsafe_set ex.mem (Array.unsafe_get ex.restored k) ex.life
   done;
-  ex.mem.(v) <- ex.life
+  Array.unsafe_set ex.mem v ex.life
 
-let store ex v =
-  let r = ex.replicas.(v) in
-  ex.copies.(v) <- r;
+let[@inline] store ex v =
+  let r = Array.unsafe_get ex.replicas v in
+  Array.unsafe_set ex.copies v r;
   let mask = ref 0 in
   for j = 0 to r - 1 do
     if bernoulli ex ex.faults.p_ckpt_fail then mask := !mask lor (1 lsl j)
   done;
-  ex.corrupt.(v) <- !mask
+  Array.unsafe_set ex.corrupt v !mask
 
 let wipe ex = ex.life <- ex.life + 1
 
@@ -302,71 +357,104 @@ let flush ex =
     end
   end
 
+(* A copy died [draw.(0)] seconds into the attempt, and its repair takes
+   [down]: charge it, and keep the death and repair of the last copy to
+   die, which a lost attempt is charged. *)
+let lose ex down =
+  let c = ex.clock in
+  let fail_after = Array.unsafe_get ex.draw 0 in
+  if ex.losses = 0 then begin
+    c.death <- neg_infinity;
+    c.death_downtime <- 0.
+  end;
+  ex.losses <- ex.losses + 1;
+  ex.lane_failures <- ex.lane_failures + 1;
+  c.exposure <- c.exposure +. fail_after;
+  c.downtime_total <- c.downtime_total +. down;
+  if fail_after > c.death then begin
+    c.death <- fail_after;
+    c.death_downtime <- down
+  end
+
 exception Capped
 
+(* [cancel] is polled at the start of every run and at every 16th failure
+   within it: an armed token reads the clock, which at every failure would
+   cost a run that fails every few attempts a tenth of its time. Many runs
+   with few failures each stop at the next run, and a diverging run within
+   sixteen failures. *)
+let poll_mask = 15
+
 (* The attempt loop: the paper's recovery semantics, implemented once (the
-   mli states the lane protocol). *)
+   mli states the lane protocol). A memoryless lane is drawn here, into
+   [ex.draw], and hooks left at [silent] are not called, so an attempt on
+   memoryless lanes under [silent] makes no indirect call and allocates
+   nothing. *)
 let execute ?(observer = silent) ?(cancel = Wfc_platform.Cancel.never) ex lanes
     =
   if Array.length lanes < Schedule.max_replica_count ex.sched then
     invalid_arg "Sim.execute: fewer lanes than replicas";
   reset ex;
+  Wfc_platform.Cancel.check cancel;
   let c = ex.clock in
   let cap = ex.faults.max_failures in
+  let on_attempt = observer.on_attempt != ignore_exec in
+  let on_success = observer.on_success != ignore_exec in
+  let on_failure = observer.on_failure != ignore_exec in
+  let order = ex.order and flags = ex.flags and draw = ex.draw in
   (try
      while ex.position < ex.n do
        (* re-read after every attempt: a replan may have changed both *)
-       let v = ex.order.(ex.position) in
-       let checkpointing = ex.flags.(v) in
-       let replay = replay ex v in
+       let v = Array.unsafe_get order ex.position in
+       let checkpointing = Array.unsafe_get flags v in
+       walk ex v;
        let segment =
-         replay +. ex.work.(v) +. (if checkpointing then ex.ckpt_cost.(v) else 0.)
+         c.replay +. Array.unsafe_get ex.work v
+         +. if checkpointing then Array.unsafe_get ex.ckpt_cost v else 0.
        in
        c.start <- c.time;
-       c.replay <- replay;
        c.segment <- segment;
-       observer.on_attempt ex;
-       let survivors = ref 0 and losses = ref 0 in
-       let last_death = ref neg_infinity and last_downtime = ref 0. in
-       for j = 0 to ex.replicas.(v) - 1 do
-         let lane = lanes.(j) in
-         let fail_after = lane.time_to_failure () in
-         if fail_after >= segment then begin
-           lane.consume segment;
-           c.exposure <- c.exposure +. segment;
-           incr survivors
-         end
-         else begin
-           let down = lane.next_downtime () in
-           incr losses;
-           ex.lane_failures <- ex.lane_failures + 1;
-           c.exposure <- c.exposure +. fail_after;
-           c.downtime_total <- c.downtime_total +. down;
-           if fail_after > !last_death then begin
-             last_death := fail_after;
-             last_downtime := down
-           end;
-           lane.after_failure ()
-         end
+       if on_attempt then observer.on_attempt ex;
+       let copies = Array.unsafe_get ex.replicas v in
+       ex.losses <- 0;
+       for j = 0 to copies - 1 do
+         let lane = Array.unsafe_get lanes j in
+         match lane.memoryless with
+         | Some m ->
+             draw_memoryless m draw;
+             if Array.unsafe_get draw 0 >= segment then
+               c.exposure <- c.exposure +. segment
+             else lose ex m.downtime
+         | None ->
+             Array.unsafe_set draw 0 (lane.time_to_failure ());
+             if Array.unsafe_get draw 0 >= segment then begin
+               lane.consume segment;
+               c.exposure <- c.exposure +. segment
+             end
+             else begin
+               lose ex (lane.next_downtime ());
+               lane.after_failure ()
+             end
        done;
-       if !survivors > 0 then begin
+       if ex.losses < copies then begin
          c.time <- c.time +. segment;
-         c.wasted <- c.wasted +. replay;
+         c.wasted <- c.wasted +. c.replay;
          restore ex v;
          if checkpointing then store ex v;
-         if !losses > 0 then ex.saves <- ex.saves + 1;
-         observer.on_success ex;
+         if ex.losses > 0 then ex.saves <- ex.saves + 1;
+         if on_success then observer.on_success ex;
          ex.position <- ex.position + 1
        end
        else begin
-         c.lost <- !last_death;
-         c.downtime <- !last_downtime;
-         c.time <- c.time +. !last_death +. !last_downtime;
-         c.wasted <- c.wasted +. !last_death +. !last_downtime;
+         c.lost <- c.death;
+         c.downtime <- c.death_downtime;
+         c.time <- c.time +. c.death +. c.death_downtime;
+         c.wasted <- c.wasted +. c.death +. c.death_downtime;
          ex.failures <- ex.failures + 1;
          wipe ex;
-         observer.on_failure ex;
-         Wfc_platform.Cancel.check cancel;
+         if on_failure then observer.on_failure ex;
+         if ex.failures land poll_mask = 0 then
+           Wfc_platform.Cancel.check cancel;
          if cap > 0 && ex.failures >= cap then raise_notrace Capped
        end
      done
@@ -398,7 +486,26 @@ let truncated ex = ex.truncated
 let order ex = Array.copy ex.order
 let flags ex = Array.copy ex.flags
 
+(* The replay walk for engines with their own time advance. These entry
+   points check [v]; the executor's own calls index unchecked. *)
+let check_task ex v =
+  if v < 0 || v >= ex.n then invalid_arg "Sim: task out of range"
+
+let replay ex v =
+  check_task ex v;
+  walk ex v;
+  ex.clock.replay
+
+let restore ex v =
+  check_task ex v;
+  restore ex v
+
+let store ex v =
+  check_task ex v;
+  store ex v
+
 let replan ex ~order ~flags =
+  Array.iter (check_task ex) order;
   Array.blit order 0 ex.order 0 ex.n;
   Array.blit flags 0 ex.flags 0 ex.n
 

@@ -25,7 +25,17 @@ type run = {
   wasted : float;  (** time spent on lost attempts, downtime and replays *)
 }
 
-type source = {
+type memoryless = {
+  rng : Wfc_platform.Rng.t;
+  lambda : float;  (** failure rate; [0.] never fails *)
+  downtime : float;  (** constant repair time *)
+}
+(** An exponential lane described by its parameters rather than by
+    closures: a fresh {!Wfc_platform.Rng.exponential} draw of rate
+    [lambda] from [rng] per attempt ([infinity] when [lambda = 0.]), a
+    constant [downtime], no ageing and no renewal. *)
+
+type source = private {
   time_to_failure : unit -> float;
       (** time until the next failure, measured from now; [infinity] means
           the current segment cannot fail *)
@@ -36,12 +46,31 @@ type source = {
   after_failure : unit -> unit;
       (** the repair renews the process; called {e after} [next_downtime] —
           the executor and every recording wrapper rely on that call order *)
+  memoryless : memoryless option;
+      (** [Some m] for {!source_of_model}'s lanes: {!execute} draws from
+          [m] itself — no closure call and no boxed float per attempt —
+          with the one draw rule the closures use too. Wrappers that
+          record or replay a lane call its closures, and the lanes they
+          build are [None]. *)
 }
-(** A failure environment as seen by the executor: one failure lane. *)
+(** A failure environment as seen by the executor: one failure lane. The
+    type is private so that [memoryless] cannot disagree with the closures:
+    build lanes with {!source_of_model}, {!renewal_source} or
+    {!custom_source}. *)
+
+val custom_source :
+  time_to_failure:(unit -> float) ->
+  consume:(float -> unit) ->
+  next_downtime:(unit -> float) ->
+  after_failure:(unit -> unit) ->
+  source
+(** A lane driven by the given closures, called in the order documented
+    above. *)
 
 val source_of_model : rng:Wfc_platform.Rng.t -> Wfc_platform.Failure_model.t -> source
 (** Memoryless exponential failures with constant downtime: a fresh
-    inter-arrival draw per attempt, which is exact for the exponential law. *)
+    inter-arrival draw per attempt, which is exact for the exponential law.
+    The lane carries its {!memoryless} description. *)
 
 val renewal_source :
   rng:Wfc_platform.Rng.t ->
@@ -70,10 +99,11 @@ type faults = {
 
 type exec
 (** An executor for one (DAG, schedule) pair: the platform state, the replay
-    walk's scratch and the run's counters, allocated once and reused by
-    every run. No attempt allocates an array or clears one: memory is wiped
-    and the walk's visited set cleared by bumping a stamp. An [exec] is not
-    shared between domains. *)
+    walk's scratch, the run's counters and the slot a memoryless draw is
+    stored into, allocated once and reused by every run. No attempt
+    allocates an array or clears one: memory is wiped and the walk's
+    visited set cleared by bumping a stamp. An [exec] is not shared between
+    domains. *)
 
 val exec :
   ?replica_cost:float ->
@@ -84,7 +114,9 @@ val exec :
 (** The executor for [sched]. Replicated tasks run with work surcharged by
     {!Wfc_core.Replication.effective_weight} at [replica_cost] (default
     {!Wfc_core.Replication.default_cost}); checkpoint and recovery costs are
-    shared, unscaled. *)
+    shared, unscaled.
+
+    @raise Invalid_argument if [sched] and the DAG differ in size. *)
 
 type observer = {
   on_attempt : exec -> unit;  (** a segment attempt begins *)
@@ -97,7 +129,9 @@ type observer = {
     accessors below; {!Sim_adaptive}'s failure hook may also {!replan}. *)
 
 val silent : observer
-(** Ignores everything. *)
+(** Ignores everything. {!execute} does not call a hook that is still
+    [silent]'s, so [{ silent with on_failure }] costs nothing on attempts
+    and successes. *)
 
 val execute :
   ?observer:observer ->
@@ -115,8 +149,15 @@ val execute :
     that lost copies but survived counts toward [sim.replica_saves]. With
     one lane this is the single-source engine, draw for draw.
 
-    [cancel] is polled at every failure, so a run that diverges can be
-    stopped. The [sim.*] metrics are flushed once, at the end of the run.
+    A lane with a {!memoryless} description is drawn by the executor, into
+    the [exec]'s float slot: on such lanes, with hooks left at {!silent}'s
+    and no checkpoint {!faults}, an attempt makes no indirect call and
+    allocates nothing. Other lanes are queried through their closures.
+
+    [cancel] is polled at the start of the run and at every 16th failure
+    (an armed token reads the clock), so both a diverging run and a long
+    series of short runs can be stopped. The [sim.*] metrics are
+    flushed once, at the end of the run.
 
     @raise Invalid_argument with fewer lanes than
       {!Wfc_core.Schedule.max_replica_count}.
@@ -170,12 +211,15 @@ val flags : exec -> bool array
 val replan : exec -> order:int array -> flags:bool array -> unit
 (** Replace the plan from the current position on (the caller keeps the
     executed prefix intact). The rewrite persists into later runs of this
-    executor. *)
+    executor.
+
+    @raise Invalid_argument if [order] names a task outside the DAG. *)
 
 (** {2 The replay walk, for engines with their own time advance}
 
     {!Sim_overlap} advances time through a background checkpoint channel,
-    so it drives the platform state itself. *)
+    so it drives the platform state itself. The functions that take a task
+    raise [Invalid_argument] when it is outside the DAG. *)
 
 val reset : exec -> unit
 (** A fresh platform: nothing in memory or on disk. *)

@@ -40,12 +40,11 @@ let source_of_params ~rng (params : params) =
   match params.failures with
   | Distribution.Exponential rate ->
       (* memoryless: a fresh draw per attempt is exact, as in Sim.run *)
-      {
-        Sim.time_to_failure = (fun () -> Rng.exponential rng ~rate);
-        consume = (fun _ -> ());
-        next_downtime = (fun () -> Distribution.sample params.downtime rng);
-        after_failure = (fun () -> ());
-      }
+      Sim.custom_source
+        ~time_to_failure:(fun () -> Rng.exponential rng ~rate)
+        ~consume:(fun _ -> ())
+        ~next_downtime:(fun () -> Distribution.sample params.downtime rng)
+        ~after_failure:(fun () -> ())
   | d ->
       (* renewal: countdown consumed by successful segments, redrawn after
          each repair, as in Sim.run_renewal *)

@@ -47,23 +47,19 @@ let recorder () = { events = []; last_ttf = nan }
    [time_to_failure], then either [consume] (survived) or [next_downtime]
    followed by [after_failure] (failed). *)
 let recording_source r (inner : Sim.source) =
-  {
-    Sim.time_to_failure =
-      (fun () ->
-        let v = inner.Sim.time_to_failure () in
-        r.last_ttf <- v;
-        v);
-    consume =
-      (fun dt ->
-        r.events <- Survived r.last_ttf :: r.events;
-        inner.Sim.consume dt);
-    next_downtime =
-      (fun () ->
-        let d = inner.Sim.next_downtime () in
-        r.events <- Failed { after = r.last_ttf; downtime = d } :: r.events;
-        d);
-    after_failure = inner.Sim.after_failure;
-  }
+  Sim.custom_source
+    ~time_to_failure:(fun () ->
+      let v = inner.Sim.time_to_failure () in
+      r.last_ttf <- v;
+      v)
+    ~consume:(fun dt ->
+      r.events <- Survived r.last_ttf :: r.events;
+      inner.Sim.consume dt)
+    ~next_downtime:(fun () ->
+      let d = inner.Sim.next_downtime () in
+      r.events <- Failed { after = r.last_ttf; downtime = d } :: r.events;
+      d)
+    ~after_failure:inner.Sim.after_failure
 
 let recorded r = Attempts (Array.of_list (List.rev r.events))
 
@@ -99,18 +95,15 @@ let record_renewal ~rng ~failures ~downtime g sched =
   let inner = Sim.renewal_source ~rng ~failures ~downtime in
   let ups = ref [ inner.Sim.time_to_failure () ] and downs = ref [] in
   let src =
-    {
-      inner with
-      Sim.next_downtime =
-        (fun () ->
-          let d = inner.Sim.next_downtime () in
-          downs := d :: !downs;
-          d);
-      after_failure =
-        (fun () ->
-          inner.Sim.after_failure ();
-          ups := inner.Sim.time_to_failure () :: !ups);
-    }
+    Sim.custom_source ~time_to_failure:inner.Sim.time_to_failure
+      ~consume:inner.Sim.consume
+      ~next_downtime:(fun () ->
+        let d = inner.Sim.next_downtime () in
+        downs := d :: !downs;
+        d)
+      ~after_failure:(fun () ->
+        inner.Sim.after_failure ();
+        ups := inner.Sim.time_to_failure () :: !ups)
   in
   let run = Sim.run_with_source src g sched in
   let trace =
@@ -186,34 +179,30 @@ let replay_source t =
       in
       {
         source =
-          {
-            Sim.time_to_failure =
-              (fun () ->
-                if !i >= n then begin
-                  exhausted := true;
-                  infinity
-                end
-                else
-                  match evs.(!i) with
-                  | Survived v -> v
-                  | Failed { after; _ } -> after);
-            consume =
-              (fun _ ->
-                if !i < n then begin
-                  (match evs.(!i) with
-                  | Survived _ -> ()
-                  | Failed _ -> diverge "segment survived a recorded failure");
-                  incr i
-                end);
-            next_downtime =
-              (fun () ->
-                if !i >= n then diverge "failure past the end of the trace"
-                else
-                  match evs.(!i) with
-                  | Failed { downtime; _ } -> downtime
-                  | Survived _ -> diverge "segment failed on a recorded survival");
-            after_failure = (fun () -> incr i);
-          };
+          Sim.custom_source
+            ~time_to_failure:(fun () ->
+              if !i >= n then begin
+                exhausted := true;
+                infinity
+              end
+              else
+                match evs.(!i) with
+                | Survived v -> v
+                | Failed { after; _ } -> after)
+            ~consume:(fun _ ->
+              if !i < n then begin
+                (match evs.(!i) with
+                | Survived _ -> ()
+                | Failed _ -> diverge "segment survived a recorded failure");
+                incr i
+              end)
+            ~next_downtime:(fun () ->
+              if !i >= n then diverge "failure past the end of the trace"
+              else
+                match evs.(!i) with
+                | Failed { downtime; _ } -> downtime
+                | Survived _ -> diverge "segment failed on a recorded survival")
+            ~after_failure:(fun () -> incr i);
         exhausted = (fun () -> !exhausted);
       }
   | Renewal { uptimes; downtimes } ->
@@ -227,19 +216,15 @@ let replay_source t =
       let final () = !idx >= ndown in
       {
         source =
-          {
-            Sim.time_to_failure =
-              (fun () -> if final () then infinity else !remaining);
-            consume =
-              (fun dt ->
-                remaining := !remaining -. dt;
-                if final () && !remaining < 0. then exhausted := true);
-            next_downtime = (fun () -> downtimes.(!idx));
-            after_failure =
-              (fun () ->
-                incr idx;
-                if !idx < Array.length uptimes then remaining := uptimes.(!idx));
-          };
+          Sim.custom_source
+            ~time_to_failure:(fun () -> if final () then infinity else !remaining)
+            ~consume:(fun dt ->
+              remaining := !remaining -. dt;
+              if final () && !remaining < 0. then exhausted := true)
+            ~next_downtime:(fun () -> downtimes.(!idx))
+            ~after_failure:(fun () ->
+              incr idx;
+              if !idx < Array.length uptimes then remaining := uptimes.(!idx));
         exhausted = (fun () -> !exhausted);
       }
 
