@@ -285,7 +285,9 @@ let exactness_study cfg =
          this small scale *)
       let model = FM.make ~lambda:(5. *. lambda_for family) () in
       let order = Linearize.run Linearize.Depth_first g in
-      let sol = Exact_solver.optimal_checkpoints model g ~order in
+      let sol =
+        Exact_solver.optimal_checkpoints (Flat_engine.create model g ~order)
+      in
       let gap ckpt =
         let o = Heuristics.run model g ~lin:Linearize.Depth_first ~ckpt in
         Printf.sprintf "%.2f"

@@ -90,7 +90,7 @@ let bench_ckptw_sweep () =
    power *)
 let exact_audit_flat g ~order () =
   Exact_solver.optimal_checkpoints_within ~domains:1 ~dominance:false
-    ~memo:false ~max_nodes:200_000 model g ~order
+    ~memo:false ~max_nodes:200_000 (Flat_engine.create model g ~order)
 
 (* Known answers: these optima (flags, node counts and the bits of the
    makespan) were measured before the naive search was retired, and no
@@ -127,7 +127,7 @@ let bench_exact_large () =
   let domains = 4 in
   let run () =
     Exact_solver.optimal_checkpoints_within ~domains ~max_nodes:50_000_000
-      model g ~order
+      (Flat_engine.create model g ~order)
   in
   let result, status = run () in
   assert (status = `Optimal);

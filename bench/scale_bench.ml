@@ -123,7 +123,7 @@ let bench_exact ~n ~domains =
   let (sol, status), seconds =
     Timing.once (fun () ->
         Exact_solver.optimal_checkpoints_within ~domains ~max_nodes:50_000_000
-          model g ~order)
+          (Flat_engine.create model g ~order))
   in
   {
     exact_n = n;
@@ -139,7 +139,7 @@ let parallel_guard ~n ~domains =
   let g, order = instance P.Genome n in
   let run domains =
     (Exact_solver.optimal_checkpoints_within ~domains ~max_nodes:5_000_000
-       model g ~order
+      (Flat_engine.create model g ~order)
     |> fst)
       .Exact_solver.makespan
   in

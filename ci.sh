@@ -37,15 +37,17 @@ echo "ok"
 echo "== tests =="
 timeout 900 dune runtest
 
-# the Theorem 3 recurrence's property suites, and the simulator's
-# executor-vs-reference properties, on twenty fixed seeds, so a last-ulp,
-# cancellation or draw-order regression fails CI deterministically instead
-# of on one random seed per run (~35 s)
+# the Theorem 3 recurrence's property suites, the simulator's
+# executor-vs-reference properties, and the serving layer's request-history
+# and caller's-engine properties, on twenty fixed seeds, so a last-ulp,
+# cancellation, draw-order or engine-binding regression fails CI
+# deterministically instead of on one random seed per run (~40 s)
 echo "== oracle properties (QCHECK_SEED=1..20) =="
 (cd _build/default/test && timeout 120 sh -c '
   for seed in $(seq 1 20); do
     for t in test_replication test_evaluator test_flat_engine \
-      test_simulator test_sim_faults test_trace_io; do
+      test_simulator test_sim_faults test_trace_io test_serve \
+      test_exact_solver; do
       QCHECK_SEED=$seed ./$t.exe >"$t.seed.log" 2>&1 || {
         cat "$t.seed.log" >&2
         echo "$t failed at QCHECK_SEED=$seed" >&2

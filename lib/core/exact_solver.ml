@@ -61,8 +61,14 @@ type flat_worker = {
 
 let memo_min_suffix = 8
 
-let flat_bnb ~max_nodes ~should_stop ~cancel ~domains ~dominance ~memo model g
-    ~order =
+let optimal_checkpoints_within ?(max_nodes = 1_000_000)
+    ?(should_stop = fun () -> false)
+    ?(cancel = Wfc_platform.Cancel.never) ?(domains = 1) ?(dominance = true)
+    ?(memo = true) scorer =
+  if domains < 1 then
+    invalid_arg "Exact_solver.optimal_checkpoints: domains < 1";
+  let model = Flat_engine.model scorer and g = Flat_engine.dag scorer in
+  let order = Flat_engine.order scorer in
   let n = Array.length order in
   Trace.with_span "exact.bnb"
     ~args:
@@ -75,9 +81,8 @@ let flat_bnb ~max_nodes ~should_stop ~cancel ~domains ~dominance ~memo model g
   Array.iteri (fun p v -> pos.(v) <- p) order;
   (* suffix completions are stored as position bitmasks *)
   let memo = memo && n <= 62 in
-  (* warm start: the heuristic sweep, scored on one engine that later
-     scores the reported optimum too *)
-  let scorer = Flat_engine.create model g ~order in
+  (* warm start: the heuristic sweep, scored on the caller's engine, which
+     later climbs the warm start and scores the reported optimum too *)
   let score flags =
     Flat_engine.set_flags scorer flags;
     Flat_engine.makespan scorer
@@ -100,7 +105,7 @@ let flat_bnb ~max_nodes ~should_stop ~cancel ~domains ~dominance ~memo model g
     let ls =
       Local_search.improve
         ~max_evaluations:(Int.min 4000 (Int.max 256 (8 * n)))
-        ~cancel model g
+        ~engine:scorer ~cancel model g
         (Schedule.make g ~order ~checkpointed:!inc0_flags)
     in
     if ls.Local_search.makespan < !inc0 then begin
@@ -342,22 +347,10 @@ let flat_bnb ~max_nodes ~should_stop ~cancel ~domains ~dominance ~memo model g
   let schedule = Schedule.make g ~order ~checkpointed:!best_flags in
   ({ schedule; makespan; nodes }, status)
 
-let optimal_checkpoints_within ?(max_nodes = 1_000_000)
-    ?(should_stop = fun () -> false)
-    ?(cancel = Wfc_platform.Cancel.never) ?(domains = 1) ?(dominance = true)
-    ?(memo = true) model g ~order =
-  if domains < 1 then
-    invalid_arg "Exact_solver.optimal_checkpoints: domains < 1";
-  if not (Wfc_dag.Dag.is_linearization g order) then
-    invalid_arg "Exact_solver.optimal_checkpoints: invalid order";
-  flat_bnb ~max_nodes ~should_stop ~cancel ~domains ~dominance ~memo model g
-    ~order
-
-let optimal_checkpoints ?max_nodes ?cancel ?domains ?dominance ?memo model g
-    ~order =
+let optimal_checkpoints ?max_nodes ?cancel ?domains ?dominance ?memo engine =
   match
     optimal_checkpoints_within ?max_nodes ?cancel ?domains ?dominance ?memo
-      model g ~order
+      engine
   with
   | sol, `Optimal -> sol
   | _, `Budget_exhausted -> raise Node_budget_exceeded

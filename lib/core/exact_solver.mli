@@ -30,13 +30,17 @@ val optimal_checkpoints_within :
   ?domains:int ->
   ?dominance:bool ->
   ?memo:bool ->
-  Wfc_platform.Failure_model.t ->
-  Wfc_dag.Dag.t ->
-  order:int array ->
+  Flat_engine.t ->
   solution * [ `Optimal | `Budget_exhausted ]
-(** [optimal_checkpoints_within model g ~order] runs the branch and bound
-    under a node budget and an optional caller-supplied stop predicate
-    (polled periodically — e.g. a wall-clock deadline). Instead of raising
+(** [optimal_checkpoints_within engine] runs the branch and bound for the
+    model, DAG and order [engine] is bound to (a fresh {!Flat_engine.create}
+    or a warm engine rebound by {!Flat_engine.bind}). The engine scores and
+    hill-climbs the warm start and scores the reported optimum, whose flags
+    it is left holding; the result does not depend on the flags it held.
+
+    The search runs under a node budget and an optional caller-supplied
+    stop predicate (polled periodically — e.g. a wall-clock deadline).
+    Instead of raising
     when the budget runs out, it returns the best incumbent found so far
     tagged [`Budget_exhausted], so callers can degrade gracefully; the
     incumbent is never worse than the warm-start heuristics, hence always a
@@ -50,8 +54,8 @@ val optimal_checkpoints_within :
     [should_stop] for "give me your best under a budget", [cancel] for
     "stop computing, the caller no longer wants any answer".
 
-    Prefix costs come from a {!Flat_engine} cursor tracking the tree's
-    flag assignments ({!Flat_engine.prefix_makespan} — [O(n)] per node).
+    Prefix costs come from a {!Flat_engine} cursor per search domain
+    ({!Flat_engine.prefix_makespan} — [O(n)] per node).
     The reported makespan is bitwise what a fresh {!Flat_engine} computes
     for the returned flags (so it does not depend on [domains] or on which
     domain found the optimum), within ~1e-15 relative of the oracle.
@@ -77,8 +81,7 @@ val optimal_checkpoints_within :
     pruning beyond the tail bound — the parity configuration whose flags
     and node counts the test suite pins.
 
-    @raise Invalid_argument if [order] is not a linearization of [g] or
-      [domains < 1]. *)
+    @raise Invalid_argument if [domains < 1]. *)
 
 val optimal_checkpoints :
   ?max_nodes:int ->
@@ -86,15 +89,12 @@ val optimal_checkpoints :
   ?domains:int ->
   ?dominance:bool ->
   ?memo:bool ->
-  Wfc_platform.Failure_model.t ->
-  Wfc_dag.Dag.t ->
-  order:int array ->
+  Flat_engine.t ->
   solution
-(** [optimal_checkpoints model g ~order] finds the checkpoint set minimizing
-    the expected makespan among all [2^n] subsets for the given
-    linearization. Thin wrapper over {!optimal_checkpoints_within} that
-    raises instead of returning an incumbent.
+(** [optimal_checkpoints engine] finds the checkpoint set minimizing the
+    expected makespan among all [2^n] subsets for the linearization
+    [engine] is bound to. Thin wrapper over {!optimal_checkpoints_within}
+    that raises instead of returning an incumbent.
 
     @raise Node_budget_exceeded after [max_nodes] (default [1_000_000])
-    expansions.
-    @raise Invalid_argument if [order] is not a linearization of [g]. *)
+    expansions. *)

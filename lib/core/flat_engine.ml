@@ -343,7 +343,6 @@ let create ?flags model g ~order =
   t.scal.(0) <- 1.;
   t
 
-let n_tasks t = t.n
 let dag t = t.g
 let order t = Array.copy t.order
 let flags t = Array.copy t.flags
@@ -1035,3 +1034,13 @@ let rollback t =
     t.pend_lo <- t.n;
     t.pend_hi <- -1
   end
+
+let bind ?engine ?flags model g ~order =
+  match engine with
+  | None -> create ?flags model g ~order
+  | Some t ->
+      if t.order <> order then
+        invalid_arg "Flat_engine.bind: engine bound to another order";
+      set_model t model;
+      Option.iter (set_flags t) flags;
+      t

@@ -61,7 +61,19 @@ val create :
     @raise Invalid_argument if [order] is not a linearization of [g] or
       [flags] has the wrong length. *)
 
-val n_tasks : t -> int
+val bind :
+  ?engine:t ->
+  ?flags:bool array ->
+  Wfc_platform.Failure_model.t ->
+  Wfc_dag.Dag.t ->
+  order:int array ->
+  t
+(** The engine a search over [(model, g, order)] runs on: [engine]
+    rebound by {!set_model} (and {!set_flags}, given [flags]), else
+    [create ?flags model g ~order] — bit-identical answers either way.
+
+    @raise Invalid_argument if [engine] is bound to another order, or on
+      the conditions of {!create}. *)
 
 val dag : t -> Wfc_dag.Dag.t
 (** The workflow the engine was created for (shared, not copied): a warm

@@ -167,7 +167,14 @@ let run ?(search = Exhaustive) ?backend:_ ?rand ?engine
   @@
   let poll () = Wfc_platform.Cancel.check cancel in
   poll ();
-  let order = Wfc_dag.Linearize.run ?rand lin g in
+  (* a supplied engine is bound to this request's order (the serving
+     cache's keys guarantee it): its order is trusted, not re-derived *)
+  let order =
+    match (engine, rand) with
+    | Some _, Some _ -> invalid_arg "Heuristics.run: ?rand with an engine"
+    | Some e, None -> Flat_engine.order e
+    | None, _ -> Wfc_dag.Linearize.run ?rand lin g
+  in
   let n = Wfc_dag.Dag.n_tasks g in
   let counts =
     match ckpt with
@@ -199,21 +206,10 @@ let run ?(search = Exhaustive) ?backend:_ ?rand ?engine
         fun n_ckpt -> checkpoint_flags ckpt g ~order ~n_ckpt
   in
   (* one engine across the sweep: consecutive candidate flag vectors differ
-     in a handful of tasks, so each step costs a suffix re-evaluation
-     instead of a full one. A warm [engine] (the serving layer's LRU) skips
-     the build; the sweep only ever sets whole flag vectors and the engine's
-     makespan is a pure function of them, so a warm engine scores every
-     candidate bit-identically to a cold one whatever flags and model it
-     was left holding. *)
-  let engine =
-    match engine with
-    | Some h ->
-        if Flat_engine.order h <> order then
-          invalid_arg "Heuristics.run: warm engine bound to another order";
-        Flat_engine.set_model h model;
-        h
-    | None -> Flat_engine.create model g ~order
-  in
+     in a handful of tasks, so each step costs a suffix re-evaluation. The
+     sweep only sets whole flag vectors, so a warm engine scores every
+     candidate bit-identically to a cold one. *)
+  let engine = Flat_engine.bind ?engine model g ~order in
   let counts = Array.of_list counts in
   let scores = Array.make (Array.length counts) 0. in
   let score i =

@@ -86,23 +86,21 @@ val run :
     candidate: a cancelled token makes the sweep raise
     {!Wfc_platform.Cancel.Cancelled} instead of returning a partial best.
 
-    [engine] supplies a warm {!Flat_engine} already bound to [(g, order)]
-    — the serving layer's LRU hands one back for repeat requests so the
-    sweep skips the engine build. The model is rebound with
-    {!Flat_engine.set_model} (cached lost-work rows survive). When the
-    engine's current checkpoint count is one of the candidate counts, that
-    candidate is scored first, where the engine's flags may already stand,
-    and the rest follow in ascending order: a sweep left at one end of the
-    grid then pays one large flag transition instead of two. Scores are
-    recorded by candidate and the winner is picked by the same ascending
-    scan as always (ties keep the smaller count; a [nan] score displaces
-    the incumbent). Because the sweep only assigns whole flag vectors and
-    an engine's makespan is a pure function of its flags, the outcome is
-    bit-identical to a cold run whatever flags and model the engine was
-    left holding; the engine is left at the last candidate scored.
+    [engine] supplies a warm {!Flat_engine} bound to [g] and to [lin]'s
+    linearization of it (the serving layer's LRU, whose keys guarantee the
+    order), so the sweep skips the engine build. The order is taken from
+    the engine and trusted: [g] is not re-linearized and [lin] only names
+    the heuristic. The model is rebound ({!Flat_engine.bind}). A candidate
+    at the engine's current checkpoint count is scored first, where its
+    flags may already stand, and the rest ascending; scores are recorded
+    by candidate and the winner picked by the same ascending scan (ties
+    keep the smaller count; a [nan] score displaces the incumbent). The
+    sweep only assigns whole flag vectors, so the outcome is bit-identical
+    to a cold run whatever flags and model the engine held; it is left at
+    the last candidate scored.
 
-    @raise Invalid_argument if [engine] is bound to a different order than
-      [lin]'s linearization of [g]. *)
+    @raise Invalid_argument if both [engine] and [rand] are given: the
+      engine's order is already drawn. *)
 
 (** {1 Replication — the second resilience axis} *)
 

@@ -108,16 +108,7 @@ let improve ?(max_evaluations = 4000) ?replica_cost ?max_replicas ?engine
   (* a supplied engine is rebound to the seed's flags and the model: every
      query is a pure function of the flags, so it scores each move
      bit-identically to a fresh engine *)
-  let engine =
-    match engine with
-    | None -> Flat_engine.create ~flags model g ~order
-    | Some e ->
-        if Flat_engine.order e <> order then
-          invalid_arg "Local_search.improve: engine bound to another order";
-        Flat_engine.set_model e model;
-        Flat_engine.set_flags e flags;
-        e
-  in
+  let engine = Flat_engine.bind ?engine ~flags model g ~order in
   Wfc_platform.Cancel.check cancel;
   let initial_makespan = Flat_engine.makespan engine in
   let evaluations = ref 1 in

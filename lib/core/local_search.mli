@@ -39,10 +39,10 @@ val improve :
 
     [engine] supplies a {!Flat_engine} already bound to [(g, order)] of
     [s] — the serving layer passes the warm engine its heuristic sweep just
-    used, so the climb skips a second engine build. It is rebound to the
-    model and the seed's flags, and because every query is a pure function
-    of the flag vector the reported values stay bitwise those of a fresh
-    engine; the engine is left holding the returned schedule's flags. The
+    used, so the climb skips a second engine build. {!Flat_engine.bind}
+    rebinds it to the model and the seed's flags; every query is a pure
+    function of the flags, so the reported values stay bitwise those of a
+    fresh engine. It is left holding the returned schedule's flags. The
     replica-aware path ignores it.
 
     When [s] is replicated, or [max_replicas] is given, the move set also

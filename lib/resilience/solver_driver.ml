@@ -61,10 +61,12 @@ type result = {
 }
 
 let solve ?(config = default_config) ?(cancel = Wfc_platform.Cancel.never)
-    model g ~order =
+    ?engine model g ~order =
   Trace.with_span "driver.solve" @@ fun () ->
   let finish r = record_tier r.tier r.reason; r in
   let t0 = Unix.gettimeofday () in
+  (* one engine for the exact tier and the hill climb of its incumbent *)
+  let engine = Flat_engine.bind ?engine model g ~order in
   let should_stop =
     match config.deadline with
     | None -> fun () -> false
@@ -73,7 +75,7 @@ let solve ?(config = default_config) ?(cancel = Wfc_platform.Cancel.never)
   let sol, status =
     Trace.with_span "driver.exact" (fun () ->
         Exact_solver.optimal_checkpoints_within ~max_nodes:config.max_nodes
-          ~should_stop ~cancel ~domains:config.bnb_domains model g ~order)
+          ~should_stop ~cancel ~domains:config.bnb_domains engine)
   in
   let elapsed () = Unix.gettimeofday () -. t0 in
   match status with
@@ -93,7 +95,7 @@ let solve ?(config = default_config) ?(cancel = Wfc_platform.Cancel.never)
       let ls =
         Trace.with_span "driver.local_search" (fun () ->
             Local_search.improve ~max_evaluations:config.ls_evaluations
-              ~cancel model g sol.Exact_solver.schedule)
+              ~engine ~cancel model g sol.Exact_solver.schedule)
       in
       (* tier 3: the configured heuristic chain, on their own linearizations *)
       let best_fallback =
@@ -169,16 +171,7 @@ let solve_suffix ?(budget = default_suffix_budget) ?engine model g ~order
     invalid_arg "Solver_driver.solve_suffix: flags have the wrong size";
   if from < 0 || from > n then
     invalid_arg "Solver_driver.solve_suffix: position out of range";
-  let e =
-    match engine with
-    | None -> Flat_engine.create model g ~order
-    | Some e ->
-        if Flat_engine.order e <> order then
-          invalid_arg
-            "Solver_driver.solve_suffix: engine bound to another order";
-        Flat_engine.set_model e model;
-        e
-  in
+  let e = Flat_engine.bind ?engine model g ~order in
   let evals = ref 0 in
   let eval cand =
     incr evals;
@@ -251,9 +244,7 @@ let replanner ?(budget = default_suffix_budget) ?relinearize g =
         let e = Flat_engine.create model g ~order in
         cache :=
           (Array.copy order, e)
-          :: (if List.length !cache >= max_cached then
-                List.filteri (fun i _ -> i < max_cached - 1) !cache
-              else !cache);
+          :: List.filteri (fun i _ -> i < max_cached - 1) !cache;
         e
   in
   fun ~model ~order ~flags ~from ->

@@ -52,6 +52,7 @@ type result = {
 val solve :
   ?config:config ->
   ?cancel:Wfc_platform.Cancel.t ->
+  ?engine:Wfc_core.Flat_engine.t ->
   Wfc_platform.Failure_model.t ->
   Wfc_dag.Dag.t ->
   order:int array ->
@@ -67,7 +68,12 @@ val solve :
     {!Wfc_platform.Cancel.Cancelled}: it is the serving layer's watchdog
     hook, for when nobody is waiting for any answer at all.
 
-    @raise Invalid_argument if [order] is not a linearization of [g]. *)
+    The branch and bound and the climb of its incumbent run on
+    {!Wfc_core.Flat_engine.bind}[ ?engine model g ~order] (the serving
+    layer's warm engine): bit-identical with or without [engine].
+
+    @raise Invalid_argument if [order] is not a linearization of [g], or
+      [engine] is bound to another order. *)
 
 type suffix_result = {
   flags : bool array;
@@ -102,7 +108,7 @@ val solve_suffix :
 
     Candidates are scored on a {!Wfc_core.Flat_engine}. [engine] supplies
     one already bound to [(g, order)] to reuse across replans: the model is
-    rebound with {!Wfc_core.Flat_engine.set_model} (cached lost-work rows
+    rebound by {!Wfc_core.Flat_engine.bind} (cached lost-work rows
     survive) and each candidate costs only the suffix it dirties; on return
     the engine holds the chosen flags. Without [engine] a fresh one is
     built. A reused engine and a fresh one return the same flags and the

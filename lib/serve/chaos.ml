@@ -147,17 +147,8 @@ type proxy = {
 
 let listen p = Server.Tcp p.port
 
-let addr_of_target = function
-  | Server.Tcp port -> Unix.ADDR_INET (Unix.inet_addr_loopback, port)
-  | Server.Unix_sock path -> Unix.ADDR_UNIX path
-
 let shutdown_quiet fd how = try Unix.shutdown fd how with Unix.Unix_error _ -> ()
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-let rec write_all fd b pos len =
-  if len > 0 then
-    let n = Unix.write fd b pos len in
-    write_all fd b (pos + n) (len - n)
 
 (* Client -> server direction: Delay, Corrupt, Trickle, Tear. After a tear
    the server side is half-closed (it sees a mid-stream EOF) but the client
@@ -199,7 +190,7 @@ let pump_request ~spec ~src ~dst =
        let pos = ref 0 in
        while !pos < keep do
          let c = min chunk (keep - !pos) in
-         write_all dst buf !pos c;
+         Sock_io.write_all dst buf !pos c;
          if chunk < 4096 then Thread.yield ();
          pos := !pos + c
        done
@@ -251,7 +242,7 @@ let pump_response ~spec ~src ~dst =
           | Some r when !off + n >= r -> max 0 (r - !off)
           | _ -> n
         in
-        (try write_all dst buf 0 keep with Unix.Unix_error _ -> ());
+        (try Sock_io.write_all dst buf 0 keep with Unix.Unix_error _ -> ());
         off := !off + n;
         match reset with
         | Some r when !off >= r ->
@@ -303,13 +294,7 @@ let start ~target spec =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   try
-    let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt sock Unix.SO_REUSEADDR true;
-    Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-    Unix.listen sock 16;
-    let port =
-      match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> 0
-    in
+    let sock, port = Sock_io.listen_tcp ~backlog:16 0 in
     let p =
       {
         sock;
@@ -320,7 +305,7 @@ let start ~target spec =
         cmutex = Mutex.create ();
         conn_ids = Atomic.make 0;
         spec;
-        target = addr_of_target target;
+        target = Sock_io.sockaddr target;
       }
     in
     p.accept_thread <- Some (Thread.create accept_loop p);
@@ -417,15 +402,15 @@ let classify ~reference ~safe replies =
     else if List.length replies < List.length reference then Torn
     else Structured
 
-let direct_exchange ?recv_timeout ~binary target lines =
-  match Client.connect target with
+let direct_exchange ?retry ?recv_timeout ~binary target lines =
+  match Client.connect ?retry target with
   | Error _ -> None
   | Ok fd ->
-      (match recv_timeout with
-      | Some t -> (
+      Option.iter
+        (fun t ->
           try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t
           with Unix.Unix_error _ | Invalid_argument _ -> ())
-      | None -> ());
+        recv_timeout;
       let r = try Some (Client.exchange ~binary fd lines) with _ -> None in
       close_quiet fd;
       r
@@ -434,20 +419,11 @@ let run_one ~target ~recv_timeout ~binary ~lines ~reference ~safe spec =
   match start ~target spec with
   | Error _ -> Torn
   | Ok p ->
-      let outcome =
-        match Client.connect ~retry:2. (listen p) with
-        | Error _ -> Torn
-        | Ok fd ->
-            (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO recv_timeout
-             with Unix.Unix_error _ | Invalid_argument _ -> ());
-            let res = try Ok (Client.exchange ~binary fd lines) with e -> Error e in
-            close_quiet fd;
-            (match res with
-            | Error _ -> Torn
-            | Ok replies -> classify ~reference ~safe replies)
+      let replies =
+        direct_exchange ~retry:2. ~recv_timeout ~binary (listen p) lines
       in
       stop p;
-      outcome
+      Option.fold ~none:Torn ~some:(classify ~reference ~safe) replies
 
 let parse_outstanding lines =
   List.fold_left

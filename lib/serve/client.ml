@@ -14,14 +14,6 @@ module Pr = Protocol
 type reply = { rid : int64; body : (string list, string) result }
 (* [Error] carries "CODE MESSAGE" from an error response. *)
 
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let rec go off =
-    if off < Bytes.length b then
-      go (off + Unix.write fd b off (Bytes.length b - off))
-  in
-  go 0
-
 (* Retry schedule: capped exponential backoff, deterministic (no jitter —
    clients here race one local daemon's startup, not a thundering herd).
    Sleeps are 50 ms, 100 ms, 200 ms, 400 ms, then 800 ms flat until the
@@ -31,11 +23,7 @@ let backoff_first = 0.05
 let backoff_cap = 0.8
 
 let connect ?(retry = 5.) target =
-  let addr =
-    match target with
-    | Server.Tcp port -> Unix.ADDR_INET (Unix.inet_addr_loopback, port)
-    | Server.Unix_sock path -> Unix.ADDR_UNIX path
-  in
+  let addr = Sock_io.sockaddr target in
   let rec go ~sleep left =
     let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
     match Unix.connect fd addr with
@@ -49,10 +37,7 @@ let connect ?(retry = 5.) target =
     | exception Unix.Unix_error (e, _, _) ->
         (try Unix.close fd with Unix.Unix_error _ -> ());
         Error
-          (Printf.sprintf "cannot connect to %s: %s"
-             (match target with
-             | Server.Tcp p -> Printf.sprintf "127.0.0.1:%d" p
-             | Server.Unix_sock p -> p)
+          (Printf.sprintf "cannot connect to %s: %s" (Sock_io.describe target)
              (Unix.error_message e))
   in
   go ~sleep:backoff_first retry
@@ -61,37 +46,6 @@ let by_rid a b = Int64.compare a.rid b.rid
 
 (* ---- text transport ---------------------------------------------------- *)
 
-type linereader = {
-  fd : Unix.file_descr;
-  buf : Bytes.t;
-  mutable pos : int;
-  mutable len : int;
-}
-
-let read_line lr =
-  let b = Buffer.create 80 in
-  let rec go () =
-    if lr.pos >= lr.len then begin
-      lr.len <- Unix.read lr.fd lr.buf 0 (Bytes.length lr.buf);
-      lr.pos <- 0
-    end;
-    if lr.len = 0 then
-      if Buffer.length b = 0 then None else Some (Buffer.contents b)
-    else
-      match Bytes.get lr.buf lr.pos with
-      | '\n' ->
-          lr.pos <- lr.pos + 1;
-          Some (Buffer.contents b)
-      | '\r' ->
-          lr.pos <- lr.pos + 1;
-          go ()
-      | c ->
-          lr.pos <- lr.pos + 1;
-          Buffer.add_char b c;
-          go ()
-  in
-  go ()
-
 let split2 s =
   match String.index_opt s ' ' with
   | None -> (s, "")
@@ -99,20 +53,21 @@ let split2 s =
       (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
 
 let text_exchange fd lines =
-  write_all fd (String.concat "" (List.map (fun l -> l ^ "\n") lines));
+  Sock_io.write_string fd
+    (String.concat "" (List.map (fun l -> l ^ "\n") lines));
   Unix.shutdown fd Unix.SHUTDOWN_SEND;
-  let lr = { fd; buf = Bytes.create 8192; pos = 0; len = 0 } in
+  let lr = Sock_io.reader fd in
   (* a well-formed body ends with the "." terminator line; EOF before it
      means the connection died mid-response — that must surface as a
      structured error, never as a silently shortened Ok body *)
   let rec read_body acc =
-    match read_line lr with
+    match Sock_io.read_line lr with
     | None -> Error ()
     | Some "." -> Ok (List.rev acc)
     | Some l -> read_body (l :: acc)
   in
   let rec go acc =
-    match read_line lr with
+    match Sock_io.read_line lr with
     | None -> List.rev acc
     | Some header -> (
         match split2 header with
@@ -155,12 +110,11 @@ let binary_exchange fd lines =
   in
   List.iter
     (fun (rid, req) ->
-      write_all fd (Codec.frame (Codec.encode_request ~id:rid req)))
+      Sock_io.write_string fd (Codec.frame (Codec.encode_request ~id:rid req)))
     sendable;
   Unix.shutdown fd Unix.SHUTDOWN_SEND;
-  let read buf off len = Unix.read fd buf off len in
   let rec go acc =
-    match Codec.read_frame read with
+    match Codec.read_frame (Unix.read fd) with
     | Ok None -> List.rev acc
     | Error msg -> List.rev ({ rid = 0L; body = Error ("framing " ^ msg) } :: acc)
     | Ok (Some payload) -> (

@@ -8,9 +8,8 @@
    - a warm hit skips every derivation the cache already holds: a
      generated workflow is found by its spec key, so the hit builds no DAG,
      linearization, fingerprint or engine and takes the DAG from the
-     engine. The searches it feeds ([Heuristics.run ?engine], then
-     [Local_search.improve ?engine]) are bit-identical to cold runs, since
-     every engine query is a pure function of the flags;
+     engine. Every tier runs on that engine and is bit-identical to a cold
+     run, since every engine query is a pure function of the flags;
    - request deadlines map to solver budgets {e deterministically}
      (a node budget at a fixed calibration rate, never a wall-clock abort);
    - everything nondeterministic (latency, uptime, hit rates) is only
@@ -127,7 +126,6 @@ let create ?(config = default_config) () =
   }
 
 let cache_stats t = Engine_cache.stats t.cache
-let stopping t = Atomic.get t.stop
 let engines_outstanding t = Atomic.get t.engines_out
 
 let err code message = Pr.Error { code; message }
@@ -175,12 +173,13 @@ let deadline_plan cfg ~n d =
   else if nodes >= 100 then `Local_search (Int.min 2000 nodes)
   else `Heuristic
 
-(* Warm-engine checkout around a solve: the checkout removes the cached
-   engine (two workers must never share one — a concurrent same-key request
-   just builds cold), the solve runs on the engine's own DAG, and check-in
+(* Warm-engine checkout around a solve, the one source of a request's
+   engine for every tier: the checkout removes the cached engine (two
+   workers must never share one — a concurrent same-key request just
+   builds cold), the solve runs on it and its own DAG, and check-in
    re-inserts at MRU. A generated workflow is looked up by its spec key
    first, so a warm hit forces nothing of [derived]; a miss derives the DAG
-   and linearization, fingerprints them and takes by content key.
+   and linearization, fingerprints them, takes by content key and builds.
 
    Crash-only discipline: the check-in finalizer is installed the moment an
    engine exists and nothing else runs between checkout and [Fun.protect] —
@@ -190,26 +189,24 @@ let deadline_plan cfg ~n d =
    checkout is live, so [cache.outstanding] in [stats] must read 0 at
    rest. *)
 let with_engine t ?spec model derived f =
-  if Engine_cache.capacity t.cache = 0 then f (fst (Lazy.force derived)) None
+  let build () =
+    let g, order = Lazy.force derived in
+    Wfc_core.Flat_engine.create model g ~order
+  in
+  if Engine_cache.capacity t.cache = 0 then f (build ())
   else begin
     let key, cached =
       Engine_cache.checkout ?spec t.cache (fun () ->
           let g, order = Lazy.force derived in
           Key.make E.Flat model g ~order)
     in
-    let engine =
-      match cached with
-      | Some h -> h
-      | None ->
-          let g, order = Lazy.force derived in
-          Wfc_core.Flat_engine.create model g ~order
-    in
+    let engine = match cached with Some e -> e | None -> build () in
     Atomic.incr t.engines_out;
     Fun.protect
       ~finally:(fun () ->
         Engine_cache.put ?spec t.cache key engine;
         Atomic.decr t.engines_out)
-      (fun () -> f (Wfc_core.Flat_engine.dag engine) (Some engine))
+      (fun () -> f engine)
   end
 
 let run_solve t ~cancel (p : Pr.solve_params) =
@@ -243,41 +240,44 @@ let run_solve t ~cancel (p : Pr.solve_params) =
         | Some d -> deadline_plan t.config ~n d
       in
       Ok
-        (match plan with
-        | (`Heuristic | `Local_search _) as plan ->
-            with_engine t ?spec model derived (fun g engine ->
-                let o =
-                  H.run ~search ?engine ~cancel model g ~lin:p.lin ~ckpt:p.ckpt
-                in
-                match plan with
-                | `Heuristic ->
-                    finish g ~tier:Driver.Heuristic
-                      ~evaluations:o.H.evaluations o.H.schedule o.H.makespan
-                | `Local_search evals ->
-                    (* the sweep's engine climbs too: bitwise a fresh
-                       engine's scores, without a second build *)
-                    let ls =
-                      LS.improve ~max_evaluations:evals ?engine ~cancel model
-                        g o.H.schedule
-                    in
-                    finish g ~tier:Driver.Local_search
-                      ~evaluations:(o.H.evaluations + ls.LS.evaluations)
-                      ls.LS.schedule ls.LS.makespan)
-        | `Exact nodes ->
-            (* the only fallback is the requested heuristic: any other
-               linearization would answer with another order's schedule
-               under this request's heuristic name *)
-            let g, order = Lazy.force derived in
-            let config =
-              { Driver.default_config with
-                Driver.max_nodes = nodes;
-                search;
-                fallbacks = [ (p.lin, p.ckpt) ];
-              }
-            in
-            let r = Driver.solve ~config ~cancel model g ~order in
-            finish g ~tier:r.Driver.tier ~evaluations:r.Driver.nodes
-              r.Driver.schedule r.Driver.makespan)
+        (with_engine t ?spec model derived @@ fun engine ->
+         let g = Wfc_core.Flat_engine.dag engine in
+         match plan with
+         | (`Heuristic | `Local_search _) as plan -> (
+             let o =
+               H.run ~search ~engine ~cancel model g ~lin:p.lin ~ckpt:p.ckpt
+             in
+             match plan with
+             | `Heuristic ->
+                 finish g ~tier:Driver.Heuristic ~evaluations:o.H.evaluations
+                   o.H.schedule o.H.makespan
+             | `Local_search evals ->
+                 (* the sweep's engine climbs too: bitwise a fresh
+                    engine's scores, without a second build *)
+                 let ls =
+                   LS.improve ~max_evaluations:evals ~engine ~cancel model g
+                     o.H.schedule
+                 in
+                 finish g ~tier:Driver.Local_search
+                   ~evaluations:(o.H.evaluations + ls.LS.evaluations)
+                   ls.LS.schedule ls.LS.makespan)
+         | `Exact nodes ->
+             (* the only fallback is the requested heuristic: any other
+                linearization would answer with another order's schedule
+                under this request's heuristic name *)
+             let config =
+               { Driver.default_config with
+                 Driver.max_nodes = nodes;
+                 search;
+                 fallbacks = [ (p.lin, p.ckpt) ];
+               }
+             in
+             let r =
+               Driver.solve ~config ~cancel ~engine model g
+                 ~order:(Wfc_core.Flat_engine.order engine)
+             in
+             finish g ~tier:r.Driver.tier ~evaluations:r.Driver.nodes
+               r.Driver.schedule r.Driver.makespan)
 
 (* ---- the other compute endpoints -------------------------------------- *)
 
@@ -496,69 +496,7 @@ let handle ?cancel t req =
 
 (* ---- socket layer ------------------------------------------------------ *)
 
-type listen = Tcp of int | Unix_sock of string
-
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let rec go off =
-    if off < Bytes.length b then
-      go (off + Unix.write fd b off (Bytes.length b - off))
-  in
-  go 0
-
-(* Tiny buffered reader: lets the first-byte mode sniff push the byte back,
-   serves both line reads (text mode) and the Codec read contract. *)
-type bufreader = {
-  fd : Unix.file_descr;
-  buf : Bytes.t;
-  mutable pos : int;
-  mutable len : int;
-}
-
-let bufreader fd = { fd; buf = Bytes.create 8192; pos = 0; len = 0 }
-
-let refill br =
-  let n = Unix.read br.fd br.buf 0 (Bytes.length br.buf) in
-  br.pos <- 0;
-  br.len <- n;
-  n
-
-let read_byte br =
-  if br.pos < br.len then begin
-    let c = Bytes.get br.buf br.pos in
-    br.pos <- br.pos + 1;
-    Some c
-  end
-  else if refill br = 0 then None
-  else begin
-    let c = Bytes.get br.buf 0 in
-    br.pos <- 1;
-    Some c
-  end
-
-let unread_byte br = br.pos <- br.pos - 1
-
-let reader_fn br buf off len =
-  if br.pos < br.len then begin
-    let n = Int.min len (br.len - br.pos) in
-    Bytes.blit br.buf br.pos buf off n;
-    br.pos <- br.pos + n;
-    n
-  end
-  else Unix.read br.fd buf off len
-
-let read_line br =
-  let b = Buffer.create 80 in
-  let rec go () =
-    match read_byte br with
-    | None -> if Buffer.length b = 0 then None else Some (Buffer.contents b)
-    | Some '\n' -> Some (Buffer.contents b)
-    | Some '\r' -> go ()
-    | Some c ->
-        Buffer.add_char b c;
-        go ()
-  in
-  go ()
+type listen = Sock_io.listen = Tcp of int | Unix_sock of string
 
 type conn = {
   cfd : Unix.file_descr;
@@ -570,7 +508,8 @@ type conn = {
 
 let send_binary conn ~id resp =
   Mutex.protect conn.wmutex (fun () ->
-      write_all conn.cfd (Codec.frame (Codec.encode_response ~id resp)))
+      Sock_io.write_string conn.cfd
+        (Codec.frame (Codec.encode_response ~id resp)))
 
 (* Text framing: `ok ID` + body + `.`, or a single `error ID CODE MESSAGE`
    line. The client sorts blocks by ID, so pipelined cram output is
@@ -591,7 +530,7 @@ let send_text conn ~id resp =
         Buffer.add_string b ".\n";
         Buffer.contents b
   in
-  Mutex.protect conn.wmutex (fun () -> write_all conn.cfd block)
+  Mutex.protect conn.wmutex (fun () -> Sock_io.write_string conn.cfd block)
 
 let job_done conn =
   Mutex.protect conn.pmutex (fun () ->
@@ -624,7 +563,7 @@ let process t pool conn ~send ~id req =
   end
 
 let binary_loop t pool conn br =
-  let read = reader_fn br in
+  let read = Sock_io.read br in
   let rec loop () =
     match Codec.read_frame ~max_frame:t.config.max_frame read with
     | Ok None -> ()
@@ -651,7 +590,7 @@ let binary_loop t pool conn br =
 let text_loop t pool conn br =
   let next_id = ref 0L in
   let rec loop () =
-    match read_line br with
+    match Sock_io.read_line br with
     | None -> ()
     | Some line when String.trim line = "" -> loop ()
     | Some line ->
@@ -674,16 +613,12 @@ let handle_conn t pool fd =
       pending = 0;
     }
   in
-  let br = bufreader fd in
+  let br = Sock_io.reader fd in
   (try
-     match read_byte br with
+     match Sock_io.peek br with
      | None -> ()
-     | Some '\000' ->
-         unread_byte br;
-         binary_loop t pool conn br
-     | Some _ ->
-         unread_byte br;
-         text_loop t pool conn br
+     | Some '\000' -> binary_loop t pool conn br
+     | Some _ -> text_loop t pool conn br
    with _ -> ());
   (* responses may still be in flight on worker domains: close only once
      every admitted job for this connection has sent *)
@@ -696,27 +631,19 @@ let handle_conn t pool fd =
 let bind_listener = function
   | Tcp port -> (
       try
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.setsockopt fd Unix.SO_REUSEADDR true;
-        Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-        Unix.listen fd 64;
-        let port =
-          match Unix.getsockname fd with
-          | Unix.ADDR_INET (_, p) -> p
-          | _ -> port
-        in
-        Ok (fd, (fun () -> ()), Printf.sprintf "127.0.0.1:%d" port)
+        let fd, port = Sock_io.listen_tcp ~backlog:64 port in
+        Ok (fd, (fun () -> ()), Sock_io.describe (Tcp port))
       with Unix.Unix_error (e, _, _) ->
         Stdlib.Error
           (Printf.sprintf "cannot listen on port %d: %s" port
              (Unix.error_message e)))
-  | Unix_sock path -> (
+  | Unix_sock path as l -> (
       if Sys.file_exists path then
         Stdlib.Error (Printf.sprintf "socket path %s already exists" path)
       else
         try
           let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          Unix.bind fd (Unix.ADDR_UNIX path);
+          Unix.bind fd (Sock_io.sockaddr l);
           Unix.listen fd 64;
           Ok (fd, (fun () -> try Sys.remove path with Sys_error _ -> ()), path)
         with Unix.Unix_error (e, _, _) ->

@@ -79,10 +79,8 @@ val engines_outstanding : t -> int
     stats row). 0 whenever no request is mid-solve; a non-zero value at
     rest is a checkout leak. *)
 
-val stopping : t -> bool
-(** Whether a [Shutdown] request has been dispatched. *)
 
-type listen = Tcp of int | Unix_sock of string
+type listen = Sock_io.listen = Tcp of int | Unix_sock of string
 (** TCP binds 127.0.0.1; port 0 picks a free port. The Unix-socket path
     must not already exist and is removed on exit. *)
 

@@ -24,22 +24,29 @@ let aggregate ~runs ~seed prepare =
   done;
   { makespan; failures; wasted }
 
-(* Memoryless runs on one executor and one set of lanes: both are built
-   once per estimate and reused by every run. *)
+(* One executor and one set of lanes per estimate, reused by every run;
+   renewing the lanes after each run draws what fresh lanes would. *)
+let run_on ?cancel ex lanes () =
+  Sim.execute ?cancel ex lanes;
+  Sim.renew lanes;
+  Sim.result ex
+
 let run_model ?cancel ?replica_cost model g sched rng =
-  let ex = Sim.exec ?replica_cost g sched in
-  let lanes = Sim.model_lanes ~rng model sched in
-  fun () ->
-    Sim.execute ?cancel ex lanes;
-    Sim.result ex
+  run_on ?cancel
+    (Sim.exec ?replica_cost g sched)
+    (Sim.model_lanes ~rng model sched)
 
 let estimate ?cancel ?replica_cost ?(runs = 1000) ~seed model g sched =
   aggregate ~runs ~seed (run_model ?cancel ?replica_cost model g sched)
 
 let estimate_renewal ?replica_cost ?(runs = 1000) ~seed ~failures ~downtime g
     sched =
-  aggregate ~runs ~seed (fun rng () ->
-      Sim.run_renewal ?replica_cost ~rng ~failures ~downtime g sched)
+  let downtime = Wfc_platform.Distribution.constant downtime in
+  aggregate ~runs ~seed (fun rng ->
+      run_on
+        (Sim.exec ?replica_cost g sched)
+        (Sim.lanes sched (fun () ->
+             Sim.renewal_source ~rng ~failures ~downtime)))
 
 let estimate_overlap ?(runs = 1000) ~seed params g sched =
   aggregate ~runs ~seed (fun rng () -> Sim_overlap.run ~rng params g sched)
@@ -56,18 +63,21 @@ let estimate_faults ?(runs = 1000) ~seed params g sched =
   let failed_recoveries = Wfc_platform.Stats.create () in
   let truncated_runs = ref 0 in
   let summary =
-    aggregate ~runs ~seed (fun rng () ->
-        let r = Sim_faults.run ~rng params g sched in
-        Wfc_platform.Stats.add corrupt_reads
-          (float_of_int r.Sim_faults.corrupt_reads);
-        Wfc_platform.Stats.add failed_recoveries
-          (float_of_int r.Sim_faults.failed_recoveries);
-        if r.Sim_faults.truncated then incr truncated_runs;
-        {
-          Sim.makespan = r.Sim_faults.makespan;
-          failures = r.Sim_faults.failures;
-          wasted = r.Sim_faults.wasted;
-        })
+    aggregate ~runs ~seed (fun rng ->
+        let ex = Sim_faults.exec ~rng params g sched in
+        let run_once =
+          run_on ex
+            (Sim.lanes sched (fun () ->
+                 Sim_faults.source_of_params ~rng params))
+        in
+        fun () ->
+          let r = run_once () in
+          Wfc_platform.Stats.add corrupt_reads
+            (float_of_int (Sim.corrupt_reads ex));
+          Wfc_platform.Stats.add failed_recoveries
+            (float_of_int (Sim.failed_recoveries ex));
+          if Sim.truncated ex then incr truncated_runs;
+          r)
   in
   { summary; corrupt_reads; failed_recoveries; truncated_runs = !truncated_runs }
 

@@ -34,8 +34,11 @@ val estimate_renewal :
   Wfc_dag.Dag.t ->
   Wfc_core.Schedule.t ->
   estimate
-(** Like {!estimate}, with {!Sim.run_renewal}: failures as a renewal process
-    of arbitrary inter-arrival law. *)
+(** Like {!estimate}, on {!Sim.renewal_source} lanes ({!Sim.renew}ed
+    after each run): failures as a renewal process of any law.
+
+    @raise Invalid_argument if [runs <= 0], or [downtime] is negative or
+      not finite. *)
 
 val estimate_overlap :
   ?runs:int ->
@@ -66,7 +69,8 @@ val estimate_faults :
   Wfc_core.Schedule.t ->
   faults_estimate
 (** Like {!estimate}, with {!Sim_faults.run}: checkpoint corruption,
-    transient recovery failures and random downtime.
+    transient recovery failures and random downtime; bit-identical to one
+    {!Sim_faults.run} per run, on one {!Sim_faults.exec}.
 
     @raise Invalid_argument if [runs <= 0]. *)
 

@@ -2,6 +2,7 @@ type run = { makespan : float; failures : int; wasted : float }
 
 module Metrics = Wfc_obs.Metrics
 module Rng = Wfc_platform.Rng
+module Distribution = Wfc_platform.Distribution
 module Schedule = Wfc_core.Schedule
 
 (* The sim.* family, declared once: every run of the executor flushes into
@@ -24,19 +25,29 @@ let m_truncated = Metrics.counter "sim.faults.truncated_runs"
 
 (* One failure lane; the mli documents the call order. The floats of
    [memoryless] are boxed fields, so the executor hands [lambda] to
-   [Rng.exponential_into] and reads [downtime] without allocating. *)
+   [Rng.exponential_into] and reads [downtime] without allocating; the
+   executor ages a renewal countdown in its one-slot float array. *)
 type memoryless = { rng : Rng.t; lambda : float; downtime : float }
+
+type renewal = {
+  rng : Rng.t;
+  failures : Distribution.t;
+  downtime : Distribution.t;
+  countdown : float array;
+}
+
+type law = Memoryless of memoryless | Renewal of renewal | Closures
 
 type source = {
   time_to_failure : unit -> float;
   consume : float -> unit;
   next_downtime : unit -> float;
   after_failure : unit -> unit;
-  memoryless : memoryless option;
+  law : law;
 }
 
 let custom_source ~time_to_failure ~consume ~next_downtime ~after_failure =
-  { time_to_failure; consume; next_downtime; after_failure; memoryless = None }
+  { time_to_failure; consume; next_downtime; after_failure; law = Closures }
 
 (* The one draw rule of a memoryless lane: its time to failure, stored
    into [slot.(0)]. The executor draws into its own slot; the lane's
@@ -63,19 +74,30 @@ let source_of_model ~rng model =
     consume = (fun _ -> ());
     next_downtime = (fun () -> m.downtime);
     after_failure = (fun () -> ());
-    memoryless = Some m;
+    law = Memoryless m;
   }
+
+(* The renewal rules, shared by the executor and the lane's closures: the
+   repair's downtime is drawn first, then the next countdown. *)
+let[@inline] renewal_downtime r = Distribution.sample r.downtime r.rng
+
+let[@inline] renew_countdown r =
+  Array.unsafe_set r.countdown 0 (Distribution.sample r.failures r.rng)
 
 let renewal_source ~rng ~failures ~downtime =
   (* countdown to the next failure: consumed by successful segments, redrawn
      after each repair (the repair renews the process) *)
-  let remaining = ref (Wfc_platform.Distribution.sample failures rng) in
-  custom_source
-    ~time_to_failure:(fun () -> !remaining)
-    ~consume:(fun dt -> remaining := !remaining -. dt)
-    ~next_downtime:(fun () -> Wfc_platform.Distribution.sample downtime rng)
-    ~after_failure:(fun () ->
-      remaining := Wfc_platform.Distribution.sample failures rng)
+  let r = { rng; failures; downtime; countdown = Array.make 1 0. } in
+  renew_countdown r;
+  {
+    time_to_failure = (fun () -> Array.unsafe_get r.countdown 0);
+    consume =
+      (fun dt ->
+        Array.unsafe_set r.countdown 0 (Array.unsafe_get r.countdown 0 -. dt));
+    next_downtime = (fun () -> renewal_downtime r);
+    after_failure = (fun () -> renew_countdown r);
+    law = Renewal r;
+  }
 
 (* {1 The executor} *)
 
@@ -386,10 +408,10 @@ exception Capped
 let poll_mask = 15
 
 (* The attempt loop: the paper's recovery semantics, implemented once (the
-   mli states the lane protocol). A memoryless lane is drawn here, into
-   [ex.draw], and hooks left at [silent] are not called, so an attempt on
-   memoryless lanes under [silent] makes no indirect call and allocates
-   nothing. *)
+   mli states the lane protocol). Memoryless and renewal lanes are drawn
+   here, into [ex.draw], and hooks left at [silent] are not called, so an
+   attempt on such lanes under [silent] makes no indirect call and
+   allocates nothing. *)
 let execute ?(observer = silent) ?(cancel = Wfc_platform.Cancel.never) ex lanes
     =
   if Array.length lanes < Schedule.max_replica_count ex.sched then
@@ -419,13 +441,24 @@ let execute ?(observer = silent) ?(cancel = Wfc_platform.Cancel.never) ex lanes
        ex.losses <- 0;
        for j = 0 to copies - 1 do
          let lane = Array.unsafe_get lanes j in
-         match lane.memoryless with
-         | Some m ->
+         match lane.law with
+         | Memoryless m ->
              draw_memoryless m draw;
              if Array.unsafe_get draw 0 >= segment then
                c.exposure <- c.exposure +. segment
              else lose ex m.downtime
-         | None ->
+         | Renewal r ->
+             let left = Array.unsafe_get r.countdown 0 in
+             Array.unsafe_set draw 0 left;
+             if left >= segment then begin
+               Array.unsafe_set r.countdown 0 (left -. segment);
+               c.exposure <- c.exposure +. segment
+             end
+             else begin
+               lose ex (renewal_downtime r);
+               renew_countdown r
+             end
+         | Closures ->
              Array.unsafe_set draw 0 (lane.time_to_failure ());
              if Array.unsafe_get draw 0 >= segment then begin
                lane.consume segment;
@@ -526,19 +559,18 @@ let run_with_source source g sched =
 (* One source per lane: sequential creation on a shared rng gives
    independent draws, and the memoryless source draws nothing before its
    first attempt. *)
+let lanes sched make =
+  Array.init (Schedule.max_replica_count sched) (fun _ -> make ())
+
 let model_lanes ~rng model sched =
-  Array.init (Schedule.max_replica_count sched) (fun _ ->
-      source_of_model ~rng model)
+  lanes sched (fun () -> source_of_model ~rng model)
 
 let run ?replica_cost ~rng model g sched =
   run_with_lanes ?replica_cost (model_lanes ~rng model sched) g sched
 
-let run_renewal ?replica_cost ~rng ~failures ~downtime g sched =
-  if downtime < 0. then invalid_arg "Sim.run_renewal: negative downtime";
-  let downtime = Wfc_platform.Distribution.Constant downtime in
-  (* renewal lanes draw their first countdown at creation, in lane order *)
-  let lanes =
-    Array.init (Schedule.max_replica_count sched) (fun _ ->
-        renewal_source ~rng ~failures ~downtime)
-  in
-  run_with_lanes ?replica_cost lanes g sched
+let renew lanes =
+  Array.iter
+    (fun lane ->
+      match lane.law with Renewal r -> renew_countdown r | _ -> ())
+    lanes
+

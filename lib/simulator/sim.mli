@@ -25,15 +25,10 @@ type run = {
   wasted : float;  (** time spent on lost attempts, downtime and replays *)
 }
 
-type memoryless = {
-  rng : Wfc_platform.Rng.t;
-  lambda : float;  (** failure rate; [0.] never fails *)
-  downtime : float;  (** constant repair time *)
-}
-(** An exponential lane described by its parameters rather than by
-    closures: a fresh {!Wfc_platform.Rng.exponential} draw of rate
-    [lambda] from [rng] per attempt ([infinity] when [lambda = 0.]), a
-    constant [downtime], no ageing and no renewal. *)
+type law
+(** How {!execute} draws from a lane: itself, by their closures' rules,
+    for {!source_of_model} and {!renewal_source} lanes; through the
+    closures for every other lane. *)
 
 type source = private {
   time_to_failure : unit -> float;
@@ -46,17 +41,11 @@ type source = private {
   after_failure : unit -> unit;
       (** the repair renews the process; called {e after} [next_downtime] —
           the executor and every recording wrapper rely on that call order *)
-  memoryless : memoryless option;
-      (** [Some m] for {!source_of_model}'s lanes: {!execute} draws from
-          [m] itself — no closure call and no boxed float per attempt —
-          with the one draw rule the closures use too. Wrappers that
-          record or replay a lane call its closures, and the lanes they
-          build are [None]. *)
+  law : law;  (** lanes of recording and replaying wrappers: by closures *)
 }
 (** A failure environment as seen by the executor: one failure lane. The
-    type is private so that [memoryless] cannot disagree with the closures:
-    build lanes with {!source_of_model}, {!renewal_source} or
-    {!custom_source}. *)
+    type is private so that [law] cannot disagree with the closures: build
+    lanes with {!source_of_model}, {!renewal_source} or {!custom_source}. *)
 
 val custom_source :
   time_to_failure:(unit -> float) ->
@@ -69,16 +58,18 @@ val custom_source :
 
 val source_of_model : rng:Wfc_platform.Rng.t -> Wfc_platform.Failure_model.t -> source
 (** Memoryless exponential failures with constant downtime: a fresh
-    inter-arrival draw per attempt, which is exact for the exponential law.
-    The lane carries its {!memoryless} description. *)
+    inter-arrival draw per attempt, which is exact for the exponential law
+    ([infinity], never failing, when [lambda = 0]). *)
 
 val renewal_source :
   rng:Wfc_platform.Rng.t ->
   failures:Wfc_platform.Distribution.t ->
   downtime:Wfc_platform.Distribution.t ->
   source
-(** Renewal failures: one countdown drawn at start and after every repair,
-    consumed by successful segments in between. *)
+(** Renewal failures: a countdown drawn at creation and after every
+    repair's downtime draw, consumed by successful segments in between.
+    For an exponential law this is statistically {!source_of_model}; for
+    Weibull and other age-dependent laws it is the meaningful model. *)
 
 (** {1 The executor} *)
 
@@ -149,10 +140,10 @@ val execute :
     that lost copies but survived counts toward [sim.replica_saves]. With
     one lane this is the single-source engine, draw for draw.
 
-    A lane with a {!memoryless} description is drawn by the executor, into
-    the [exec]'s float slot: on such lanes, with hooks left at {!silent}'s
-    and no checkpoint {!faults}, an attempt makes no indirect call and
-    allocates nothing. Other lanes are queried through their closures.
+    On memoryless and renewal lanes ({!law}), with hooks left at
+    {!silent}'s and no checkpoint {!faults}, an attempt makes no indirect
+    call and allocates nothing (a renewal repair boxes its two draws).
+    Other lanes are queried through their closures.
 
     [cancel] is polled at the start of the run and at every 16th failure
     (an armed token reads the clock), so both a diverging run and a long
@@ -262,6 +253,9 @@ val run_with_lanes :
     @raise Invalid_argument with fewer lanes than
       {!Wfc_core.Schedule.max_replica_count}. *)
 
+val lanes : Wfc_core.Schedule.t -> (unit -> source) -> source array
+(** [lanes sched make] is one lane per copy, made in lane order. *)
+
 val model_lanes :
   rng:Wfc_platform.Rng.t ->
   Wfc_platform.Failure_model.t ->
@@ -269,6 +263,11 @@ val model_lanes :
   source array
 (** One memoryless lane per copy, all drawing from [rng] — what {!run}
     executes against. *)
+
+val renew : source array -> unit
+(** Redraws, in lane order, the countdown of every {!renewal_source}
+    lane, as a fresh lane does: lanes renewed between runs draw what fresh
+    lanes per run would. Other lanes keep no state between runs. *)
 
 val run :
   ?replica_cost:float ->
@@ -280,19 +279,3 @@ val run :
 (** One simulated execution. With [lambda = 0] the result is
     deterministic: the failure-free time plus all checkpoint costs. *)
 
-val run_renewal :
-  ?replica_cost:float ->
-  rng:Wfc_platform.Rng.t ->
-  failures:Wfc_platform.Distribution.t ->
-  downtime:float ->
-  Wfc_dag.Dag.t ->
-  Wfc_core.Schedule.t ->
-  run
-(** Same execution semantics, but failures arrive as a {e renewal process}:
-    one inter-arrival draw from [failures] at start and after every repair,
-    instead of a fresh memoryless draw per attempt. For
-    [Distribution.Exponential] this is statistically identical to {!run};
-    for Weibull and other age-dependent laws it is the meaningful model.
-    Replicated schedules draw one countdown per lane, in lane order.
-
-    @raise Invalid_argument if [downtime < 0]. *)

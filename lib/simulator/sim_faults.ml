@@ -37,18 +37,22 @@ let check_probability what ~strict p =
    bit-identical to Sim.run on the same RNG stream: fault bernoullis and
    degenerate downtimes consume no randomness at all. *)
 let source_of_params ~rng (params : params) =
-  match params.failures with
-  | Distribution.Exponential rate ->
+  match (params.failures, params.downtime) with
+  | Distribution.Exponential rate, Distribution.Constant downtime ->
+      (* the paper's platform: Sim.run's own lane, drawn by the executor *)
+      Sim.source_of_model ~rng
+        (Wfc_platform.Failure_model.make ~lambda:rate ~downtime ())
+  | Distribution.Exponential rate, downtime ->
       (* memoryless: a fresh draw per attempt is exact, as in Sim.run *)
       Sim.custom_source
         ~time_to_failure:(fun () -> Rng.exponential rng ~rate)
         ~consume:(fun _ -> ())
-        ~next_downtime:(fun () -> Distribution.sample params.downtime rng)
+        ~next_downtime:(fun () -> Distribution.sample downtime rng)
         ~after_failure:(fun () -> ())
-  | d ->
+  | failures, downtime ->
       (* renewal: countdown consumed by successful segments, redrawn after
-         each repair, as in Sim.run_renewal *)
-      Sim.renewal_source ~rng ~failures:d ~downtime:params.downtime
+         each repair, as Sim.renewal_source does *)
+      Sim.renewal_source ~rng ~failures ~downtime
 
 let validate_params (params : params) =
   check_probability "p_ckpt_fail" ~strict:false params.p_ckpt_fail;
@@ -56,12 +60,18 @@ let validate_params (params : params) =
   if params.max_failures < 0 then
     invalid_arg "Sim_faults: max_failures must be non-negative"
 
+let exec ?replica_cost ~rng params g sched =
+  validate_params params;
+  let { p_ckpt_fail; p_rec_fail; max_failures; _ } = params in
+  Sim.exec ?replica_cost
+    ~faults:{ Sim.p_ckpt_fail; p_rec_fail; max_failures; rng }
+    g sched
+
 (* Replicated schedules generalize the fault machinery per copy: a
    checkpointing task with r replicas writes r copies, each independently
    corrupt, and a recovery read tries them in write order before falling
    back to recomputation — the executor's semantics. *)
 let run ?source ?lanes ?replica_cost ~rng params g sched =
-  validate_params params;
   let replicated = Wfc_core.Schedule.is_replicated sched in
   if replicated && Option.is_some source then
     invalid_arg
@@ -73,19 +83,9 @@ let run ?source ?lanes ?replica_cost ~rng params g sched =
     match (lanes, source) with
     | Some ls, _ -> ls
     | None, Some s -> [| s |]
-    | None, None ->
-        Array.init (Wfc_core.Schedule.max_replica_count sched) (fun _ ->
-            source_of_params ~rng params)
+    | None, None -> Sim.lanes sched (fun () -> source_of_params ~rng params)
   in
-  let faults =
-    {
-      Sim.p_ckpt_fail = params.p_ckpt_fail;
-      p_rec_fail = params.p_rec_fail;
-      max_failures = params.max_failures;
-      rng;
-    }
-  in
-  let ex = Sim.exec ?replica_cost ~faults g sched in
+  let ex = exec ?replica_cost ~rng params g sched in
   Sim.execute ex lanes;
   let r = Sim.result ex in
   {

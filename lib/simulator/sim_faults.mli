@@ -27,7 +27,7 @@
     makes exactly the same RNG draws as {!Sim.run} on the model
     [{ lambda; downtime = d }] and returns bit-identical results — enforced
     by a property test. Non-exponential failure laws run as a renewal
-    process, as in {!Sim.run_renewal}. *)
+    process ({!Sim.renewal_source}). *)
 
 type params = {
   failures : Wfc_platform.Distribution.t;
@@ -64,8 +64,21 @@ type run = {
 
 val source_of_params : rng:Wfc_platform.Rng.t -> params -> Sim.source
 (** The failure process [run] draws from when no [?source] is given:
-    memoryless per-attempt draws for [Exponential], a renewal countdown
-    otherwise, downtime sampled per failure. *)
+    memoryless per-attempt draws for [Exponential] — {!Sim.source_of_model}'s
+    lane when the downtime is [Constant] — a renewal countdown otherwise,
+    downtime sampled per failure. *)
+
+val exec :
+  ?replica_cost:float ->
+  rng:Wfc_platform.Rng.t ->
+  params ->
+  Wfc_dag.Dag.t ->
+  Wfc_core.Schedule.t ->
+  Sim.exec
+(** [run]'s executor, reusable across runs: {!Sim.exec} with the
+    checkpoint faults of [params], drawn from [rng].
+
+    @raise Invalid_argument on the parameter conditions of [run]. *)
 
 val run :
   ?source:Sim.source ->

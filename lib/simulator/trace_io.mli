@@ -8,7 +8,7 @@
     - {e attempts} traces log, per segment attempt, what [time_to_failure]
       returned and (on failure) the downtime that followed. Replaying one
       against the {b same} schedule reproduces the original run bit for bit
-      — for memoryless {!Sim.run}, countdown-based {!Sim.run_renewal} and
+      — for memoryless {!Sim.run}, countdown-based {!Sim.renewal_source} and
       the failure process of {!Sim_faults.run} alike, because the engine
       sees the identical float at every decision point. Replaying against a
       schedule that makes different survive/fail decisions raises
@@ -98,8 +98,9 @@ val record_renewal :
   Wfc_dag.Dag.t ->
   Wfc_core.Schedule.t ->
   Sim.run * t
-(** A renewal execution (as {!Sim.run_renewal}, with distribution-drawn
-    downtime) whose raw draws are captured as a renewal-kind trace.
+(** A renewal execution (on a {!Sim.renewal_source} lane, with
+    distribution-drawn downtime) whose raw draws are captured as a
+    renewal-kind trace.
 
     @raise Invalid_argument on a replicated schedule: its lanes are
       separate renewal processes, which a single renewal stream cannot

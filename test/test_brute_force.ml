@@ -67,7 +67,8 @@ let test_optimal_beats_every_heuristic_even_linearization () =
     List.fold_left
       (fun acc order ->
         Float.min acc
-          (Exact_solver.optimal_checkpoints model g ~order).Exact_solver.makespan)
+          (Exact_solver.optimal_checkpoints
+            (Flat_engine.create model g ~order)).Exact_solver.makespan)
       infinity
       (Brute_force.linearizations g)
   in

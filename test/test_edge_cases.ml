@@ -80,7 +80,9 @@ let test_single_task_everything () =
         true
         (Float.is_finite o.Heuristics.makespan))
     Heuristics.extended_ckpt_strategies;
-  let sol = Exact_solver.optimal_checkpoints model g ~order:[| 0 |] in
+  let sol =
+    Exact_solver.optimal_checkpoints (Flat_engine.create model g ~order:[| 0 |])
+  in
   Wfc_test_util.check_close "exact = E[t(w;0;0)] (no point checkpointing)"
     (FM.expected_exec_time model ~work:7. ~checkpoint:0. ~recovery:0.)
     sol.Exact_solver.makespan

@@ -321,7 +321,7 @@ let test_known_naive_optimum () =
   let model = FM.of_mtbf ~mtbf:2e4 () in
   let sol, status =
     Exact_solver.optimal_checkpoints_within ~domains:1 ~dominance:false
-      ~memo:false model g ~order
+      ~memo:false (Flat_engine.create model g ~order)
   in
   Alcotest.(check bool) "optimal" true (status = `Optimal);
   Alcotest.(check (float 0.))

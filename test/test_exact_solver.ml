@@ -44,7 +44,9 @@ let prop_bnb_equals_brute_force =
     (Format.asprintf "%a" Dag.pp_stats)
     (fun g ->
       let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
-      let sol = Exact_solver.optimal_checkpoints model g ~order in
+      let sol =
+        Exact_solver.optimal_checkpoints (Flat_engine.create model g ~order)
+      in
       let _, brute = Brute_force.optimal_checkpoints_for_order model g ~order in
       Wfc_test_util.close ~eps:1e-9 sol.Exact_solver.makespan brute)
 
@@ -57,7 +59,9 @@ let test_bnb_beyond_brute_force () =
   in
   let model = FM.make ~lambda:5e-3 () in
   let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
-  let sol = Exact_solver.optimal_checkpoints model g ~order in
+  let sol =
+    Exact_solver.optimal_checkpoints (Flat_engine.create model g ~order)
+  in
   (* optimal must not exceed the best heuristic with the same order *)
   let heur =
     Heuristics.run model g ~lin:Wfc_dag.Linearize.Depth_first
@@ -81,7 +85,10 @@ let test_bnb_budget () =
       (Wfc_workflows.Pegasus.generate Wfc_workflows.Pegasus.Ligo ~n:30 ~seed:5)
   in
   let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
-  match Exact_solver.optimal_checkpoints ~max_nodes:5 model g ~order with
+  match
+    Exact_solver.optimal_checkpoints ~max_nodes:5
+      (Flat_engine.create model g ~order)
+  with
   | exception Exact_solver.Node_budget_exceeded -> ()
   | _ -> Alcotest.fail "budget of 5 nodes cannot suffice"
 
@@ -94,7 +101,8 @@ let test_bnb_within_budget () =
   (* a 5-node budget is exhausted immediately, yet the incumbent must be a
      finite, valid schedule no worse than the warm-start heuristic *)
   let sol, status =
-    Exact_solver.optimal_checkpoints_within ~max_nodes:5 model g ~order
+    Exact_solver.optimal_checkpoints_within ~max_nodes:5
+      (Flat_engine.create model g ~order)
   in
   (match status with
   | `Budget_exhausted -> ()
@@ -116,7 +124,7 @@ let test_bnb_within_budget () =
   let _, status =
     Exact_solver.optimal_checkpoints_within
       ~should_stop:(fun () -> true)
-      model g ~order
+      (Flat_engine.create model g ~order)
   in
   (match status with
   | `Budget_exhausted -> ()
@@ -124,19 +132,33 @@ let test_bnb_within_budget () =
   (* and with room to breathe the status certifies optimality *)
   let g = Wfc_dag.Builders.chain ~weights:[| 1.; 2.; 3.; 4. |] () in
   let order = [| 0; 1; 2; 3 |] in
-  let sol, status = Exact_solver.optimal_checkpoints_within model g ~order in
+  let sol, status =
+    Exact_solver.optimal_checkpoints_within (Flat_engine.create model g ~order)
+  in
   (match status with
   | `Optimal -> ()
   | `Budget_exhausted -> Alcotest.fail "tiny instance must complete");
   Wfc_test_util.check_close "same optimum as the raising API"
-    (Exact_solver.optimal_checkpoints model g ~order).Exact_solver.makespan
+    (Exact_solver.optimal_checkpoints
+      (Flat_engine.create model g ~order)).Exact_solver.makespan
     sol.Exact_solver.makespan
 
+(* The solver takes an engine, so an order is validated where the engine
+   is built, and checked where a caller's engine is rebound. *)
 let test_bnb_validates_order () =
   let g = Wfc_dag.Builders.chain ~weights:[| 1.; 2. |] () in
-  match Exact_solver.optimal_checkpoints model g ~order:[| 1; 0 |] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "invalid order accepted"
+  Alcotest.check_raises "an invalid order builds no engine"
+    (Invalid_argument "Flat_engine.create: order is not a linearization")
+    (fun () ->
+      ignore
+        (Exact_solver.optimal_checkpoints
+           (Flat_engine.create model g ~order:[| 1; 0 |])));
+  let engine = Flat_engine.create model g ~order:[| 0; 1 |] in
+  Alcotest.check_raises "a caller's engine on another order"
+    (Invalid_argument "Flat_engine.bind: engine bound to another order")
+    (fun () ->
+      ignore
+        (Wfc_resilience.Solver_driver.solve ~engine model g ~order:[| 1; 0 |]))
 
 let test_bnb_fail_free () =
   let g =
@@ -144,7 +166,8 @@ let test_bnb_fail_free () =
       ~checkpoint_cost:(fun _ _ -> 0.5) ()
   in
   let sol =
-    Exact_solver.optimal_checkpoints FM.fail_free g ~order:[| 0; 1; 2 |]
+    Exact_solver.optimal_checkpoints
+      (Flat_engine.create FM.fail_free g ~order:[| 0; 1; 2 |])
   in
   Alcotest.(check int) "no checkpoints when no failures" 0
     (Schedule.checkpoint_count sol.Exact_solver.schedule);
@@ -179,7 +202,10 @@ let test_backend_invariance () =
   List.iter
     (fun (family, n, seed, nodes, _, oracle) ->
       let g, order = optimum_instance family n seed in
-      let flat, st_f = Exact_solver.optimal_checkpoints_within model g ~order in
+      let flat, st_f =
+        Exact_solver.optimal_checkpoints_within
+          (Flat_engine.create model g ~order)
+      in
       Alcotest.(check bool) "optimal" true (st_f = `Optimal);
       Wfc_test_util.check_close "same makespan" oracle
         flat.Exact_solver.makespan;
@@ -201,7 +227,7 @@ let test_flat_node_parity () =
       let g, order = optimum_instance family n seed in
       let flat, st_f =
         Exact_solver.optimal_checkpoints_within ~domains:1 ~dominance:false
-          ~memo:false model g ~order
+          ~memo:false (Flat_engine.create model g ~order)
       in
       Alcotest.(check bool) "optimal" true (st_f = `Optimal);
       Alcotest.(check (list int)) "same flags" flags
@@ -221,7 +247,9 @@ let prop_flat_bnb_equals_brute_force =
     (Format.asprintf "%a" Dag.pp_stats)
     (fun g ->
       let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
-      let sol = Exact_solver.optimal_checkpoints model g ~order in
+      let sol =
+        Exact_solver.optimal_checkpoints (Flat_engine.create model g ~order)
+      in
       let _, brute = Brute_force.optimal_checkpoints_for_order model g ~order in
       Wfc_test_util.close ~eps:1e-9 sol.Exact_solver.makespan brute)
 
@@ -249,8 +277,8 @@ let prop_flat_dominance_zero_cost_exact =
       in
       let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
       let sol =
-        Exact_solver.optimal_checkpoints ~dominance:true ~memo:false model g
-          ~order
+        Exact_solver.optimal_checkpoints ~dominance:true ~memo:false
+          (Flat_engine.create model g ~order)
       in
       let _, brute = Brute_force.optimal_checkpoints_for_order model g ~order in
       Wfc_test_util.close ~eps:1e-9 sol.Exact_solver.makespan brute)
@@ -266,16 +294,115 @@ let test_flat_parallel_agreement () =
       let g = CM.apply (CM.Proportional 0.1) (P.generate family ~n ~seed) in
       let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
       let one, st_1 =
-        Exact_solver.optimal_checkpoints_within ~domains:1 model g ~order
+        Exact_solver.optimal_checkpoints_within ~domains:1
+          (Flat_engine.create model g ~order)
       in
       let four, st_4 =
-        Exact_solver.optimal_checkpoints_within ~domains:4 model g ~order
+        Exact_solver.optimal_checkpoints_within ~domains:4
+          (Flat_engine.create model g ~order)
       in
       Alcotest.(check bool) "both optimal" true
         (st_1 = `Optimal && st_4 = `Optimal);
       Alcotest.(check (float 0.)) "same optimum, bitwise"
         one.Exact_solver.makespan four.Exact_solver.makespan)
     [ (P.Montage, 14, 5); (P.Ligo, 12, 9); (P.Genome, 16, 3) ]
+
+(* ---- the caller's engine ------------------------------------------------ *)
+
+module Driver = Wfc_resilience.Solver_driver
+module P = Wfc_workflows.Pegasus
+
+(* FIG=engine's instances: DF order, lambda = 1e-3. *)
+let engine_model = FM.make ~lambda:1e-3 ()
+
+let engine_instance family n =
+  let g =
+    Wfc_workflows.Cost_model.apply (Wfc_workflows.Cost_model.Proportional 0.1)
+      (P.generate family ~n ~seed:7)
+  in
+  (g, Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g)
+
+(* an engine another request left behind: another model, other flags, its
+   caches filled under them *)
+let stale_engine g ~order =
+  let e =
+    Flat_engine.create
+      ~flags:(Array.init (Array.length order) (fun v -> v mod 3 = 1))
+      (FM.of_mtbf ~mtbf:77. ~downtime:3. ())
+      g ~order
+  in
+  ignore (Flat_engine.makespan e);
+  e
+
+let bits x = Int64.bits_of_float x
+
+let check_same what ~nodes ~flags ~makespan sched makespan' nodes' =
+  Alcotest.(check int) (what ^ ": nodes") nodes nodes';
+  Alcotest.(check (list int)) (what ^ ": flags") flags
+    (Schedule.checkpointed_tasks sched);
+  Alcotest.(check int64) (what ^ ": makespan bits") (bits makespan)
+    (bits makespan')
+
+(* The search trusts the engine it is given. Rebound to the request's
+   model, a stale engine walks FIG=engine's pinned Genome n=20 parity tree
+   to its pinned flags and bits, and is left holding them. Ligo n=30's
+   pinned optimum takes 20M nodes, so here its budget-exhausted incumbent
+   is held to a fresh engine's, node for node. *)
+let test_stale_engine_exact () =
+  let g, order = engine_instance P.Genome 20 in
+  let engine =
+    Flat_engine.bind ~engine:(stale_engine g ~order) engine_model g ~order
+  in
+  let sol, status =
+    Exact_solver.optimal_checkpoints_within ~domains:1 ~dominance:false
+      ~memo:false ~max_nodes:200_000 engine
+  in
+  Alcotest.(check bool) "Genome n=20 optimal" true (status = `Optimal);
+  check_same "Genome n=20" ~nodes:162766
+    ~flags:[ 0; 2; 3; 4; 6; 7; 8; 10; 11; 12; 14; 15; 16; 17; 18 ]
+    ~makespan:0x1.44d1586468e01p+19 sol.Exact_solver.schedule
+    sol.Exact_solver.makespan sol.Exact_solver.nodes;
+  Alcotest.(check bool) "engine left at the reported flags" true
+    (Flat_engine.flags engine
+    = sol.Exact_solver.schedule.Schedule.checkpointed);
+  let g, order = engine_instance P.Ligo 30 in
+  let run engine =
+    Exact_solver.optimal_checkpoints_within ~max_nodes:20_000 engine
+  in
+  let fresh, st_fresh = run (Flat_engine.create engine_model g ~order) in
+  let warm, st_warm =
+    run (Flat_engine.bind ~engine:(stale_engine g ~order) engine_model g ~order)
+  in
+  Alcotest.(check bool) "Ligo n=30 budget exhausted" true
+    (st_fresh = `Budget_exhausted && st_warm = `Budget_exhausted);
+  check_same "Ligo n=30" ~nodes:fresh.Exact_solver.nodes
+    ~flags:(Schedule.checkpointed_tasks fresh.Exact_solver.schedule)
+    ~makespan:fresh.Exact_solver.makespan warm.Exact_solver.schedule
+    warm.Exact_solver.makespan warm.Exact_solver.nodes
+
+(* The driver binds the engine it is handed itself, for the exact tier and
+   for the hill climb of a budget-exhausted incumbent: the answer is the
+   one without it, node for node, whatever model and flags it held. *)
+let test_stale_engine_driver () =
+  List.iter
+    (fun (family, n, max_nodes, tier) ->
+      let what = Printf.sprintf "%s n=%d" (P.family_name family) n in
+      let g, order = engine_instance family n in
+      let config = { Driver.default_config with Driver.max_nodes } in
+      let cold = Driver.solve ~config engine_model g ~order in
+      let warm =
+        Driver.solve ~config ~engine:(stale_engine g ~order) engine_model g
+          ~order
+      in
+      Alcotest.(check string) (what ^ ": tier") tier
+        (Driver.tier_name warm.Driver.tier);
+      Alcotest.(check string) (what ^ ": cold tier") tier
+        (Driver.tier_name cold.Driver.tier);
+      check_same what ~nodes:cold.Driver.nodes
+        ~flags:(Schedule.checkpointed_tasks cold.Driver.schedule)
+        ~makespan:cold.Driver.makespan warm.Driver.schedule
+        warm.Driver.makespan warm.Driver.nodes)
+    [ (P.Genome, 20, 1_000_000, "exact"); (P.Ligo, 30, 20_000, "local-search") ]
 
 let () =
   Alcotest.run "exact_solver"
@@ -305,5 +432,12 @@ let () =
           prop_flat_dominance_zero_cost_exact;
           Alcotest.test_case "parallel = single domain" `Quick
             test_flat_parallel_agreement;
+        ] );
+      ( "caller's engine",
+        [
+          Alcotest.test_case "stale engine, pinned optima" `Quick
+            test_stale_engine_exact;
+          Alcotest.test_case "driver on a stale engine" `Quick
+            test_stale_engine_driver;
         ] );
     ]

@@ -566,7 +566,8 @@ let prop_searches_report_kernel =
       let ls = Local_search.improve model g seed in
       let bnb domains =
         fst
-          (Exact_solver.optimal_checkpoints_within ~domains model g ~order)
+          (Exact_solver.optimal_checkpoints_within ~domains
+            (Flat_engine.create model g ~order))
       in
       let one = bnb 1 and four = bnb 4 in
       let driver config = Driver.solve ~config model g ~order in

@@ -367,6 +367,47 @@ let test_warm_start_invariance () =
     [ (P.Montage, 5, 0.1, 1e-3); (P.Ligo, 9, 0.1, 1e-3); (P.Ligo, 9, 0.1, 1.);
       (P.Montage, 5, 0., 1e-30) ]
 
+(* The caller decides the engine: a supplied engine's order is trusted,
+   not re-derived from [lin] (which then only names the heuristic), so an
+   RF engine drawn once answers every later request as the draw did. A
+   [rand] next to an engine could not reach that order, so it is
+   rejected. *)
+let test_engine_order_trusted () =
+  let module P = Wfc_workflows.Pegasus in
+  let module CM = Wfc_workflows.Cost_model in
+  let g = CM.apply (CM.Proportional 0.1) (P.generate P.Montage ~n:50 ~seed:5) in
+  let model = FM.of_mtbf ~mtbf:300. () in
+  let ckpt = Heuristics.Ckpt_weight in
+  let rand () =
+    let rng = Wfc_platform.Rng.create 11 in
+    fun b -> Wfc_platform.Rng.int rng b
+  in
+  let rf = Linearize.run ~rand:(rand ()) Linearize.Random_first g in
+  let cold =
+    Heuristics.run ~rand:(rand ()) model g ~lin:Linearize.Random_first ~ckpt
+  in
+  let engine = Flat_engine.create model g ~order:rf in
+  let warm = Heuristics.run ~engine model g ~lin:Linearize.Random_first ~ckpt in
+  Alcotest.(check bool) "RF drawn once: the cold schedule" true
+    (warm.Heuristics.schedule = cold.Heuristics.schedule);
+  Alcotest.(check int64) "same makespan bits"
+    (Int64.bits_of_float cold.Heuristics.makespan)
+    (Int64.bits_of_float warm.Heuristics.makespan);
+  let bf = Linearize.run Linearize.Breadth_first g in
+  let on_bf =
+    Heuristics.run ~engine:(Flat_engine.create model g ~order:bf) model g
+      ~lin:Linearize.Depth_first ~ckpt
+  in
+  Alcotest.(check bool) "the engine's order, not lin's" true
+    (on_bf.Heuristics.schedule
+    = (Heuristics.run model g ~lin:Linearize.Breadth_first ~ckpt)
+        .Heuristics.schedule);
+  Alcotest.check_raises "rand with an engine"
+    (Invalid_argument "Heuristics.run: ?rand with an engine") (fun () ->
+      ignore
+        (Heuristics.run ~rand:(rand ()) ~engine model g
+           ~lin:Linearize.Random_first ~ckpt))
+
 let () =
   Alcotest.run "heuristics"
     [
@@ -399,5 +440,7 @@ let () =
             test_best_over_linearizations;
           Alcotest.test_case "near brute force" `Slow
             test_heuristics_near_brute_force;
+          Alcotest.test_case "engine order trusted" `Quick
+            test_engine_order_trusted;
         ] );
     ]

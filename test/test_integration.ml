@@ -122,7 +122,9 @@ let test_solver_stack_consistency () =
   let exact = Join_solver.solve_exact model g in
   let sched = Join_solver.schedule_of ~model g ~ckpt:exact.Join_solver.ckpt in
   let order = Array.init (Dag.n_tasks g) (Schedule.task_at sched) in
-  let bnb = Exact_solver.optimal_checkpoints model g ~order in
+  let bnb =
+    Exact_solver.optimal_checkpoints (Flat_engine.create model g ~order)
+  in
   let _, brute = Brute_force.optimal model g in
   Wfc_test_util.check_close ~eps:1e-9 "uniform = exact"
     uniform.Join_solver.makespan exact.Join_solver.makespan;

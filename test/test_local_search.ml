@@ -172,7 +172,7 @@ let test_supplied_engine () =
   Alcotest.(check bool) "two distinct orders" true (df <> bf);
   let engine = Flat_engine.create model g ~order:df in
   Alcotest.check_raises "engine on another order"
-    (Invalid_argument "Local_search.improve: engine bound to another order")
+    (Invalid_argument "Flat_engine.bind: engine bound to another order")
     (fun () ->
       ignore
         (Local_search.improve ~engine model g

@@ -314,7 +314,8 @@ let test_solver_counters_nonzero () =
   let g = genome 12 in
   let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
   let sol, status =
-    Exact_solver.optimal_checkpoints_within ~max_nodes:100_000 fm g ~order
+    Exact_solver.optimal_checkpoints_within ~max_nodes:100_000
+      (Flat_engine.create fm g ~order)
   in
   Alcotest.(check bool) "solved" true (status = `Optimal);
   let s = Metrics.snapshot () in

@@ -19,7 +19,10 @@ let test_driver_exact_tier () =
   let order = df_order g in
   let r = Driver.solve nominal g ~order in
   Alcotest.(check string) "tier" "exact" (Driver.tier_name r.Driver.tier);
-  let sol = Wfc_core.Exact_solver.optimal_checkpoints nominal g ~order in
+  let sol =
+    Wfc_core.Exact_solver.optimal_checkpoints
+      (Wfc_core.Flat_engine.create nominal g ~order)
+  in
   Wfc_test_util.check_close "matches the raising solver"
     sol.Wfc_core.Exact_solver.makespan r.Driver.makespan;
   Alcotest.(check bool) "reason mentions completion" true

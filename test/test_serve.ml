@@ -396,20 +396,12 @@ let prop_warm_equals_cold =
       if Pr.is_error r_cold then
         Test.fail_reportf "cold solve errored: %s"
           (String.concat "\n" (Pr.render_response r_cold));
-      (* the cache only backs the heuristic and local-search plans: the
-         exact tier drives the solver directly — it must still be
-         byte-identical, just without a recorded hit *)
-      let cacheable =
-        match req with
-        | Pr.Solve { workflow = Pr.Generated { n; _ }; deadline = Some d; _ }
-          when d >= 0.025 && n <= Server.default_config.exact_max_n ->
-            false
-        | _ -> true
-      in
+      (* every tier runs on the checked-out engine, so every tier records
+         its hit *)
       r_miss = r_cold && r_hit = r_cold
       && Pr.render_response r_hit = Pr.render_response r_cold
       && reports_kernel_value req r_cold
-      && ((not cacheable) || (Server.cache_stats warm).Cache.hits = 1))
+      && (Server.cache_stats warm).Cache.hits = 1)
 
 (* A budget-exhausted exact tier falls back to heuristics. They must run on
    the request's own linearization: a fallback on another order would
@@ -598,10 +590,10 @@ let test_generated_inline_churn () =
   Alcotest.(check int) "one entry" 1 s.Cache.size
 
 (* A warm generated hit re-derives nothing: no generation, cost model,
-   linearization in the server or DAG fingerprint. At Montage-200 those
-   allocate well over 100k minor words together; the hit itself (the
-   sweep's own linearization check, the ranking and the response) stays
-   under the cap. *)
+   linearization or DAG fingerprint, and the sweep takes its order from
+   the engine. At Montage-200 those allocate well over 100k minor words
+   together; the hit itself (the ranking, the schedule and the response)
+   stays under the cap. *)
 let test_warm_hit_allocation () =
   let req =
     Result.get_ok
@@ -619,8 +611,112 @@ let test_warm_hit_allocation () =
   let per_hit = (Gc.minor_words () -. before) /. float_of_int rounds in
   Alcotest.(check int) "every measured request hit" (rounds + 2)
     (Server.cache_stats srv).Cache.hits;
-  if per_hit > 40_000. then
-    Alcotest.failf "a warm hit allocates %.0f minor words (cap 40000)" per_hit
+  if per_hit > 12_000. then
+    Alcotest.failf "a warm hit allocates %.0f minor words (cap 12000)" per_hit
+
+(* The daemon trusts a checked-out engine's order: [Heuristics.run] and the
+   other tiers take it from the engine instead of re-linearizing, and the
+   suite checks the order instead: over random request histories
+   (generated and inline specs sharing content keys, every linearization
+   RF included, cache capacities 0 to 3), every engine
+   [Engine_cache.checkout] hands back, checked out and in the way the server
+   does, is bound to [Linearize.run lin g] of its request; and the server
+   answering the same history reports the kernel's value of its checkpoints
+   on that order. *)
+let gen_history_params =
+  Gen.(
+    (* a small space, so that requests collide on specs and content keys *)
+    let seed = 1 in
+    let* family = oneofl [ P.Montage; P.Ligo ] and* n = oneofl [ 12; 20 ]
+    and* lin = gen_lin and* ckpt = gen_ckpt
+    and* mtbf = oneofl [ 100.; 1000. ] and* grid = oneofl [ 0; 4 ]
+    and* cost = oneofl [ CM.Proportional 0.1; CM.Constant 2. ]
+    and* inline = bool in
+    let workflow =
+      if inline then
+        let text =
+          Wfc_io.Json.to_string
+            (Wfc_io.Workflow_format.dag_to_json
+               (CM.apply cost (P.generate family ~n ~seed)))
+        in
+        Pr.Inline { name = "w.json"; text; cost }
+      else Pr.Generated { family; n; seed; cost }
+    in
+    return { Pr.default_solve with workflow; mtbf; lin; ckpt; grid })
+
+(* what a request means, derived from scratch: its model, DAG and order *)
+let derive (p : Pr.solve_params) =
+  let model = FM.of_mtbf ~mtbf:p.mtbf ~downtime:p.downtime () in
+  let g =
+    match p.workflow with
+    | Pr.Generated { family; n; seed; cost } ->
+        CM.apply cost (P.generate family ~n ~seed)
+    | Pr.Inline { name; text; cost } ->
+        CM.ensure cost
+          (Result.get_ok (Wfc_io.Workflow_io.load_string ~path:name text))
+    | Pr.File _ -> invalid_arg "derive: file spec"
+  in
+  (model, g, Lin.run p.lin g)
+
+let spec_of (p : Pr.solve_params) (model : FM.t) =
+  match p.workflow with
+  | Pr.Generated { family; n; seed; cost } ->
+      Some
+        { Cache.family; n; seed; cost; lin = p.lin;
+          lambda = Int64.bits_of_float model.FM.lambda;
+          downtime = Int64.bits_of_float model.FM.downtime }
+  | _ -> None
+
+let prop_checkout_bound_to_request =
+  Wfc_test_util.qtest ~count:60
+    "cache: every checked-out engine is bound to its request's order"
+    Gen.(pair (int_range 0 3) (list_size (int_range 1 16) gen_history_params))
+    (fun (capacity, history) ->
+      Printf.sprintf "capacity=%d [%s]" capacity
+        (String.concat "; "
+           (List.map
+              (fun (p : Pr.solve_params) ->
+                Printf.sprintf "%s %s %s mtbf=%g"
+                  (match p.workflow with
+                  | Pr.Inline _ -> "inline"
+                  | _ -> "generated")
+                  (Pr.spec_source p.workflow) (Lin.strategy_name p.lin)
+                  p.mtbf)
+              history)))
+    (fun (capacity, history) ->
+      let cache = Cache.create ~capacity in
+      let server =
+        Server.create
+          ~config:{ Server.default_config with cache_size = capacity }
+          ()
+      in
+      List.for_all
+        (fun p ->
+          let model, g, order = derive p in
+          let spec = spec_of p model in
+          let key, cached =
+            Cache.checkout ?spec cache (fun () ->
+                Key.make EE.Flat model g ~order)
+          in
+          let engine =
+            match cached with
+            | Some e -> e
+            | None -> Wfc_core.Flat_engine.create model g ~order
+          in
+          let bound = Wfc_core.Flat_engine.order engine = order in
+          Cache.put ?spec cache key engine;
+          let answered =
+            match Server.handle server (Pr.Solve p) with
+            | Pr.Solved s ->
+                let flags = Array.make (Array.length order) false in
+                List.iter (fun v -> flags.(v) <- true) s.ckpt_tasks;
+                Wfc_test_util.reported_ok model g
+                  (Wfc_core.Schedule.make g ~order ~checkpointed:flags)
+                  s.makespan
+            | _ -> false
+          in
+          bound && answered)
+        history)
 
 (* ---- 3. LRU invariants -------------------------------------------------- *)
 
@@ -878,7 +974,7 @@ let () =
         [ Alcotest.test_case "basics" `Quick test_lru_basics;
           Alcotest.test_case "degenerate capacities" `Quick
             test_lru_zero_and_negative;
-          prop_lru_model ] );
+          prop_lru_model; prop_checkout_bound_to_request ] );
       ( "admission",
         [ Alcotest.test_case "bounded pool" `Quick test_pool_admission ] );
       ( "watchdog",

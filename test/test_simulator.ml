@@ -451,12 +451,14 @@ let test_estimate_cancel () =
 
 (* The executor, its lanes and the draw slot are allocated once per
    estimate, and an attempt on memoryless lanes allocates nothing: a run
-   allocates only its summary. Measured as the difference of two estimates,
-   so the one-off setup cancels out. *)
-let words_per_run ?replica_cost model g sched =
+   allocates only its summary. The renewal and fault estimators reuse one
+   executor and one set of lanes too, renewed between runs, and an attempt
+   on a renewal lane allocates nothing until it fails. Measured as the
+   difference of two estimates, so the one-off setup cancels out. *)
+let words_per_run estimate =
   let words runs =
     let before = Gc.minor_words () in
-    ignore (Monte_carlo.estimate ?replica_cost ~runs ~seed:1 model g sched);
+    ignore (estimate ~runs);
     Gc.minor_words () -. before
   in
   ignore (words 10);
@@ -470,13 +472,25 @@ let check_words what per_run =
       budget
 
 let test_estimate_allocation () =
+  let ligo = Lazy.force ligo and cold_sched = Lazy.force cold_sched in
   check_words "Ligo-400"
-    (words_per_run cold_model (Lazy.force ligo) (Lazy.force cold_sched))
+    (words_per_run (fun ~runs ->
+         Monte_carlo.estimate ~runs ~seed:1 cold_model ligo cold_sched));
+  check_words "Ligo-400, Sim_faults.nominal"
+    (words_per_run (fun ~runs ->
+         Monte_carlo.estimate_faults ~runs ~seed:1
+           (Sim_faults.nominal cold_model) ligo cold_sched));
+  check_words "Weibull renewal, Montage-40"
+    (words_per_run (fun ~runs ->
+         Monte_carlo.estimate_renewal ~runs ~seed:5
+           ~failures:(Dist.weibull_of_mean ~shape:0.7 ~mean:300.)
+           ~downtime:2. (Lazy.force montage) (Lazy.force montage_sched)))
 
 let test_replicated_allocation () =
   check_words "2-replica Montage-40"
-    (words_per_run ~replica_cost:0.5 montage_model (Lazy.force montage)
-       (Lazy.force replicated))
+    (words_per_run (fun ~runs ->
+         Monte_carlo.estimate ~replica_cost:0.5 ~runs ~seed:1 montage_model
+           (Lazy.force montage) (Lazy.force replicated)))
 
 let () =
   Alcotest.run "simulator"
