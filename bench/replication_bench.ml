@@ -88,8 +88,7 @@ let bench_cell ~g ~total_weight ~traces mtbf_factor rho =
   in
   let r =
     Robust.evaluate ~traces_per_scenario:traces ~seed:13
-      ~min_uptime:(300. *. total_weight) ~criterion:(Robust.CVaR 0.95)
-      ~scenarios candidates
+      ~criterion:(Robust.CVaR 0.95) ~scenarios candidates
   in
   let policies =
     List.map

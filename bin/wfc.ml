@@ -994,7 +994,7 @@ let criterion_conv =
 
 let adapt family n seed cost mtbf downtime lin ckpt grid load replicas
     replica_cost true_mtbf failures_opt trigger budget traces criterion
-    horizon relinearize csv metrics trace =
+    relinearize csv metrics trace =
   with_obs ~metrics ~trace @@ fun () ->
   let module Driver = Wfc_resilience.Solver_driver in
   let g = workflow ~load family n seed cost in
@@ -1061,10 +1061,9 @@ let adapt family n seed cost mtbf downtime lin ckpt grid load replicas
           ]
         else []
   in
-  let min_uptime = horizon *. Wfc_dag.Dag.total_weight g in
   let r =
-    Robust.evaluate ~traces_per_scenario:traces ~seed ~min_uptime ~criterion
-      ~scenarios candidates
+    Robust.evaluate ~traces_per_scenario:traces ~seed ~criterion ~scenarios
+      candidates
   in
   Format.printf
     "adaptive selection: %s (%d tasks), planning %a, true MTBF %g s@.criterion \
@@ -1076,7 +1075,7 @@ let adapt family n seed cost mtbf downtime lin ckpt grid load replicas
     Wfc_reporting.Table.create
       ~columns:
         [ "policy"; "mean"; Printf.sprintf "cvar@%g" r.Robust.alpha; "worst";
-          "max regret"; "exhausted" ]
+          "max regret" ]
   in
   List.iter
     (fun s ->
@@ -1087,7 +1086,6 @@ let adapt family n seed cost mtbf downtime lin ckpt grid load replicas
           Printf.sprintf "%.1f" s.Robust.cvar;
           Printf.sprintf "%.1f" s.Robust.worst;
           Printf.sprintf "%.1f" s.Robust.max_regret;
-          string_of_int s.Robust.exhausted;
         ])
     r.Robust.scores;
   Wfc_reporting.Table.print summary;
@@ -1109,14 +1107,6 @@ let adapt family n seed cost mtbf downtime lin ckpt grid load replicas
         s.Robust.per_scenario s.Robust.regret)
     r.Robust.scores;
   Wfc_reporting.Table.print detail;
-  let exhausted =
-    List.fold_left (fun acc s -> acc + s.Robust.exhausted) 0 r.Robust.scores
-  in
-  if exhausted > 0 then
-    Format.printf
-      "@.warning: %d runs consumed past the recorded horizon (raise \
-       --horizon)@."
-      exhausted;
   Format.printf "@.selected: %s by %s@." r.Robust.winner.Robust.candidate
     (Robust.criterion_name criterion);
   match csv with
@@ -1168,19 +1158,13 @@ let adapt_cmd =
   in
   let traces_t =
     Arg.(value & opt (positive_int "trace count") 50
-         & info [ "traces" ] ~doc:"Recorded failure traces per scenario.")
+         & info [ "traces" ] ~doc:"Seeded failure traces per scenario.")
   in
   let criterion_t =
     Arg.(value & opt criterion_conv (Robust.CVaR 0.95)
          & info [ "criterion" ] ~docv:"CRITERION"
              ~doc:"Selection criterion: $(b,mean), $(b,worst), $(b,cvar) \
                    (alpha 0.95) or $(b,cvar:Q).")
-  in
-  let horizon_t =
-    Arg.(value & opt (positive_float "horizon multiplier") 200.
-         & info [ "horizon" ] ~docv:"MULT"
-             ~doc:"Record traces covering $(docv) times the workflow's total \
-                   weight of uptime.")
   in
   let relinearize_t =
     Arg.(value & flag
@@ -1200,7 +1184,7 @@ let adapt_cmd =
     Term.(const adapt $ family_t $ n_t $ seed_t $ cost_t $ mtbf_t $ downtime_t
           $ lin_t $ ckpt_t $ grid_t $ load_t $ replicas_t
           $ replica_cost_t $ true_mtbf_t $ failures_t $ trigger_t $ budget_t
-          $ traces_t $ criterion_t $ horizon_t $ relinearize_t $ csv_t
+          $ traces_t $ criterion_t $ relinearize_t $ csv_t
           $ metrics_t $ obs_trace_t)
 
 (* ---- replay (record / replay failure traces) ---- *)

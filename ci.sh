@@ -2,7 +2,8 @@
 # CI entry point: build, check that lib/ and bin/ keep one search path,
 # run the full tier-1 suite, the oracle property suites on fixed seeds, a
 # reduced-seed chaos soak as a serving-layer smoke guard, the
-# flat-vs-oracle scale guard up to n = 1000, then a short traced run of
+# flat-vs-oracle scale guard up to n = 1000, the risk-aware selection
+# figures against their committed JSON, then a short traced run of
 # each end-to-end benchmark workload, whose replay byte-compares the
 # library's answers with the daemon's and the CLI's (and whose serve-warm
 # line must show at most 1 MB of minor heap per request). Every phase is
@@ -38,16 +39,17 @@ echo "== tests =="
 timeout 900 dune runtest
 
 # the Theorem 3 recurrence's property suites, the simulator's
-# executor-vs-reference properties, and the serving layer's request-history
-# and caller's-engine properties, on twenty fixed seeds, so a last-ulp,
-# cancellation, draw-order or engine-binding regression fails CI
-# deterministically instead of on one random seed per run (~40 s)
+# executor-vs-reference properties, risk-aware selection's live-vs-replayed
+# property, the adaptive executor's properties, and the serving layer's
+# request-history and caller's-engine properties, on twenty fixed seeds, so
+# a last-ulp, cancellation, draw-order or engine-binding regression fails CI
+# deterministically instead of on one random seed per run (~45 s)
 echo "== oracle properties (QCHECK_SEED=1..20) =="
 (cd _build/default/test && timeout 120 sh -c '
   for seed in $(seq 1 20); do
     for t in test_replication test_evaluator test_flat_engine \
       test_simulator test_sim_faults test_trace_io test_serve \
-      test_exact_solver; do
+      test_exact_solver test_resilience test_adaptive; do
       QCHECK_SEED=$seed ./$t.exe >"$t.seed.log" 2>&1 || {
         cat "$t.seed.log" >&2
         echo "$t failed at QCHECK_SEED=$seed" >&2
@@ -73,6 +75,20 @@ echo "== chaos smoke (reduced seeds) =="
 echo "== scale guard (flat vs oracle, n <= 1000) =="
 (cd "$scratch" && SCALE_NMAX=1000 SCALE_EXACT_N=12 SCALE_DOMAINS=2 FIG=scale \
   timeout 120 "$bench")
+
+# risk-aware selection runs every candidate on the same seeded failure
+# lanes: the adaptive-vs-static and checkpoint-vs-replica figures (each with
+# its own PASS/FAIL guard) must reproduce their committed JSON byte for byte
+echo "== selection figures (FIG=adaptive, FIG=replication) =="
+for fig in adaptive replication; do
+  (cd "$scratch" && FIG=$fig timeout 60 "$bench" >"$fig.log" 2>&1) || {
+    cat "$scratch/$fig.log" >&2
+    echo "FIG=$fig failed" >&2
+    exit 1
+  }
+  cmp "BENCH_$fig.json" "$scratch/BENCH_$fig.json"
+done
+echo "ok"
 
 echo "== benchmark byte checks (traced, 3 s per workload) =="
 for w in serve-warm simulate-cold corpus-sweep; do

@@ -174,10 +174,14 @@ let optimal_checkpoints_within ?(max_nodes = 1_000_000)
     if domains = 1 then 0 else Int.min n (Int.min 10 (clog2 (4 * domains)))
   in
   let n_roots = 1 lsl split_depth in
+  (* worker 0 searches on the caller's engine, which is free until the final
+     score rebinds every flag: a node's cost is a prefix makespan, which
+     reads only the flags the walk has set, so stale suffix flags left by
+     the warm start cannot change it *)
   let states =
-    Array.init (Int.min domains n_roots) (fun _ ->
+    Array.init (Int.min domains n_roots) (fun w ->
         {
-          eng = Flat_engine.create model g ~order;
+          eng = (if w = 0 then scorer else Flat_engine.create model g ~order);
           wflags = Array.make n false;
           tbl = Hashtbl.create 256;
           w_pruned = 0;

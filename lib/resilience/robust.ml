@@ -2,9 +2,9 @@ module D = Wfc_platform.Distribution
 module FM = Wfc_platform.Failure_model
 module Rng = Wfc_platform.Rng
 module Sample_set = Wfc_platform.Sample_set
+module Cancel = Wfc_platform.Cancel
 module Sim = Wfc_simulator.Sim
 module SA = Wfc_simulator.Sim_adaptive
-module T = Wfc_simulator.Trace_io
 module Metrics = Wfc_obs.Metrics
 module Trace = Wfc_obs.Trace
 
@@ -37,59 +37,34 @@ type scenario = { name : string; failures : D.t; downtime : D.t }
 let default_scenarios nominal =
   let lambda = nominal.FM.lambda in
   if lambda = 0. then invalid_arg "Robust.default_scenarios: fail-free nominal";
-  let mtbf = 1. /. lambda in
   let downtime = D.constant nominal.FM.downtime in
-  (* same mean-preserving burst mix as Stress: 90% of gaps at MTBF/3,
-     10% at 7 MTBF *)
-  let bursty =
-    D.hyperexponential ~p:0.9 ~rate1:(3. /. mtbf) ~rate2:(1. /. (7. *. mtbf))
-  in
-  [
-    { name = "exponential"; failures = D.exponential ~rate:lambda; downtime };
-    {
-      name = "weibull k=0.7";
-      failures = D.weibull_of_mean ~shape:0.7 ~mean:mtbf;
-      downtime;
-    };
-    {
-      name = "weibull k=1.5";
-      failures = D.weibull_of_mean ~shape:1.5 ~mean:mtbf;
-      downtime;
-    };
-    { name = "bursty"; failures = bursty; downtime };
-  ]
+  List.map
+    (fun (name, failures) -> { name; failures; downtime })
+    (("exponential", D.exponential ~rate:lambda)
+    :: Stress.shape_laws ~mtbf:(1. /. lambda))
 
-type lanes = { primary : T.replay_state; siblings : T.replay_state array }
-
-type candidate = { name : string; extra_lanes : int; execute : lanes -> Sim.run }
+type candidate = {
+  name : string;
+  extra_lanes : int;
+  execute : cancel:Cancel.t -> Sim.source array -> Sim.run;
+}
 
 let extra_lanes_of sched =
   if Wfc_core.Schedule.is_replicated sched then
     Wfc_core.Schedule.max_replica_count sched - 1
   else 0
 
-let sources_of env ~extra =
-  Array.map (fun s -> s.T.source) (Array.sub env.siblings 0 extra)
-
+(* one executor for every run: a static plan never changes between runs *)
 let static ?replica_cost ~name g sched =
-  let extra = extra_lanes_of sched in
-  if extra = 0 then
-    {
-      name;
-      extra_lanes = 0;
-      execute = (fun env -> Sim.run_with_source env.primary.T.source g sched);
-    }
-  else
-    {
-      name;
-      extra_lanes = extra;
-      execute =
-        (fun env ->
-          let lanes =
-            Array.append [| env.primary.T.source |] (sources_of env ~extra)
-          in
-          Sim.run_with_lanes ?replica_cost lanes g sched);
-    }
+  let ex = Sim.exec ?replica_cost g sched in
+  {
+    name;
+    extra_lanes = extra_lanes_of sched;
+    execute =
+      (fun ~cancel lanes ->
+        Sim.execute ~cancel ex lanes;
+        Sim.result ex);
+  }
 
 let adaptive ?replica_cost ~name config g sched =
   let extra = extra_lanes_of sched in
@@ -97,9 +72,9 @@ let adaptive ?replica_cost ~name config g sched =
     name;
     extra_lanes = extra;
     execute =
-      (fun env ->
-        (SA.run ~extra_lanes:(sources_of env ~extra) ?replica_cost config
-           ~source:env.primary.T.source g sched)
+      (fun ~cancel lanes ->
+        (SA.run ~cancel ~extra_lanes:(Array.sub lanes 1 extra) ?replica_cost
+           config ~source:lanes.(0) g sched)
           .SA.run);
   }
 
@@ -111,7 +86,6 @@ type score = {
   per_scenario : (string * float) list;
   regret : (string * float) list;
   max_regret : float;
-  exhausted : int;
 }
 
 type report = {
@@ -122,16 +96,11 @@ type report = {
   winner : score;
 }
 
-(* One private stream per (seed, scenario, trace), mirroring Stress: the
-   ensemble depends only on the seed and the scenario list, never on the
-   candidates scored against it. *)
-let trace_rng ~seed ~scenario ~trace =
-  Rng.create (seed + (scenario * 0x5851F42D) + (trace * 0x9E3779B9))
-
-(* Sibling failure lanes for replicated candidates: lane 0 is exactly the
-   [trace_rng] stream (so adding replicated candidates never perturbs the
-   primary ensemble or existing results), lanes >= 1 mix in a third odd
-   constant. *)
+(* One private stream per (seed, scenario, trace, lane), mirroring Stress:
+   the failures a candidate faces depend only on the seed and the scenario
+   list, never on which candidates are scored. Lane 0 drives copy 0 of every
+   task; lanes >= 1 drive replica copies and mix in a third odd constant, so
+   adding replicated candidates never perturbs the primary lane. *)
 let lane_rng ~seed ~scenario ~trace ~lane =
   Rng.create
     (seed + (scenario * 0x5851F42D) + (trace * 0x9E3779B9)
@@ -143,8 +112,8 @@ let key_of criterion score =
   | CVaR _ -> score.cvar
   | Worst -> score.worst
 
-let evaluate ?(traces_per_scenario = 50) ?(alpha = 0.95) ~seed ~min_uptime
-    ~criterion ~scenarios candidates =
+let evaluate ?(traces_per_scenario = 50) ?(alpha = 0.95)
+    ?(cancel = Cancel.never) ~seed ~criterion ~scenarios candidates =
   Trace.with_span "robust.evaluate"
     ~args:
       [
@@ -163,64 +132,31 @@ let evaluate ?(traces_per_scenario = 50) ?(alpha = 0.95) ~seed ~min_uptime
       invalid_arg "Robust.evaluate: CVaR level outside [0, 1]"
   | _ -> ());
   if Metrics.enabled () then Metrics.incr m_evaluations;
-  (* the shared ensemble: drawn once, replayed for every candidate. With
-     replicated candidates in play, every trace carries enough sibling lane
-     traces for the widest candidate; candidates use a prefix, so the
-     ensemble is still independent of which candidates are scored. *)
-  let max_extra =
-    List.fold_left (fun acc c -> Int.max acc c.extra_lanes) 0 candidates
-  in
-  let ensemble =
-    List.mapi
-      (fun si sc ->
-        ( sc,
-          Array.init traces_per_scenario (fun ti ->
-              let primary =
-                T.draw_renewal
-                  ~rng:(trace_rng ~seed ~scenario:si ~trace:ti)
-                  ~failures:sc.failures ~downtime:sc.downtime ~min_uptime
-              in
-              let siblings =
-                Array.init max_extra (fun li ->
-                    T.draw_renewal
-                      ~rng:
-                        (lane_rng ~seed ~scenario:si ~trace:ti ~lane:(li + 1))
-                      ~failures:sc.failures ~downtime:sc.downtime ~min_uptime)
-              in
-              (primary, siblings)) ))
-      scenarios
-  in
   let cvar_level = match criterion with CVaR a -> a | _ -> alpha in
   let scores =
     List.map
       (fun cand ->
         let pooled = Sample_set.create () in
-        let exhausted = ref 0 in
         let per_scenario =
-          List.map
-            (fun ((sc : scenario), traces) ->
+          List.mapi
+            (fun si (sc : scenario) ->
               let sum = ref 0. in
-              Array.iter
-                (fun (primary_trace, sibling_traces) ->
-                  let env =
-                    {
-                      primary = T.replay_source primary_trace;
-                      siblings =
-                        Array.map T.replay_source
-                          (Array.sub sibling_traces 0 cand.extra_lanes);
-                    }
-                  in
-                  let run = cand.execute env in
-                  if Metrics.enabled () then Metrics.incr m_replays;
-                  if
-                    env.primary.T.exhausted ()
-                    || Array.exists (fun s -> s.T.exhausted ()) env.siblings
-                  then incr exhausted;
-                  Sample_set.add pooled run.Sim.makespan;
-                  sum := !sum +. run.Sim.makespan)
-                traces;
+              for ti = 0 to traces_per_scenario - 1 do
+                (* fresh live lanes per run: every candidate draws the same
+                   failures from the same streams *)
+                let lanes =
+                  Array.init (1 + cand.extra_lanes) (fun lane ->
+                      Sim.renewal_source
+                        ~rng:(lane_rng ~seed ~scenario:si ~trace:ti ~lane)
+                        ~failures:sc.failures ~downtime:sc.downtime)
+                in
+                let run = cand.execute ~cancel lanes in
+                if Metrics.enabled () then Metrics.incr m_replays;
+                Sample_set.add pooled run.Sim.makespan;
+                sum := !sum +. run.Sim.makespan
+              done;
               (sc.name, !sum /. float_of_int traces_per_scenario))
-            ensemble
+            scenarios
         in
         {
           candidate = cand.name;
@@ -230,19 +166,18 @@ let evaluate ?(traces_per_scenario = 50) ?(alpha = 0.95) ~seed ~min_uptime
           per_scenario;
           regret = [];
           max_regret = 0.;
-          exhausted = !exhausted;
         })
       candidates
   in
   (* regret vs the per-scenario best candidate *)
   let best_per_scenario =
     List.map
-      (fun ((sc : scenario), _) ->
+      (fun (sc : scenario) ->
         ( sc.name,
           List.fold_left
             (fun acc s -> Float.min acc (List.assoc sc.name s.per_scenario))
             Float.infinity scores ))
-      ensemble
+      scenarios
   in
   let scores =
     List.map

@@ -1,23 +1,24 @@
-(** Risk-aware schedule selection over shared failure-trace ensembles.
+(** Risk-aware schedule selection over shared, seeded failure lanes.
 
     Expectation under the nominal model ranks schedules by average luck;
     a risk-averse operator cares about the tail, and a misspecification-wary
     one about how much is lost when the platform's law is not the planned
     one. This module scores {e candidates} — static schedules and adaptive
-    policies alike — on a {e shared} ensemble of recorded renewal traces
-    ({!Wfc_simulator.Trace_io}): every candidate faces byte-identical
-    failure sequences, so differences are pure policy, not sampling noise.
-    The ensemble spans several failure laws at equal MTBF (exponential,
-    Weibull bracketing shape 1, bursty hyperexponential), and the winner is
-    picked by mean, CVaR{_ α} or worst-case makespan, with a per-scenario
-    regret table against the per-scenario best candidate. *)
+    policies alike — on live renewal lanes ({!Wfc_simulator.Sim.renewal_source})
+    seeded by [(seed, scenario, trace, lane)]: every candidate faces the same
+    failure sequences, drawn afresh from the same streams, so differences
+    are pure policy, not sampling noise. The lanes span several failure laws
+    at equal MTBF (exponential, Weibull bracketing shape 1, bursty
+    hyperexponential), and the winner is picked by mean, CVaR{_ α} or
+    worst-case makespan, with a per-scenario regret table against the
+    per-scenario best candidate. *)
 
 type criterion =
-  | Mean  (** lowest mean makespan over the pooled ensemble *)
+  | Mean  (** lowest mean makespan over every run *)
   | CVaR of float
       (** lowest expected makespan of the worst [(1 - alpha)] tail
           ({!Wfc_platform.Sample_set.cvar}); [alpha] in [\[0, 1\]] *)
-  | Worst  (** lowest maximum makespan over the ensemble *)
+  | Worst  (** lowest maximum makespan over every run *)
 
 val criterion_name : criterion -> string
 (** ["mean"], ["cvar@0.95"] or ["worst"]. *)
@@ -40,25 +41,19 @@ val default_scenarios : Wfc_platform.Failure_model.t -> scenario list
 
     @raise Invalid_argument if the model is fail-free ([lambda = 0]). *)
 
-type lanes = {
-  primary : Wfc_simulator.Trace_io.replay_state;
-      (** the shared primary failure stream (copy 0 of every task) *)
-  siblings : Wfc_simulator.Trace_io.replay_state array;
-      (** independent streams for replica copies 1.. — as many as the
-          candidate declared in [extra_lanes] *)
-}
-(** One replayed trace environment. Unreplicated candidates use only
-    [primary]; replicated ones additionally consume sibling lanes. Because
-    [primary] is shared across all candidates, checkpoint-only and
-    replication policies still face byte-identical primary failures. *)
-
 type candidate = {
   name : string;
   extra_lanes : int;
       (** sibling lanes the policy consumes: [max replica count - 1] *)
-  execute : lanes -> Wfc_simulator.Sim.run;
-      (** run the policy against one replayed trace environment *)
+  execute :
+    cancel:Wfc_platform.Cancel.t ->
+    Wfc_simulator.Sim.source array ->
+    Wfc_simulator.Sim.run;
+      (** run the policy once on [1 + extra_lanes] failure lanes: lane 0
+          drives copy 0 of every task, lanes 1.. the replica copies *)
 }
+(** A candidate keeps its executor between runs, so it is not shared
+    between domains. *)
 
 val static :
   ?replica_cost:float ->
@@ -66,9 +61,8 @@ val static :
   Wfc_dag.Dag.t ->
   Wfc_core.Schedule.t ->
   candidate
-(** The fixed schedule, executed by {!Wfc_simulator.Sim.run_with_source} —
-    or, when replicated, by {!Wfc_simulator.Sim.run_with_lanes} with the
-    primary stream driving copy 0. *)
+(** The fixed schedule, run by one {!Wfc_simulator.Sim.exec} built here and
+    reused by every run. *)
 
 val adaptive :
   ?replica_cost:float ->
@@ -82,7 +76,7 @@ val adaptive :
 
 type score = {
   candidate : string;
-  mean : float;  (** over the pooled ensemble (all scenarios) *)
+  mean : float;  (** over every run of every scenario *)
   cvar : float;  (** at the report's [alpha] *)
   worst : float;
   per_scenario : (string * float) list;  (** mean makespan per scenario *)
@@ -90,9 +84,6 @@ type score = {
       (** per scenario: mean makespan minus the best candidate's mean on
           that scenario (0 for the per-scenario winner) *)
   max_regret : float;
-  exhausted : int;
-      (** runs that consumed past the recorded horizon; their makespans are
-          optimistic lower bounds — enlarge [min_uptime] if non-zero *)
 }
 
 type report = {
@@ -106,27 +97,25 @@ type report = {
 val evaluate :
   ?traces_per_scenario:int ->
   ?alpha:float ->
+  ?cancel:Wfc_platform.Cancel.t ->
   seed:int ->
-  min_uptime:float ->
   criterion:criterion ->
   scenarios:scenario list ->
   candidate list ->
   report
-(** [evaluate ~seed ~min_uptime ~criterion ~scenarios candidates] draws
-    [traces_per_scenario] (default 50) renewal traces per scenario —
-    deterministic in [(seed, scenario index, trace index)], each covering at
-    least [min_uptime] seconds of uptime — and replays {e every} candidate
-    on {e every} trace. [alpha] (default 0.95) sets the CVaR level.
+(** [evaluate ~seed ~criterion ~scenarios candidates] runs {e every}
+    candidate [traces_per_scenario] (default 50) times per scenario. Run
+    [t] of scenario [s] is on fresh renewal lanes, lane [l] seeded by
+    [(seed, s, t, l)], so every candidate faces the same failures, and a
+    replicated candidate's lane 0 is exactly an unreplicated one's: adding
+    replicated candidates never perturbs the scores of existing ones.
+    [alpha] (default 0.95) sets the CVaR level.
 
-    When any candidate declares [extra_lanes > 0], every trace additionally
-    carries that many sibling renewal traces, deterministic in
-    [(seed, scenario, trace, lane)]; candidates consume a prefix. Lane 0 is
-    the unchanged primary stream, so adding replicated candidates never
-    perturbs the scores of existing ones.
-
-    Pick [min_uptime] well above any plausible makespan (a generous multiple
-    of the DAG's total weight) and check [exhausted].
+    A run lasts until the workflow completes: nothing truncates a schedule
+    that cannot finish on its platform. [cancel] is polled as
+    {!Wfc_simulator.Sim.execute} polls it, and is the bound on such a run.
 
     @raise Invalid_argument if [candidates] or [scenarios] is empty,
-      [traces_per_scenario < 1], [alpha] or a [CVaR] level is outside
-      [\[0, 1\]], or [min_uptime] is not positive and finite. *)
+      [traces_per_scenario < 1], or [alpha] or a [CVaR] level is outside
+      [\[0, 1\]].
+    @raise Wfc_platform.Cancel.Cancelled when [cancel] fires. *)

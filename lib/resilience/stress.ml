@@ -7,35 +7,38 @@ module Heuristics = Wfc_core.Heuristics
 
 type scenario = { name : string; params : SF.params }
 
+let shape_laws ~mtbf =
+  [
+    ("weibull k=0.7", D.weibull_of_mean ~shape:0.7 ~mean:mtbf);
+    ("weibull k=1.5", D.weibull_of_mean ~shape:1.5 ~mean:mtbf);
+    (* mean-preserving burst mix: 90% of gaps at MTBF/3, 10% at 7 MTBF *)
+    ( "bursty",
+      D.hyperexponential ~p:0.9 ~rate1:(3. /. mtbf) ~rate2:(1. /. (7. *. mtbf))
+    );
+  ]
+
 let default_grid nominal =
   let lambda = nominal.FM.lambda in
   if lambda = 0. then invalid_arg "Stress.default_grid: fail-free nominal";
   let mtbf = 1. /. lambda in
   let nominal_p = SF.nominal nominal in
-  let clean failures = { nominal_p with SF.failures } in
-  (* mean-preserving burst mix: 90% of gaps at MTBF/3, 10% at 7 MTBF *)
-  let bursty =
-    D.hyperexponential ~p:0.9 ~rate1:(3. /. mtbf) ~rate2:(1. /. (7. *. mtbf))
+  let clean (name, failures) =
+    { name; params = { nominal_p with SF.failures } }
   in
   let random_downtime =
     D.exponential
       ~rate:(1. /. Float.max nominal.FM.downtime (0.01 *. mtbf))
   in
-  [
-    { name = "nominal"; params = nominal_p };
-    { name = "mtbf/2"; params = clean (D.exponential ~rate:(2. *. lambda)) };
-    { name = "mtbf/10"; params = clean (D.exponential ~rate:(10. *. lambda)) };
-    { name = "mtbf*2"; params = clean (D.exponential ~rate:(lambda /. 2.)) };
-    { name = "mtbf*10"; params = clean (D.exponential ~rate:(lambda /. 10.)) };
-    {
-      name = "weibull k=0.7";
-      params = clean (D.weibull_of_mean ~shape:0.7 ~mean:mtbf);
-    };
-    {
-      name = "weibull k=1.5";
-      params = clean (D.weibull_of_mean ~shape:1.5 ~mean:mtbf);
-    };
-    { name = "bursty"; params = clean bursty };
+  ({ name = "nominal"; params = nominal_p }
+   :: List.map clean
+        ([
+           ("mtbf/2", D.exponential ~rate:(2. *. lambda));
+           ("mtbf/10", D.exponential ~rate:(10. *. lambda));
+           ("mtbf*2", D.exponential ~rate:(lambda /. 2.));
+           ("mtbf*10", D.exponential ~rate:(lambda /. 10.));
+         ]
+        @ shape_laws ~mtbf))
+  @ [
     {
       name = "random downtime";
       params = { nominal_p with SF.downtime = random_downtime };

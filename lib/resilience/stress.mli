@@ -20,6 +20,13 @@ type scenario = {
   params : Wfc_simulator.Sim_faults.params;  (** the platform actually simulated *)
 }
 
+val shape_laws : mtbf:float -> (string * Wfc_platform.Distribution.t) list
+(** The failure laws at mean [mtbf] that differ from the exponential only in
+    shape: Weibull shapes 0.7 and 1.5, and a bursty hyperexponential mix
+    (90% of gaps at [mtbf / 3], 10% at [7 mtbf]), named ["weibull k=0.7"],
+    ["weibull k=1.5"] and ["bursty"]. Both {!default_grid} and
+    {!Robust.default_scenarios} draw them from here. *)
+
 val default_grid : Wfc_platform.Failure_model.t -> scenario list
 (** The standard perturbation grid around a nominal model: the nominal
     platform itself, MTBF misestimated by 2× and 10× in both directions,

@@ -311,9 +311,8 @@ let run_adapt t ~cancel (p : Pr.solve_params) ~true_mtbf ~traces ~mcseed =
           Robust.adaptive ~name:"adaptive" config g sched;
         ]
       in
-      let min_uptime = 200. *. Dag.total_weight g in
       let r =
-        Robust.evaluate ~traces_per_scenario:traces ~seed:mcseed ~min_uptime
+        Robust.evaluate ~traces_per_scenario:traces ~cancel ~seed:mcseed
           ~criterion:(Robust.CVaR 0.95) ~scenarios candidates
       in
       {

@@ -66,7 +66,7 @@ let validate_plan g ~order ~flags ~from plan =
    count — while triggers and the replan boundary count effective failures
    (attempts where every copy died). Replica counts are fixed across
    replans, like the executed prefix. *)
-let run ?(extra_lanes = [||]) ?replica_cost config ~source g sched =
+let run ?(extra_lanes = [||]) ?replica_cost ?cancel config ~source g sched =
   Trace.with_span "adaptive.run" @@ fun () ->
   validate_config config;
   if
@@ -132,7 +132,7 @@ let run ?(extra_lanes = [||]) ?replica_cost config ~source g sched =
                     ("lambda_hat", Printf.sprintf "%.6g" (!estimated).FM.lambda);
                   ])
   in
-  Sim.execute ~observer:{ Sim.silent with Sim.on_failure } ex lanes;
+  Sim.execute ~observer:{ Sim.silent with Sim.on_failure } ?cancel ex lanes;
   if Metrics.enabled () then Metrics.incr m_runs;
   {
     run = Sim.result ex;

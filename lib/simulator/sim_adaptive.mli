@@ -17,7 +17,7 @@
     With [replan = None] the executor makes exactly the draws of
     {!Sim.run_with_source} on the same source and returns a bit-identical
     {!Sim.run} — pinned by a property test, and the reason adaptive and
-    static policies can be scored on one recorded {!Trace_io} trace. *)
+    static policies can be scored on the same seeded failure lanes. *)
 
 type trigger =
   | Every_failure  (** replan at every failure (once observable) *)
@@ -70,13 +70,15 @@ type result = {
 val run :
   ?extra_lanes:Sim.source array ->
   ?replica_cost:float ->
+  ?cancel:Wfc_platform.Cancel.t ->
   config ->
   source:Sim.source ->
   Wfc_dag.Dag.t ->
   Wfc_core.Schedule.t ->
   result
-(** Execute [sched] against [source] (live, or a {!Trace_io} replay — a
-    renewal-kind trace makes two policies face byte-identical failures).
+(** Execute [sched] against [source] (live, or a {!Trace_io} replay — two
+    policies on equally seeded renewal lanes, or on one renewal-kind
+    trace, face the same failures).
 
     A replicated schedule runs with the multi-lane semantics of
     {!Sim.run_with_lanes}: [source] drives copy 0 and [extra_lanes] the
@@ -86,9 +88,12 @@ val run :
     the reported run count effective failures (attempts where all copies
     died). Replica counts are fixed across replans.
 
+    [cancel] is polled as {!Sim.execute} polls it.
+
     @raise Invalid_argument if the trigger is malformed ([Every_k k] with
       [k < 1], [On_drift f] with [f <= 1]), [min_observations < 1], a
       replan returns a plan that moves or re-flags completed positions or
       is not a linearization of the DAG, [source] and [extra_lanes] provide
       fewer lanes than {!Wfc_core.Schedule.max_replica_count}, or
-      [extra_lanes] is non-empty for an unreplicated schedule. *)
+      [extra_lanes] is non-empty for an unreplicated schedule.
+    @raise Wfc_platform.Cancel.Cancelled when [cancel] fires. *)

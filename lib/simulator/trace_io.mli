@@ -17,9 +17,10 @@
     - {e renewal} traces log the raw renewal draws — inter-failure uptimes
       and per-failure downtimes in platform time — which are independent of
       the schedule being executed. Any two policies replayed on one renewal
-      trace face byte-identical failure sequences, which is the basis of
-      {!Wfc_resilience.Robust} scoring and of adaptive-vs-static
-      comparisons. Beyond the last recorded failure the replayed platform
+      trace face byte-identical failure sequences: it holds the very draws
+      a {!Sim.renewal_source} lane on the same RNG stream makes, which is
+      how {!Wfc_resilience.Robust} scoring is checked against its live
+      lanes. Beyond the last recorded failure the replayed platform
       is failure-free; the [exhausted] flag reports when a run actually
       consumed past the recorded horizon (choose [min_uptime] generously).
 

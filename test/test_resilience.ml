@@ -186,7 +186,7 @@ let test_validation () =
   expect_invalid (fun () ->
       ignore (Stress.evaluate ~seed:1 ~nominal ~scenarios:[] g s))
 
-(* ---- robust: risk-aware selection over shared trace ensembles ---- *)
+(* ---- robust: risk-aware selection on shared, seeded failure lanes ---- *)
 
 module Robust = Wfc_resilience.Robust
 
@@ -232,8 +232,7 @@ let robust_fixture () =
 let test_robust_evaluate () =
   let g, order = robust_fixture () in
   (* a harsh platform (MTBF = half the total work): checkpointing everything
-     should beat checkpointing nothing under every law of the ensemble, and
-     even the no-checkpoint run finishes well within the recorded horizon *)
+     should beat checkpointing nothing under every scenario's law *)
   let harsh =
     FM.make ~lambda:(2. /. Wfc_dag.Dag.total_weight g) ~downtime:1. ()
   in
@@ -243,9 +242,8 @@ let test_robust_evaluate () =
       Robust.static ~name:"all" g (Wfc_core.Schedule.all_checkpoints g ~order);
     ]
   in
-  let min_uptime = 500. *. Wfc_dag.Dag.total_weight g in
   let eval () =
-    Robust.evaluate ~traces_per_scenario:20 ~seed:11 ~min_uptime
+    Robust.evaluate ~traces_per_scenario:20 ~seed:11
       ~criterion:(Robust.CVaR 0.9)
       ~scenarios:(Robust.default_scenarios harsh)
       candidates
@@ -253,12 +251,11 @@ let test_robust_evaluate () =
   let r = eval () in
   Alcotest.(check string) "all checkpoints wins" "all"
     r.Robust.winner.Robust.candidate;
-  (* the ensemble is shared and deterministic: same seed, same report *)
+  (* the lanes are seeded: same seed, same report *)
   let r' = eval () in
   Alcotest.(check bool) "deterministic" true (r.Robust.scores = r'.Robust.scores);
   List.iter
     (fun (s : Robust.score) ->
-      Alcotest.(check int) "no exhausted runs" 0 s.Robust.exhausted;
       Alcotest.(check int) "one regret entry per scenario" 4
         (List.length s.Robust.regret);
       List.iter
@@ -276,7 +273,7 @@ let test_robust_evaluate () =
     (List.exists (fun reg -> reg = 0.) winner_regrets)
 
 let test_robust_adaptive_candidate () =
-  (* the adaptive policy rides the same ensemble as the statics *)
+  (* the adaptive policy faces the same failures as the statics *)
   let g, order = robust_fixture () in
   let s = Wfc_core.Schedule.no_checkpoints g ~order in
   let planning = FM.make ~lambda:1e-4 ~downtime:1. () in
@@ -290,9 +287,7 @@ let test_robust_adaptive_candidate () =
     FM.make ~lambda:(2. /. Wfc_dag.Dag.total_weight g) ~downtime:1. ()
   in
   let r =
-    Robust.evaluate ~traces_per_scenario:10 ~seed:3
-      ~min_uptime:(1000. *. Wfc_dag.Dag.total_weight g)
-      ~criterion:Robust.Mean
+    Robust.evaluate ~traces_per_scenario:10 ~seed:3 ~criterion:Robust.Mean
       ~scenarios:(Robust.default_scenarios harsh)
       [
         Robust.static ~name:"static-misspecified" g s;
@@ -313,17 +308,107 @@ let test_robust_validation () =
     | _ -> Alcotest.fail "expected Invalid_argument"
   in
   let eval ?(candidates = cand) ?(scenarios = scenarios) ?traces ?alpha
-      ?(criterion = Robust.Mean) ?(min_uptime = 1e4) () =
+      ?(criterion = Robust.Mean) () =
     ignore
-      (Robust.evaluate ?traces_per_scenario:traces ?alpha ~seed:1 ~min_uptime
-         ~criterion ~scenarios candidates)
+      (Robust.evaluate ?traces_per_scenario:traces ?alpha ~seed:1 ~criterion
+         ~scenarios candidates)
   in
   expect_invalid (fun () -> eval ~candidates:[] ());
   expect_invalid (fun () -> eval ~scenarios:[] ());
   expect_invalid (fun () -> eval ~traces:0 ());
   expect_invalid (fun () -> eval ~alpha:1.5 ());
-  expect_invalid (fun () -> eval ~criterion:(Robust.CVaR 2.) ());
-  expect_invalid (fun () -> eval ~min_uptime:0. ())
+  expect_invalid (fun () -> eval ~criterion:(Robust.CVaR 2.) ())
+
+(* Nothing truncates a live run, so the token is what stops one that cannot
+   finish: a cancelled token stops the evaluation before its first run, and
+   an expiring one stops a run that would take e^50 attempts. *)
+let test_robust_cancel () =
+  let g, order = robust_fixture () in
+  let s = Wfc_core.Schedule.no_checkpoints g ~order in
+  let expect_cancelled cancel scenarios =
+    match
+      Robust.evaluate ~traces_per_scenario:2 ~cancel ~seed:1
+        ~criterion:Robust.Mean ~scenarios
+        [ Robust.static ~name:"s" g s ]
+    with
+    | exception Wfc_platform.Cancel.Cancelled -> ()
+    | _ -> Alcotest.fail "expected Cancelled"
+  in
+  let cancelled = Wfc_platform.Cancel.create () in
+  Wfc_platform.Cancel.cancel cancelled;
+  expect_cancelled cancelled (Robust.default_scenarios nominal);
+  let divergent =
+    FM.make ~lambda:(50. /. Wfc_dag.Dag.total_weight g) ~downtime:1. ()
+  in
+  expect_cancelled
+    (Wfc_platform.Cancel.create ~budget:0.05 ())
+    (Robust.default_scenarios divergent)
+
+(* Live lanes = the replayed ensemble: whenever no run of the reference
+   outlives its recorded horizon, static, replicated and adaptive candidates
+   score the same bits on live lanes as on the pre-drawn traces, under every
+   default scenario. *)
+let prop_live_is_replayed =
+  let module Ref = Wfc_test_util.Robust_reference in
+  Wfc_test_util.qtest ~count:25 "live lanes = replayed traces"
+    QCheck2.Gen.(
+      let* g, s = Wfc_test_util.gen_dag_and_schedule ~max_n:8 () in
+      let n = Wfc_dag.Dag.n_tasks g in
+      let* reps = array_repeat n (int_range 1 3) in
+      if Array.for_all (( = ) 1) reps then reps.(n - 1) <- 2;
+      let* seed = nat and* factor = float_range 0.5 4. in
+      return ((g, s), reps, seed, factor))
+    (fun ((g, s), reps, seed, factor) ->
+      Printf.sprintf "%s reps=[%s] seed=%d mtbf=%gW"
+        (Wfc_test_util.print_dag_schedule (g, s))
+        (String.concat ";" (Array.to_list (Array.map string_of_int reps)))
+        seed factor)
+    (fun ((g, s), reps, seed, factor) ->
+      let w = Wfc_dag.Dag.total_weight g in
+      let truth = FM.make ~lambda:(1. /. (factor *. w)) ~downtime:0.5 () in
+      let config =
+        {
+          (Wfc_simulator.Sim_adaptive.default_config nominal) with
+          Wfc_simulator.Sim_adaptive.replan =
+            Some (Driver.replanner ~budget:16 g);
+        }
+      in
+      let r = Wfc_core.Schedule.with_replicas s reps in
+      let policies =
+        [
+          ("static", Ref.Static s);
+          ("replicated", Ref.Static r);
+          ("adaptive", Ref.Adaptive (config, s));
+          ("adaptive replicated", Ref.Adaptive (config, r));
+        ]
+      in
+      let scenarios = Robust.default_scenarios truth in
+      let expected, exhausted =
+        Ref.evaluate ~traces_per_scenario:3 ~alpha:0.9 ~seed
+          ~min_uptime:(500. *. w) ~scenarios g policies
+      in
+      QCheck2.assume (exhausted = 0);
+      let live =
+        Robust.evaluate ~traces_per_scenario:3 ~seed
+          ~criterion:(Robust.CVaR 0.9) ~scenarios
+          (List.map
+             (fun (name, p) ->
+               match p with
+               | Ref.Static s -> Robust.static ~name g s
+               | Ref.Adaptive (config, s) -> Robust.adaptive ~name config g s)
+             policies)
+      in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      List.for_all2
+        (fun (e : Ref.score) (l : Robust.score) ->
+          e.Ref.name = l.Robust.candidate
+          && same e.Ref.mean l.Robust.mean
+          && same e.Ref.cvar l.Robust.cvar
+          && same e.Ref.worst l.Robust.worst
+          && List.for_all2
+               (fun (n, m) (n', m') -> n = n' && same m m')
+               e.Ref.per_scenario l.Robust.per_scenario)
+        expected live.Robust.scores)
 
 let () =
   Alcotest.run "resilience"
@@ -354,5 +439,7 @@ let () =
           Alcotest.test_case "adaptive candidate" `Slow
             test_robust_adaptive_candidate;
           Alcotest.test_case "validation" `Quick test_robust_validation;
+          Alcotest.test_case "cancellation" `Quick test_robust_cancel;
+          prop_live_is_replayed;
         ] );
     ]

@@ -108,3 +108,7 @@ let qtest ?(count = 200) name gen print prop =
 (* The pre-executor single-source simulator, as an oracle for the lane
    executor. *)
 module Sim_reference = Sim_reference
+
+(* Robust selection on pre-drawn, replayed renewal traces, as an oracle for
+   its live lanes. *)
+module Robust_reference = Robust_reference
