@@ -56,7 +56,7 @@ let bench_cell ~g ~total_weight ~traces mtbf_factor rho =
   in
   let replica_only =
     Schedule.with_replicas bare
-      (Heuristics.replication_counts ~cost:rho spec model g ~sched:bare)
+      (fst (Heuristics.replication_counts ~cost:rho spec model g ~sched:bare))
   in
   let candidates =
     List.concat_map

@@ -870,16 +870,14 @@ let solve kind n seed mtbf downtime replicas replica_cost metrics trace =
             Schedule.make g ~order:(Array.init n Fun.id)
               ~checkpointed:sol.Chain_solver.checkpointed
           in
-          let rsched =
-            Schedule.with_replicas sched
-              (Heuristics.replication_counts ~cost:replica_cost spec model g
-                 ~sched)
+          let reps, m =
+            Heuristics.replication_counts ~cost:replica_cost spec model g
+              ~sched
           in
           Format.printf
             "with replication %s: E[makespan] = %.2f s (%d extra copies)@."
-            (Replication.spec_name spec)
-            (Replication.expected_makespan ~cost:replica_cost model g rsched)
-            (Schedule.extra_replicas rsched))
+            (Replication.spec_name spec) m
+            (Schedule.extra_replicas (Schedule.with_replicas sched reps)))
   | "fork" ->
       let g =
         Wfc_dag.Builders.fork ~source_weight:(50. +. rand 50.)
@@ -1042,8 +1040,9 @@ let adapt family n seed cost mtbf downtime lin ckpt grid load replicas
         in
         let replica_only =
           Schedule.with_replicas bare
-            (Heuristics.replication_counts ~cost:replica_cost spec planning g
-               ~sched:bare)
+            (fst
+               (Heuristics.replication_counts ~cost:replica_cost spec planning
+                  g ~sched:bare))
         in
         (if Schedule.is_replicated mixed then
            [
@@ -1335,16 +1334,16 @@ let profile family n seed cost mtbf downtime grid bnb_domains runs
     match replicas with
     | Replication.No_replication -> None
     | spec ->
-        let rsched =
-          Schedule.with_replicas ls.Local_search.schedule
-            (Heuristics.replication_counts ~cost:replica_cost spec model g
-               ~sched:ls.Local_search.schedule)
+        let reps, m =
+          Heuristics.replication_counts ~cost:replica_cost spec model g
+            ~sched:ls.Local_search.schedule
         in
+        let rsched = Schedule.with_replicas ls.Local_search.schedule reps in
         let est_r =
           Wfc_simulator.Monte_carlo.estimate ~replica_cost ~runs ~seed model g
             rsched
         in
-        Some (spec, rsched, est_r)
+        Some (spec, rsched, m, est_r)
   in
   Format.printf "profile: %s (%d tasks), %a@." (P.family_name family)
     (Wfc_dag.Dag.n_tasks g) FM.pp model;
@@ -1356,12 +1355,11 @@ let profile family n seed cost mtbf downtime grid bnb_domains runs
     runs;
   (match replicated with
   | None -> ()
-  | Some (spec, rsched, est_r) ->
+  | Some (spec, rsched, m, est_r) ->
       Format.printf
         "  replication %s: E[makespan] %.2f s, simulated mean %.2f s (%d \
          extra copies)@."
-        (Replication.spec_name spec)
-        (Replication.expected_makespan ~cost:replica_cost model g rsched)
+        (Replication.spec_name spec) m
         (Wfc_platform.Stats.mean est_r.Wfc_simulator.Monte_carlo.makespan)
         (Schedule.extra_replicas rsched));
   Format.printf "@.";
@@ -1565,10 +1563,7 @@ let listen_of ~socket ~port =
   match socket with Some p -> Srv.Unix_sock p | None -> Srv.Tcp port
 
 let serve port socket cache_size queue_depth workers domains timeout trace =
-  let config =
-    { Srv.default_config with cache_size; queue_depth; workers; domains;
-      timeout }
-  in
+  let config = { Srv.cache_size; queue_depth; workers; domains; timeout } in
   with_obs ~metrics:false ~trace @@ fun () ->
   match
     Srv.serve ~config

@@ -17,17 +17,26 @@ cd "$(dirname "$0")"
 echo "== build =="
 timeout 600 dune build
 
-# one production path: searches run on the flat kernel, and the Evaluator
-# oracle checks that path from the tests instead of being a second one. So
-# lib/ and bin/ name no Naive backend, and no code there (comments
-# excluded) calls Evaluator outside the oracle modules Brute_force and
-# Bounds.
+# one production path: searches run on the flat kernel, replicated
+# schedules included, and the Evaluator oracle checks that path from the
+# tests instead of being a second one. So lib/ and bin/ name no Naive
+# backend, and no code there (comments excluded) calls Evaluator outside the
+# oracle modules Brute_force and Bounds, or the Theorem 3 recurrence
+# (Replication.recurrence, evaluate, expected_makespan) outside Replication
+# and Evaluator.
 echo "== one production path =="
 stray=$(grep -rln 'Naive' lib bin || true)
+oracle='Evaluator\.'
+recurrence='Replication\.(recurrence|evaluate|expected_makespan)\b'
 for f in $(find lib bin -name '*.ml' -o -name '*.mli' | sort); do
-  case "$f" in lib/core/brute_force.ml | lib/core/bounds.ml) continue ;; esac
-  perl -0777 -ne 's/\(\*(?:(?>[^(*]+)|\((?!\*)|\*(?!\))|(?R))*\*\)//g;
-    exit(/\bEvaluator\./ ? 0 : 1)' "$f" && stray="$stray $f"
+  case "$f" in
+  lib/core/brute_force.ml | lib/core/bounds.ml) calls=$recurrence ;;
+  lib/core/replication.ml | lib/core/evaluator.ml) calls=$oracle ;;
+  *) calls="$oracle|$recurrence" ;;
+  esac
+  CALLS=$calls perl -0777 -ne \
+    's/\(\*(?:(?>[^(*]+)|\((?!\*)|\*(?!\))|(?R))*\*\)//g;
+    exit(/\b(?:$ENV{CALLS})/ ? 0 : 1)' "$f" && stray="$stray $f"
 done
 if [ -n "$stray" ]; then
   echo "a second search path in:" $stray >&2

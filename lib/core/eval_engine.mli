@@ -4,9 +4,7 @@
     kernel bound to a fixed [(model, dag, order)] triple, whose flag changes
     cost only the suffix they affect. The {!Evaluator} oracle is not a
     search path: it checks this one from the test suites. Replicated
-    schedules are not scored here either: their lost work and per-attempt
-    terms depend on the replica counts, so they go through
-    {!Replication.evaluate} per candidate.
+    schedules run on the same kernel, which takes the replica vector.
 
     [backend], {!backend_name} and {!handle} are always [Flat]; they are
     kept for wfcbench, which links them (see ROADMAP item 3). *)

@@ -40,7 +40,9 @@ type t = {
      inner loop free of double indirection and length loads. *)
   pre_off : int array; (* length n + 1 *)
   pre_flat : int array;
-  weight : float array; (* by task *)
+  weight : float array; (* by task, effective: surcharged for replicas *)
+  replicas : int array; (* by task *)
+  replica_cost : float;
   ckpt_cost : float array;
   recovery : float array;
   (* per-task lambda caches: expm1 (lambda * (w [+ c])) and
@@ -169,11 +171,13 @@ let vec len =
   A1.fill v 0.;
   v
 
+(* Only the unrolled step reads these, at one copy, where the effective
+   weight is the raw one: a replica move leaves them valid. *)
 let refresh_tables t =
   let lambda = t.model.FM.lambda in
   if lambda > 0. then
     for v = 0 to t.n - 1 do
-      let w = t.weight.(v) in
+      let w = (Wfc_dag.Dag.task t.g v).Wfc_dag.Task.weight in
       let wc = w +. t.ckpt_cost.(v) in
       t.am1_off.(v) <- Float.expm1 (lambda *. w);
       t.am1_on.(v) <- Float.expm1 (lambda *. wc);
@@ -203,7 +207,12 @@ let refresh_reach_below t upto =
 
 let refresh_reach t = refresh_reach_below t (t.n - 1)
 
-let create ?flags model g ~order =
+let check_replica r =
+  if r < 1 || r > Schedule.max_replicas then
+    invalid_arg "Flat_engine: replica count out of range"
+
+let create ?flags ?replicas ?(replica_cost = Replication.default_cost) model g
+    ~order =
   if not (Wfc_dag.Dag.is_linearization g order) then
     invalid_arg "Flat_engine.create: order is not a linearization";
   let n = Array.length order in
@@ -218,6 +227,12 @@ let create ?flags model g ~order =
           invalid_arg "Flat_engine.create: flags have the wrong size";
         Array.copy f
   in
+  let replicas =
+    match replicas with None -> Array.make n 1 | Some r -> Array.copy r
+  in
+  if Array.length replicas <> n then
+    invalid_arg "Flat_engine.create: replicas have the wrong size";
+  Array.iter check_replica replicas;
   let snapoff = Array.make (n + 1) 0 in
   for i = 1 to n do
     snapoff.(i) <-
@@ -281,7 +296,12 @@ let create ?flags model g ~order =
       succs = Array.init n (Wfc_dag.Dag.succs_array g);
       pre_off;
       pre_flat;
-      weight = Array.init n (fun v -> (task v).Wfc_dag.Task.weight);
+      weight =
+        Array.init n (fun v ->
+            Replication.effective_weight ~cost:replica_cost
+              ~weight:(task v).Wfc_dag.Task.weight ~r:replicas.(v));
+      replicas;
+      replica_cost;
       ckpt_cost = Array.init n (fun v -> (task v).Wfc_dag.Task.checkpoint_cost);
       recovery = Array.init n (fun v -> (task v).Wfc_dag.Task.recovery_cost);
       am1_on = Array.make n 0.;
@@ -346,6 +366,7 @@ let create ?flags model g ~order =
 let dag t = t.g
 let order t = Array.copy t.order
 let flags t = Array.copy t.flags
+let replicas t = Array.copy t.replicas
 
 let checkpoint_count t =
   let c = ref 0 in
@@ -871,6 +892,53 @@ let step t i =
     scal.(0) <- pf *. ewc
   end
 
+(* A position whose task runs r > 1 copies, at lambda > 0: the oracle's
+   loop body (Replication.recurrence) as one scalar loop. Each fault row
+   pays one replicated attempt expectation and advances its survival by the
+   attempt's; the rows already charge surcharged replays. *)
+let replicated_step t i =
+  let lambda = t.model.FM.lambda in
+  let snap, sb =
+    if i land 7 = 0 then (t.snap, t.snapoff.(i)) else (t.snap_null, 0)
+  in
+  A1.unsafe_set t.snap_start i t.scal.(0);
+  let v = t.order.(i) in
+  let r = t.replicas.(v) and w = t.weight.(v) in
+  let c = if t.flags.(v) then t.ckpt_cost.(v) else 0. in
+  let ob = t.coloff.(i) and h = Int.min t.mp_pos.(i) (i - 2) in
+  let rf = A1.unsafe_get t.lt (ob + i) in
+  let attempt l =
+    Replication.expected_attempt_time ~lambda ~downtime:t.model.FM.downtime ~r
+      ~work:(l +. w) ~checkpoint:c ~recovery:(Float.max 0. (rf -. l))
+  in
+  let survival len =
+    let q = Replication.attempt_failure_probability ~lambda ~r len in
+    Replication.attempt_survival ~lambda ~r len q
+  in
+  let pf = t.scal.(0) in
+  let e_xi = ref 0. and sum_p = ref pf in
+  (* fault row k (-1: no fault yet) at probability p, survival px so far *)
+  let row k px p =
+    let l = if k < 0 || k <= h then 0. else A1.unsafe_get t.lt (ob + k) in
+    if p > 0. then e_xi := !e_xi +. (p *. attempt l);
+    if k >= 0 then A1.unsafe_set t.pex k (px *. survival (l +. w +. c))
+  in
+  row (-1) 1. pf;
+  for k = 0 to i - 2 do
+    let px = A1.unsafe_get t.pex k in
+    A1.unsafe_set snap (sb + k) px;
+    let p = px *. A1.unsafe_get t.fp k in
+    sum_p := !sum_p +. p;
+    row k px p
+  done;
+  if i >= 1 then begin
+    A1.unsafe_set t.fp (i - 1) (Float.max 0. (1. -. !sum_p));
+    row (i - 1) 1. (A1.unsafe_get t.fp (i - 1))
+  end;
+  A1.unsafe_set t.pp i !e_xi;
+  A1.unsafe_set t.ms (i + 1) (A1.unsafe_get t.ms i +. !e_xi);
+  t.scal.(0) <- pf *. survival (w +. c)
+
 let flush_counters t =
   Metrics.incr m_queries;
   Metrics.add m_rows t.c_rows;
@@ -904,7 +972,8 @@ let ensure t upto =
     in
     t.c_steps <- t.c_steps + (upto - from);
     for i = from to limit do
-      step t i
+      if t.replicas.(t.order.(i)) = 1 || t.model.FM.lambda = 0. then step t i
+      else replicated_step t i
     done;
     t.eval_valid <- upto;
     t.cursor <- upto;
@@ -1019,6 +1088,24 @@ let set_flags t target =
       if target.(v) <> t.flags.(v) then apply_flip t v
     done
 
+(* A replica count reprices its task's weight wherever a replay charges it,
+   which is the window a flip of the task marks, and re-steps its position
+   on. Logged like a toggle, so the journal rebuild applies. *)
+let set_replicas t v r =
+  if v < 0 || v >= t.n then invalid_arg "Flat_engine.set_replicas: no such task";
+  check_replica r;
+  if r <> t.replicas.(v) then begin
+    t.replicas.(v) <- r;
+    t.weight.(v) <-
+      Replication.effective_weight ~cost:t.replica_cost
+        ~weight:(Wfc_dag.Dag.task t.g v).Wfc_dag.Task.weight ~r;
+    refresh_reach_below t t.reach_dirty;
+    t.reach_dirty <- -1;
+    log_begin t;
+    log_change t v;
+    mark t ~p:t.pos.(v) ~hi:(charge_bound t v) ~wm:(t.chg_len - 1)
+  end
+
 let commit t =
   Array.blit t.flags 0 t.committed 0 t.n;
   t.pend_lo <- t.n;
@@ -1035,12 +1122,18 @@ let rollback t =
     t.pend_hi <- -1
   end
 
-let bind ?engine ?flags model g ~order =
+let bind ?engine ?flags ?replicas ?(replica_cost = Replication.default_cost)
+    model g ~order =
   match engine with
-  | None -> create ?flags model g ~order
+  | None -> create ?flags ?replicas ~replica_cost model g ~order
   | Some t ->
       if t.order <> order then
         invalid_arg "Flat_engine.bind: engine bound to another order";
+      if replica_cost <> t.replica_cost then
+        invalid_arg "Flat_engine.bind: engine priced at another replica cost";
       set_model t model;
       Option.iter (set_flags t) flags;
+      for v = 0 to t.n - 1 do
+        set_replicas t v (match replicas with Some a -> a.(v) | None -> 1)
+      done;
       t

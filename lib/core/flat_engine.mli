@@ -40,40 +40,54 @@
     differential suites and at [1e-12] by [FIG=scale] — not bit for bit.
     The flat searches report these values as they are.
 
+    Replicated schedules (DESIGN §11) run here too: replays charge
+    effective weights, and only a task with [r > 1] copies takes a scalar
+    step, so all-ones replicas keep the unreplicated bits; replicated values
+    agree with {!Replication.recurrence} to [1e-12] relative.
+
     For a fixed engine, every query is a pure function of the current flag
-    vector: any interleaving of {!flip}, {!set_flags}, {!set_flag_at} and
-    {!rollback} ending in the same flags yields results bit-identical to a
-    fresh engine created with those flags. *)
+    and replica vectors: any interleaving of {!flip}, {!set_flags},
+    {!set_flag_at}, {!set_replicas} and {!rollback} ending in the same
+    vectors yields results bit-identical to a fresh engine created with
+    them. *)
 
 type t
 
 val create :
   ?flags:bool array ->
+  ?replicas:int array ->
+  ?replica_cost:float ->
   Wfc_platform.Failure_model.t ->
   Wfc_dag.Dag.t ->
   order:int array ->
   t
 (** [create model g ~order] builds an engine for the given linearization,
-    with no checkpoints unless [flags] (indexed by task id, copied) says
-    otherwise. All caches cold; the first query pays one full evaluation
-    (and the batched transform fill).
+    with no checkpoints and one copy per task unless [flags] and [replicas]
+    (indexed by task id, copied) say otherwise; extra copies are
+    surcharged at [replica_cost] (default {!Replication.default_cost}).
+    All caches cold; the first query pays one full evaluation (and the
+    batched transform fill).
 
-    @raise Invalid_argument if [order] is not a linearization of [g] or
-      [flags] has the wrong length. *)
+    @raise Invalid_argument if [order] is not a linearization of [g],
+      [flags] or [replicas] has the wrong length, a count is outside
+      [1..Schedule.max_replicas], or [replica_cost] is negative. *)
 
 val bind :
   ?engine:t ->
   ?flags:bool array ->
+  ?replicas:int array ->
+  ?replica_cost:float ->
   Wfc_platform.Failure_model.t ->
   Wfc_dag.Dag.t ->
   order:int array ->
   t
 (** The engine a search over [(model, g, order)] runs on: [engine]
-    rebound by {!set_model} (and {!set_flags}, given [flags]), else
-    [create ?flags model g ~order] — bit-identical answers either way.
+    rebound by {!set_model} (and {!set_flags}, given [flags]) and set to
+    [replicas] (all-ones when absent), else {!create} — bit-identical
+    answers either way.
 
-    @raise Invalid_argument if [engine] is bound to another order, or on
-      the conditions of {!create}. *)
+    @raise Invalid_argument if [engine] is bound to another order or
+      surcharge, or on the conditions of {!create}. *)
 
 val dag : t -> Wfc_dag.Dag.t
 (** The workflow the engine was created for (shared, not copied): a warm
@@ -81,7 +95,8 @@ val dag : t -> Wfc_dag.Dag.t
 
 val order : t -> int array
 val flags : t -> bool array
-(** Copies of the bound order and the current flag vector. *)
+val replicas : t -> int array
+(** Copies of the bound order and the current flag and replica vectors. *)
 
 val checkpoint_count : t -> int
 (** Number of tasks flagged in the current vector; allocates nothing. *)
@@ -145,12 +160,17 @@ val set_flags : t -> bool array -> unit
 (** [set_flags t target] flips whatever differs between the current vector
     and [target] (indexed by task id). Lazy like {!set_flag_at}. *)
 
+val set_replicas : t -> int -> int -> unit
+(** [set_replicas t v r] gives task [v] [r] copies; lazy like
+    {!set_flags}. @raise Invalid_argument if [v] is not a task or [r] is
+    outside [1..Schedule.max_replicas]. *)
+
 val commit : t -> unit
 (** Makes the current flags the rollback point. *)
 
 val rollback : t -> unit
 (** Restores the flags of the last {!commit} (or the creation flags),
-    invalidating only the span touched since then. *)
+    invalidating only the span touched since then; replica counts stay. *)
 
 val lost_entry : t -> last_fault:int -> position:int -> float
 (** [lost_entry t ~last_fault:k ~position:i] is the replay value the kernel

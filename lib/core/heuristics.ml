@@ -254,8 +254,13 @@ let replication_counts ?(max_replicas = 4) ?(cost = Replication.default_cost)
   if max_replicas < 1 || max_replicas > Schedule.max_replicas then
     invalid_arg "Heuristics.replication_counts: max_replicas out of range";
   let weight v = (Wfc_dag.Dag.task g v).Wfc_dag.Task.weight in
+  let engine replicas =
+    Flat_engine.create ~flags:sched.Schedule.checkpointed ~replicas
+      ~replica_cost:cost model g ~order:sched.order
+  in
+  let fixed reps = (reps, Flat_engine.makespan (engine reps)) in
   match spec with
-  | Replication.No_replication -> Array.make n 1
+  | Replication.No_replication -> fixed (Array.make n 1)
   | Replication.Heavy k ->
       (* duplicate the k heaviest tasks: the ones whose lost-work intervals
          (and hence re-execution risk) dominate — the same ranking CkptW
@@ -265,7 +270,7 @@ let replication_counts ?(max_replicas = 4) ?(cost = Replication.default_cost)
       for j = 0 to Int.min k n - 1 do
         reps.(ranked.(j)) <- Int.min 2 max_replicas
       done;
-      reps
+      fixed reps
   | Replication.Auto | Replication.Budget _ ->
       let fraction = match spec with Replication.Budget f -> f | _ -> 0.2 in
       if not (fraction > 0. && Float.is_finite fraction) then
@@ -273,14 +278,12 @@ let replication_counts ?(max_replicas = 4) ?(cost = Replication.default_cost)
       (* greedy marginal-gain spend: each round buy the single +1 replica
          with the best expected-makespan reduction per unit of extra work,
          until the budget (a fraction of total weight) is spent or no
-         increment helps *)
+         increment helps. Every candidate is set, scored and reverted on
+         one engine, so it costs the suffix from its task's position. *)
       let budget = ref (fraction *. Wfc_dag.Dag.total_weight g) in
       let reps = Array.make n 1 in
-      let score () =
-        Replication.expected_makespan ~cost model g
-          (Schedule.with_replicas sched reps)
-      in
-      let current = ref (score ()) in
+      let engine = engine reps in
+      let current = ref (Flat_engine.makespan engine) in
       let improved = ref true and rounds = ref 0 in
       while !improved && !rounds < 32 do
         incr rounds;
@@ -290,9 +293,9 @@ let replication_counts ?(max_replicas = 4) ?(cost = Replication.default_cost)
           Wfc_platform.Cancel.check cancel;
           let dc = cost *. weight v in
           if reps.(v) < max_replicas && dc <= !budget then begin
-            reps.(v) <- reps.(v) + 1;
-            let m = score () in
-            reps.(v) <- reps.(v) - 1;
+            Flat_engine.set_replicas engine v (reps.(v) + 1);
+            let m = Flat_engine.makespan engine in
+            Flat_engine.set_replicas engine v reps.(v);
             let gain = !current -. m in
             if gain > 0. then begin
               let density = if dc > 0. then gain /. dc else Float.infinity in
@@ -305,26 +308,26 @@ let replication_counts ?(max_replicas = 4) ?(cost = Replication.default_cost)
         match !best with
         | Some (_, v, m, dc) ->
             reps.(v) <- reps.(v) + 1;
+            Flat_engine.set_replicas engine v reps.(v);
             budget := !budget -. dc;
             current := m;
             improved := true
         | None -> ()
       done;
       if Metrics.enabled () then Metrics.add m_replica_rounds !rounds;
-      reps
+      (reps, !current)
 
 let replicate ?max_replicas ?cost ?cancel spec model g (o : outcome) =
   match spec with
   | Replication.No_replication -> o
   | _ ->
-      let reps =
+      let reps, makespan =
         replication_counts ?max_replicas ?cost ?cancel spec model g
           ~sched:o.schedule
       in
       if Array.for_all (fun r -> r = 1) reps then o
       else
         let schedule = Schedule.with_replicas o.schedule reps in
-        let makespan = Replication.expected_makespan ?cost model g schedule in
         { o with schedule; makespan; evaluations = o.evaluations + 1 }
 
 let run_replicated ?search ?backend:_ ?rand ?max_replicas ?cost ?cancel spec

@@ -112,15 +112,18 @@ val replication_counts :
   Wfc_platform.Failure_model.t ->
   Wfc_dag.Dag.t ->
   sched:Schedule.t ->
-  int array
-(** Per-task replica counts for [sched] under the given policy:
+  int array * float
+(** Per-task replica counts for [sched] under the given policy, and the
+    kernel's makespan of [sched] with them:
     [No_replication] is all-ones; [Heavy k] duplicates the [k] heaviest
     tasks (the CkptW ranking); [Budget f] greedily spends a replica-work
     budget of [f *. total_weight] one [+1] replica at a time, each round
     buying the increment with the best expected-makespan reduction per unit
-    of extra work (evaluated through {!Replication.expected_makespan}) and
-    stopping when nothing improves; [Auto] is [Budget 0.2]. Counts are
-    capped at [max_replicas] (default 4).
+    of extra work and stopping when nothing improves; [Auto] is
+    [Budget 0.2]. Counts are capped at [max_replicas] (default 4). The
+    greedy scores every candidate on one {!Flat_engine} (set, query,
+    revert), so a candidate costs the suffix from its task's position,
+    and its makespan is its final score.
 
     @raise Invalid_argument if [max_replicas] is outside
       [1..Schedule.max_replicas], [cost] is invalid, or a [Budget] fraction
@@ -135,9 +138,9 @@ val replicate :
   Wfc_dag.Dag.t ->
   outcome ->
   outcome
-(** Applies {!replication_counts} to the outcome's schedule and re-evaluates
-    the makespan replica-aware. The outcome is returned unchanged when the
-    policy places no replica. *)
+(** Applies {!replication_counts} to the outcome's schedule, with its
+    makespan. The outcome is returned unchanged when the policy places no
+    replica. *)
 
 val run_replicated :
   ?search:search ->

@@ -23,92 +23,32 @@ let record_metrics ~sweeps r =
   end;
   r
 
-(* Replica-aware hill climbing: the move set adds per-task replica-count
-   steps (+1 up to the cap, -1 down to a single copy) next to the flag
-   flips. Every candidate is scored by Replication.evaluate — the flat
-   kernel does not support replica moves — so this path is only taken for
-   replicated seeds or when replica moves are requested. *)
-let improve_replicated ~max_evaluations ~replica_cost ~max_replicas ~cancel
-    model g seed =
-  Wfc_obs.Trace.with_span "local_search.improve"
-    ~args:[ ("backend", "replicated") ]
-  @@ fun () ->
-  let n = Schedule.n_tasks seed in
+let improve ?(max_evaluations = 4000) ?replica_cost ?max_replicas ?engine
+    ?(cancel = Wfc_platform.Cancel.never) model g seed =
+  (* replica-count steps join the move set for replicated seeds or when
+     requested: +1 up to the cap, -1 down to a single copy *)
   let cap =
-    Option.value max_replicas
-      ~default:(Int.max 4 (Schedule.max_replica_count seed))
+    if Schedule.is_replicated seed || Option.is_some max_replicas then
+      Option.value max_replicas
+        ~default:(Int.max 4 (Schedule.max_replica_count seed))
+    else 1
   in
   if cap < 1 || cap > Schedule.max_replicas then
     invalid_arg "Local_search.improve: max_replicas out of range";
-  let flags = Array.init n (Schedule.is_checkpointed seed) in
-  let order = Array.init n (Schedule.task_at seed) in
-  let reps = Schedule.replica_counts seed in
-  let evaluations = ref 0 in
-  let flips = ref 0 in
-  let evaluate () =
-    Wfc_platform.Cancel.check cancel;
-    incr evaluations;
-    Replication.expected_makespan ?cost:replica_cost model g
-      (Schedule.make ~replicas:reps g ~order ~checkpointed:flags)
-  in
-  let initial_makespan = evaluate () in
-  let best = ref initial_makespan in
-  let improved = ref true in
-  let sweeps = ref 0 in
-  (* try one move (already applied); keep it if it improves, else undo *)
-  let consider undo =
-    let m = evaluate () in
-    if m < !best -. (1e-12 *. Float.abs !best) then begin
-      best := m;
-      incr flips;
-      improved := true
-    end
-    else undo ()
-  in
-  while !improved && !evaluations < max_evaluations do
-    improved := false;
-    incr sweeps;
-    Array.iter
-      (fun v ->
-        if !evaluations < max_evaluations then begin
-          flags.(v) <- not flags.(v);
-          consider (fun () -> flags.(v) <- not flags.(v))
-        end;
-        if !evaluations < max_evaluations && reps.(v) < cap then begin
-          reps.(v) <- reps.(v) + 1;
-          consider (fun () -> reps.(v) <- reps.(v) - 1)
-        end;
-        if !evaluations < max_evaluations && reps.(v) > 1 then begin
-          reps.(v) <- reps.(v) - 1;
-          consider (fun () -> reps.(v) <- reps.(v) + 1)
-        end)
-      order
-  done;
-  record_metrics ~sweeps:!sweeps
-    {
-      schedule = Schedule.make ~replicas:reps g ~order ~checkpointed:flags;
-      makespan = !best;
-      initial_makespan;
-      evaluations = !evaluations;
-      flips = !flips;
-    }
-
-let improve ?(max_evaluations = 4000) ?replica_cost ?max_replicas ?engine
-    ?(cancel = Wfc_platform.Cancel.never) model g seed =
-  if Schedule.is_replicated seed || Option.is_some max_replicas then
-    improve_replicated ~max_evaluations ~replica_cost ~max_replicas ~cancel
-      model g seed
-  else
   Wfc_obs.Trace.with_span "local_search.improve"
     ~args:[ ("backend", "flat") ]
   @@ fun () ->
   let n = Schedule.n_tasks seed in
   let flags = Array.init n (Schedule.is_checkpointed seed) in
   let order = Array.init n (Schedule.task_at seed) in
-  (* a supplied engine is rebound to the seed's flags and the model: every
-     query is a pure function of the flags, so it scores each move
-     bit-identically to a fresh engine *)
-  let engine = Flat_engine.bind ?engine ~flags model g ~order in
+  let reps = Schedule.replica_counts seed in
+  (* a supplied engine is rebound to the seed's flags, replicas and the
+     model: every query is a pure function of those, so it scores each
+     move bit-identically to a fresh engine *)
+  let engine =
+    Flat_engine.bind ?engine ~flags ~replicas:reps ?replica_cost model g
+      ~order
+  in
   Wfc_platform.Cancel.check cancel;
   let initial_makespan = Flat_engine.makespan engine in
   let evaluations = ref 1 in
@@ -116,6 +56,27 @@ let improve ?(max_evaluations = 4000) ?replica_cost ?max_replicas ?engine
   let best = ref initial_makespan in
   let improved = ref true in
   let sweeps = ref 0 in
+  (* a scored move is kept if it improves; a rejected one is reverted
+     lazily, marking the same suffix dirty again without forcing a
+     re-evaluation *)
+  let accept m =
+    incr evaluations;
+    m < !best -. (1e-12 *. Float.abs !best)
+    && begin
+         best := m;
+         incr flips;
+         improved := true;
+         true
+       end
+  in
+  let step_replicas v r =
+    if !evaluations < max_evaluations then begin
+      Wfc_platform.Cancel.check cancel;
+      Flat_engine.set_replicas engine v r;
+      if accept (Flat_engine.makespan engine) then reps.(v) <- r
+      else Flat_engine.set_replicas engine v reps.(v)
+    end
+  in
   while !improved && !evaluations < max_evaluations do
     improved := false;
     incr sweeps;
@@ -124,26 +85,19 @@ let improve ?(max_evaluations = 4000) ?replica_cost ?max_replicas ?engine
       (fun v ->
         if !evaluations < max_evaluations then begin
           Wfc_platform.Cancel.check cancel;
-          let m = Flat_engine.flip engine v in
-          incr evaluations;
-          if m < !best -. (1e-12 *. Float.abs !best) then begin
-            best := m;
-            flags.(v) <- not flags.(v);
-            incr flips;
-            improved := true
-          end
-          else
-            (* lazy revert: marks the same suffix dirty again without
-               forcing a re-evaluation *)
-            Flat_engine.set_flags engine flags
-        end)
+          if accept (Flat_engine.flip engine v) then
+            flags.(v) <- not flags.(v)
+          else Flat_engine.set_flags engine flags
+        end;
+        if reps.(v) < cap then step_replicas v (reps.(v) + 1);
+        if reps.(v) > 1 then step_replicas v (reps.(v) - 1))
       order
   done;
   (* the reported makespan is the engine's own score of the accepted
-     flags *)
+     vectors *)
   record_metrics ~sweeps:!sweeps
     {
-      schedule = Schedule.make g ~order ~checkpointed:flags;
+      schedule = Schedule.make ~replicas:reps g ~order ~checkpointed:flags;
       makespan = !best;
       initial_makespan;
       evaluations = !evaluations;

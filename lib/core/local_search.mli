@@ -31,30 +31,29 @@ val improve :
     full sweep yields no improvement or [max_evaluations] (default [4000])
     evaluator calls have been spent. The result never degrades the seed.
 
-    Candidate flips are scored through {!Flat_engine.flip}, so each flip
-    costs a suffix re-evaluation instead of a full one. The reported
-    [makespan] and [initial_makespan] are the kernel's own scores: bitwise
-    the value a fresh {!Flat_engine} gives the returned (resp. seed) flags,
-    within ~1e-15 relative of the oracle.
+    When [s] is replicated, or [max_replicas] is given, the move set also
+    includes per-task replica-count steps ([+1] up to [max_replicas],
+    default [max 4 (max_replica_count s)]; [-1] down to a single copy),
+    each extra copy surcharged at [replica_cost].
+
+    Every move is scored on one {!Flat_engine} ({!Flat_engine.flip} or
+    {!Flat_engine.set_replicas}), so it costs a suffix re-evaluation
+    instead of a full one. The reported [makespan] and [initial_makespan]
+    are the kernel's own scores: bitwise the value a fresh {!Flat_engine}
+    gives the returned (resp. seed) flags and replicas, within ~1e-15
+    relative of the oracle unreplicated and 1e-12 replicated.
 
     [engine] supplies a {!Flat_engine} already bound to [(g, order)] of
     [s] — the serving layer passes the warm engine its heuristic sweep just
     used, so the climb skips a second engine build. {!Flat_engine.bind}
-    rebinds it to the model and the seed's flags; every query is a pure
-    function of the flags, so the reported values stay bitwise those of a
-    fresh engine. It is left holding the returned schedule's flags. The
-    replica-aware path ignores it.
-
-    When [s] is replicated, or [max_replicas] is given, the move set also
-    includes per-task replica-count steps ([+1] up to [max_replicas],
-    default [max 4 (max_replica_count s)]; [-1] down to a single copy), and
-    every candidate is scored through the replication-aware evaluator with
-    [replica_cost] per extra copy.
+    rebinds it to the model and the seed's flags and replicas; every query
+    is a pure function of those, so the reported values stay bitwise those
+    of a fresh engine. It is left holding the returned schedule's vectors.
 
     [cancel] (default {!Wfc_platform.Cancel.never}) is polled once per
-    candidate move on every path; a cancelled token aborts the climb with
+    candidate move; a cancelled token aborts the climb with
     {!Wfc_platform.Cancel.Cancelled} instead of returning a partial result.
 
     @raise Invalid_argument if [max_replicas] is outside
       [1..Schedule.max_replicas], or if [engine] is bound to another order
-      than [s]'s. *)
+      than [s]'s or another [replica_cost]. *)

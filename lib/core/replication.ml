@@ -221,9 +221,6 @@ let evaluate ?cost model g sched =
   if Metrics.enabled () then Metrics.incr m_evaluations;
   recurrence ?cost model g sched
 
-let expected_makespan ?cost model g sched =
-  (evaluate ?cost model g sched).makespan
-
 (* {1 Replication specs (CLI surface)} *)
 
 type spec = Auto | No_replication | Heavy of int | Budget of float

@@ -11,8 +11,9 @@
     stay unscaled.
 
     With all replica counts equal to 1 every formula below degenerates to the
-    paper's model: {!evaluate} is the one Theorem 3 recurrence of the
-    library, and {!Evaluator.evaluate} is a counted call to it. *)
+    paper's model. {!recurrence} is the library's Theorem 3 oracle, with no
+    production caller: searches score replicated schedules on
+    {!Flat_engine}, and the tests check it against this. *)
 
 val default_cost : float
 (** Default per-extra-replica execution surcharge (1.0: each extra copy
@@ -33,21 +34,12 @@ val attempt_failure_probability : lambda:float -> r:int -> float -> float
     protected by [r] replicas is lost (all copies fail inside it). [0.] when
     [lambda = 0] or [t <= 0]. *)
 
-val conditional_mean_elapsed : lambda:float -> r:int -> float -> float
-(** [conditional_mean_elapsed ~lambda ~r t] is the expected time elapsed
-    before the attempt is lost, {e given} that it is lost: the mean of the
-    maximum of [r] iid exponentials conditioned on all landing in [[0, t]].
-    Clamped to [[0, t]]; requires [lambda > 0]. *)
-
-val equivalent_exposure : lambda:float -> r:int -> float -> float
-(** [equivalent_exposure ~lambda ~r t] is the exposure [e] with
-    [exp (-lambda * e)] equal to the attempt's survival probability
-    [1 - p^r] with [p = 1 - e^{-lambda t}]. Where the attempt is more
-    likely lost than not, the survival is summed as
-    [e^{-lambda t} (1 + p + ... + p^{r-1})], which keeps its relative
-    precision when the attempt is almost surely lost. Accumulating these per separating attempt turns products of
-    per-attempt survivals into the single-exponential form of the Theorem 3
-    recurrences. The identity for [r = 1]. *)
+val attempt_survival : lambda:float -> r:int -> float -> float -> float
+(** [attempt_survival ~lambda ~r t q] is [1 - q] for
+    [q = attempt_failure_probability ~lambda ~r t]; past [q = 1/2] it is
+    summed as [e^{-lambda t} (1 + p + ... + p^{r-1})],
+    [p = 1 - e^{-lambda t}], which keeps its relative precision when the
+    attempt is almost surely lost. *)
 
 val expected_attempt_time :
   lambda:float ->
@@ -62,7 +54,7 @@ val expected_attempt_time :
     write, every post-failure retry preceded by [recovery] and one constant
     [downtime] repair per loss. Reduces algebraically to
     {!Wfc_platform.Failure_model.expected_exec_time} at [r = 1]; the retry
-    term divides by the survival probability of {!equivalent_exposure}, so
+    term divides by the attempt survival ({!attempt_survival}), so
     it stays accurate when a retry almost surely fails. May return
     [infinity] when a retry can never succeed at the float level. *)
 
@@ -87,8 +79,9 @@ val recurrence :
     (possibly) replicated schedule: per-task effective weights via
     {!effective_weight} (the lost-work matrix included — replayed tasks
     re-run with their replicas), per-attempt expectations via
-    {!expected_attempt_time}, and separating-segment survival via
-    {!equivalent_exposure}. An "effective fault" is an attempt in which all
+    {!expected_attempt_time}, and separating-segment survival summed as
+    exposures whose exponential is {!attempt_survival}. An "effective
+    fault" is an attempt in which all
     replicas of the executing task died. [cost] defaults to
     {!default_cost}; the replay sums are computed unless [lost] provides
     them. Tasks with one replica take the paper's closed forms
@@ -110,19 +103,11 @@ val evaluate :
   Schedule.t ->
   result
 (** [evaluate model g sched] is {!recurrence} without precomputed replay
-    sums, the entry point of replicated scoring. Every call, replicated
+    sums, the replicated oracle's test entry point. Every call, replicated
     schedule or not, adds one to the [repl.evaluations] counter of
     {!Wfc_obs.Metrics}.
 
     @raise Invalid_argument if [cost] is negative. *)
-
-val expected_makespan :
-  ?cost:float ->
-  Wfc_platform.Failure_model.t ->
-  Wfc_dag.Dag.t ->
-  Schedule.t ->
-  float
-(** [expected_makespan model g s = (evaluate model g s).makespan]. *)
 
 (** {1 Replication specs (CLI / heuristics surface)} *)
 

@@ -25,6 +25,7 @@ let of_state s =
   t
 
 let create seed = of_state (mix64 (Int64.of_int seed))
+let reseed t seed = set_state t 0 (mix64 (Int64.of_int seed))
 
 let[@inline] bits64 t =
   let s = Int64.add (get_state t 0) golden_gamma in

@@ -10,6 +10,9 @@ type t
 val create : int -> t
 (** [create seed] builds a generator; equal seeds yield equal streams. *)
 
+val reseed : t -> int -> unit
+(** [reseed t seed] resets [t] in place to [create seed]'s state. *)
+
 val split : t -> t
 (** [split t] derives an independent generator and advances [t]. Use it to
     give each sub-experiment its own stream so adding draws to one component

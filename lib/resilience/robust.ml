@@ -96,16 +96,6 @@ type report = {
   winner : score;
 }
 
-(* One private stream per (seed, scenario, trace, lane), mirroring Stress:
-   the failures a candidate faces depend only on the seed and the scenario
-   list, never on which candidates are scored. Lane 0 drives copy 0 of every
-   task; lanes >= 1 drive replica copies and mix in a third odd constant, so
-   adding replicated candidates never perturbs the primary lane. *)
-let lane_rng ~seed ~scenario ~trace ~lane =
-  Rng.create
-    (seed + (scenario * 0x5851F42D) + (trace * 0x9E3779B9)
-   + (lane * 0x2545F491))
-
 let key_of criterion score =
   match criterion with
   | Mean -> score.mean
@@ -142,12 +132,16 @@ let evaluate ?(traces_per_scenario = 50) ?(alpha = 0.95)
             (fun si (sc : scenario) ->
               let sum = ref 0. in
               for ti = 0 to traces_per_scenario - 1 do
-                (* fresh live lanes per run: every candidate draws the same
-                   failures from the same streams *)
+                (* fresh live lanes per run, lane l of trace t seeded as
+                   Stress seeds lane l of run t: every candidate draws the
+                   same failures from the same streams *)
                 let lanes =
                   Array.init (1 + cand.extra_lanes) (fun lane ->
                       Sim.renewal_source
-                        ~rng:(lane_rng ~seed ~scenario:si ~trace:ti ~lane)
+                        ~rng:
+                          (Rng.create
+                             (Stress.lane_seed ~seed ~scenario:si ~run:ti
+                                ~lane))
                         ~failures:sc.failures ~downtime:sc.downtime)
                 in
                 let run = cand.execute ~cancel lanes in

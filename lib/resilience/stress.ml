@@ -1,9 +1,12 @@
 module D = Wfc_platform.Distribution
+module Domain_pool = Wfc_platform.Domain_pool
 module FM = Wfc_platform.Failure_model
 module Rng = Wfc_platform.Rng
 module Sample_set = Wfc_platform.Sample_set
+module Sim = Wfc_simulator.Sim
 module SF = Wfc_simulator.Sim_faults
 module Heuristics = Wfc_core.Heuristics
+module R = Wfc_core.Replication
 
 type scenario = { name : string; params : SF.params }
 
@@ -74,28 +77,23 @@ type report = {
   robustness : float;
 }
 
-(* One private stream per (seed, scenario, run): chunking the runs over
-   domains cannot change any draw, so reports are domain-count invariant.
-   SplitMix64 seeding mixes the raw integer, so affine combinations with
+(* SplitMix64 seeding mixes the raw integer, so affine combinations with
    large odd constants give well-separated streams. *)
-let run_rng ~seed ~scenario ~run =
-  Rng.create (seed + (scenario * 0x5851F42D) + (run * 0x9E3779B9))
+let lane_seed ~seed ~scenario ~run ~lane =
+  seed + (scenario * 0x5851F42D) + (run * 0x9E3779B9) + (lane * 0x2545F491)
 
 let evaluate ?replica_cost ?(runs = 2000) ?domains ?(max_failures = 10_000)
     ~seed ~nominal ~scenarios g sched =
   if runs <= 0 then invalid_arg "Stress.evaluate: runs <= 0";
   if max_failures <= 0 then invalid_arg "Stress.evaluate: max_failures <= 0";
   if scenarios = [] then invalid_arg "Stress.evaluate: no scenarios";
-  let domains =
-    match domains with
-    | Some d ->
-        if d <= 0 then invalid_arg "Stress.evaluate: domains <= 0";
-        d
-    | None -> Int.max 1 (Domain.recommended_domain_count () - 1)
-  in
-  let domains = Int.min domains runs in
+  let domains = Option.value domains ~default:(Domain_pool.default_domains ()) in
+  let slices = Domain_pool.chunks ~total:runs ~domains in
   let nominal_makespan =
-    Wfc_core.Replication.expected_makespan ?cost:replica_cost nominal g sched
+    Wfc_core.(
+      Flat_engine.makespan
+        (Flat_engine.create ~flags:sched.Schedule.checkpointed
+           ~replicas:sched.replicas ?replica_cost nominal g ~order:sched.order))
   in
   let results =
     List.mapi
@@ -110,28 +108,24 @@ let evaluate ?replica_cost ?(runs = 2000) ?domains ?(max_failures = 10_000)
         in
         let samples = Array.make runs 0. in
         let truncs = Array.make runs false in
-        let worker lo hi =
-          for r = lo to hi - 1 do
-            let out =
-              SF.run ?replica_cost
-                ~rng:(run_rng ~seed ~scenario:si ~run:r)
-                params g sched
-            in
-            samples.(r) <- out.SF.makespan;
-            truncs.(r) <- out.SF.truncated
+        (* one executor and lane set per slice of runs; reseeding their
+           stream and renewing the lanes draws what fresh ones would *)
+        let worker i =
+          let lo, len = slices.(i) in
+          let rng = Rng.create 0 in
+          let ex = SF.exec ?replica_cost ~rng params g sched in
+          let lanes =
+            Sim.lanes sched (fun () -> SF.source_of_params ~rng params)
+          in
+          for r = lo to lo + len - 1 do
+            Rng.reseed rng (lane_seed ~seed ~scenario:si ~run:r ~lane:0);
+            Sim.renew lanes;
+            Sim.execute ex lanes;
+            samples.(r) <- Sim.time ex;
+            truncs.(r) <- Sim.truncated ex
           done
         in
-        (* split [0, runs) into [domains] contiguous chunks; disjoint writes
-           into [samples] need no synchronization *)
-        let chunk = runs / domains and rem = runs mod domains in
-        let start i = (i * chunk) + Int.min i rem in
-        let handles =
-          List.init (domains - 1) (fun i ->
-              let i = i + 1 in
-              Domain.spawn (fun () -> worker (start i) (start (i + 1))))
-        in
-        worker 0 (start 1);
-        List.iter Domain.join handles;
+        ignore (Domain_pool.run ~domains:(Array.length slices) worker);
         let set = Sample_set.create () in
         Array.iter (Sample_set.add set) samples;
         let mean = Sample_set.mean set in
@@ -169,17 +163,15 @@ let rank ?runs ?domains ?max_failures ?(search = Heuristics.Exhaustive)
     ?replication ?replica_cost ~seed ~nominal ~scenarios g heuristics =
   List.map
     (fun (lin, ckpt) ->
-      let outcome = Heuristics.run ~search nominal g ~lin ~ckpt in
       (* the checkpoint placement is optimized unreplicated; the replication
          policy then spends its budget on top, and the stressed schedule is
          the replicated one *)
-      let outcome, suffix =
-        match replication with
-        | None | Some Wfc_core.Replication.No_replication -> (outcome, "")
-        | Some spec ->
-            ( Heuristics.replicate ?cost:replica_cost spec nominal g outcome,
-              "+" ^ Wfc_core.Replication.spec_name spec )
+      let spec = Option.value replication ~default:R.No_replication in
+      let outcome =
+        Heuristics.run_replicated ~search ?cost:replica_cost spec nominal g ~lin
+          ~ckpt
       in
+      let suffix = if spec = R.No_replication then "" else "+" ^ R.spec_name spec in
       let report =
         evaluate ?replica_cost ?runs ?domains ?max_failures ~seed ~nominal
           ~scenarios g outcome.Heuristics.schedule

@@ -62,6 +62,11 @@ type report = {
           schedule must rank below every schedule that finished *)
 }
 
+val lane_seed : seed:int -> scenario:int -> run:int -> lane:int -> int
+(** The stream of lane [lane] in run [run] of scenario [scenario]; a
+    campaign run draws from lane 0, {!Robust}'s replica copies from
+    lanes [>= 1]. Runs split over domains draw the same. *)
+
 val evaluate :
   ?replica_cost:float ->
   ?runs:int ->
@@ -85,8 +90,8 @@ val evaluate :
     attempts under a harsh scenario would hang the campaign.
 
     Replicated schedules are simulated with the multi-lane fault engine
-    ({!Wfc_simulator.Sim_faults.run}) at [replica_cost] per extra copy, and
-    the nominal makespan goes through the replication-aware evaluator.
+    ({!Wfc_simulator.Sim_faults.exec}) at [replica_cost] per extra copy, and
+    the nominal makespan is the flat kernel's.
 
     @raise Invalid_argument if [runs <= 0], [domains <= 0],
     [max_failures <= 0] or [scenarios] is empty. *)

@@ -42,9 +42,6 @@ type config = {
   queue_depth : int;  (* admission bound: queued + running compute jobs *)
   workers : int;  (* worker domains draining the queue *)
   domains : int;  (* corpus-sweep parallelism (never affects bytes) *)
-  max_frame : int;
-  exact_max_n : int;  (* deadline tiering: largest n going exact *)
-  nodes_per_second : float;  (* deadline seconds -> node budget *)
   timeout : float option;
       (* per-request wall-clock watchdog (seconds); cancelled requests
          answer a structured [timeout]. None disables the watchdog. *)
@@ -56,9 +53,6 @@ let default_config =
     queue_depth = 64;
     workers = 2;
     domains = 1;
-    max_frame = Codec.default_max_frame;
-    exact_max_n = 24;
-    nodes_per_second = 20_000.;
     timeout = None;
   }
 
@@ -166,10 +160,14 @@ let workflow_of (p : Pr.solve_params) model =
    count at a fixed calibration rate, so the same request always gets the
    same tier and the same answer — a deliberate trade against wall-clock
    accuracy (an unlucky instance can overrun its deadline; it can never
-   return different bytes). *)
-let deadline_plan cfg ~n d =
-  let nodes = int_of_float (Float.min (d *. cfg.nodes_per_second) 1e9) in
-  if nodes >= 500 && n <= cfg.exact_max_n then `Exact nodes
+   return different bytes). [nodes_per_second] is that calibration rate,
+   and instances larger than [exact_max_n] tasks never go exact. *)
+let nodes_per_second = 20_000.
+let exact_max_n = 24
+
+let deadline_plan ~n d =
+  let nodes = int_of_float (Float.min (d *. nodes_per_second) 1e9) in
+  if nodes >= 500 && n <= exact_max_n then `Exact nodes
   else if nodes >= 100 then `Local_search (Int.min 2000 nodes)
   else `Heuristic
 
@@ -237,7 +235,7 @@ let run_solve t ~cancel (p : Pr.solve_params) =
       let plan =
         match p.deadline with
         | None -> `Heuristic
-        | Some d -> deadline_plan t.config ~n d
+        | Some d -> deadline_plan ~n d
       in
       Ok
         (with_engine t ?spec model derived @@ fun engine ->
@@ -564,7 +562,7 @@ let process t pool conn ~send ~id req =
 let binary_loop t pool conn br =
   let read = Sock_io.read br in
   let rec loop () =
-    match Codec.read_frame ~max_frame:t.config.max_frame read with
+    match Codec.read_frame read with
     | Ok None -> ()
     | Stdlib.Error msg ->
         (* the stream is no longer frame-aligned: answer once and drop *)

@@ -26,12 +26,6 @@ type config = {
   workers : int;  (** worker domains draining the queue *)
   domains : int;
       (** parallelism handed to corpus sweeps (never affects result bytes) *)
-  max_frame : int;  (** binary-frame size cap *)
-  exact_max_n : int;
-      (** deadline tiering: instances larger than this never go exact *)
-  nodes_per_second : float;
-      (** calibration rate turning deadline seconds into a
-          branch-and-bound node budget *)
   timeout : float option;
       (** per-request wall-clock watchdog (seconds): compute requests
           exceeding it are cooperatively cancelled mid-solve and answer a
@@ -44,8 +38,7 @@ type config = {
 }
 
 val default_config : config
-(** cache 32, depth 64, 2 workers, 1 domain, 16 MiB frames,
-    [exact_max_n = 24], 20k nodes/s, no watchdog. *)
+(** cache 32, depth 64, 2 workers, 1 domain, no watchdog. *)
 
 type t
 
@@ -55,9 +48,10 @@ val handle :
   ?cancel:Wfc_platform.Cancel.t -> t -> Protocol.request -> Protocol.response
 (** Validate and dispatch. Never raises: an
     escaping exception becomes an [internal] error response, and a
-    watchdog cancellation a [timeout] one. The deadline
-    mapping: budget [= deadline * nodes_per_second] nodes; at least 500
-    nodes and at most [exact_max_n] tasks runs the budgeted
+    watchdog cancellation a [timeout] one. Binary frames are capped at
+    {!Codec.default_max_frame}. The deadline mapping: budget
+    [= deadline * 20 000] nodes (a fixed calibration rate); at least 500
+    nodes and at most 24 tasks runs the budgeted
     {!Wfc_resilience.Solver_driver} (tier [exact], degrading itself);
     at least 100 nodes hill-climbs the heuristic winner (tier
     [local-search]); below that, the heuristic sweep alone (tier

@@ -68,9 +68,8 @@ val estimate_faults :
   Wfc_dag.Dag.t ->
   Wfc_core.Schedule.t ->
   faults_estimate
-(** Like {!estimate}, with {!Sim_faults.run}: checkpoint corruption,
-    transient recovery failures and random downtime; bit-identical to one
-    {!Sim_faults.run} per run, on one {!Sim_faults.exec}.
+(** Like {!estimate}, on one {!Sim_faults.exec}: checkpoint corruption,
+    transient recovery failures and random downtime.
 
     @raise Invalid_argument if [runs <= 0]. *)
 

@@ -20,15 +20,6 @@ let nominal model =
     max_failures = 0;
   }
 
-type run = {
-  makespan : float;
-  failures : int;
-  wasted : float;
-  corrupt_reads : int;
-  failed_recoveries : int;
-  truncated : bool;
-}
-
 let check_probability what ~strict p =
   if not (p >= 0. && (if strict then p < 1. else p <= 1.)) then
     invalid_arg (Printf.sprintf "Sim_faults: %s out of range" what)
@@ -66,33 +57,3 @@ let exec ?replica_cost ~rng params g sched =
   Sim.exec ?replica_cost
     ~faults:{ Sim.p_ckpt_fail; p_rec_fail; max_failures; rng }
     g sched
-
-(* Replicated schedules generalize the fault machinery per copy: a
-   checkpointing task with r replicas writes r copies, each independently
-   corrupt, and a recovery read tries them in write order before falling
-   back to recomputation — the executor's semantics. *)
-let run ?source ?lanes ?replica_cost ~rng params g sched =
-  let replicated = Wfc_core.Schedule.is_replicated sched in
-  if replicated && Option.is_some source then
-    invalid_arg
-      "Sim_faults.run: replicated schedule needs failure lanes, not a single \
-       source";
-  if (not replicated) && Option.is_some lanes then
-    invalid_arg "Sim_faults.run: ?lanes with an unreplicated schedule";
-  let lanes =
-    match (lanes, source) with
-    | Some ls, _ -> ls
-    | None, Some s -> [| s |]
-    | None, None -> Sim.lanes sched (fun () -> source_of_params ~rng params)
-  in
-  let ex = exec ?replica_cost ~rng params g sched in
-  Sim.execute ex lanes;
-  let r = Sim.result ex in
-  {
-    makespan = r.Sim.makespan;
-    failures = r.Sim.failures;
-    wasted = r.Sim.wasted;
-    corrupt_reads = Sim.corrupt_reads ex;
-    failed_recoveries = Sim.failed_recoveries ex;
-    truncated = Sim.truncated ex;
-  }

@@ -23,8 +23,9 @@
     even when a platform failure aborts the segment that made it.
 
     {b Equivalence guarantee}: with [p_ckpt_fail = p_rec_fail = 0],
-    [downtime = Constant d] and [failures = Exponential lambda], {!run}
-    makes exactly the same RNG draws as {!Sim.run} on the model
+    [downtime = Constant d] and [failures = Exponential lambda], a run of
+    {!exec} on {!source_of_params} lanes makes exactly the same RNG draws
+    as {!Sim.run} on the model
     [{ lambda; downtime = d }] and returns bit-identical results — enforced
     by a property test. Non-exponential failure laws run as a renewal
     process ({!Sim.renewal_source}). *)
@@ -52,19 +53,9 @@ val nominal : Wfc_platform.Failure_model.t -> params
 
     @raise Invalid_argument if the model is fail-free ([lambda = 0]). *)
 
-type run = {
-  makespan : float;  (** total simulated execution time *)
-  failures : int;  (** platform failures injected *)
-  wasted : float;  (** time on lost attempts, downtime and replays *)
-  corrupt_reads : int;
-      (** corrupt checkpoints discovered (and discarded) by a recovery *)
-  failed_recoveries : int;  (** transient recovery read failures retried *)
-  truncated : bool;  (** stopped early by the [max_failures] safety valve *)
-}
-
 val source_of_params : rng:Wfc_platform.Rng.t -> params -> Sim.source
-(** The failure process [run] draws from when no [?source] is given:
-    memoryless per-attempt draws for [Exponential] — {!Sim.source_of_model}'s
+(** The failure lane of [params]: memoryless per-attempt draws for
+    [Exponential] — {!Sim.source_of_model}'s
     lane when the downtime is [Constant] — a renewal countdown otherwise,
     downtime sampled per failure. *)
 
@@ -75,38 +66,15 @@ val exec :
   Wfc_dag.Dag.t ->
   Wfc_core.Schedule.t ->
   Sim.exec
-(** [run]'s executor, reusable across runs: {!Sim.exec} with the
-    checkpoint faults of [params], drawn from [rng].
-
-    @raise Invalid_argument on the parameter conditions of [run]. *)
-
-val run :
-  ?source:Sim.source ->
-  ?lanes:Sim.source array ->
-  ?replica_cost:float ->
-  rng:Wfc_platform.Rng.t ->
-  params ->
-  Wfc_dag.Dag.t ->
-  Wfc_core.Schedule.t ->
-  run
-(** One simulated execution under checkpoint/recovery faults. [?source]
-    overrides where platform failures and downtimes come from — e.g. a
-    {!Trace_io} recording or replay wrapper; [rng] still drives the fault
-    bernoullis, so full determinism additionally needs the same seed.
-
-    Replicated schedules run on one failure lane per copy, as in
-    {!Sim.run_with_lanes} ([?lanes] overrides the lanes; [?source] is
-    rejected there), drawing fresh lanes from [rng] otherwise. The fault
-    machinery generalizes per checkpoint {e copy}: a checkpointing task with
-    [r] replicas writes [r] copies, each independently corrupt with
-    [p_ckpt_fail]; a recovery read tries the copies in write order (each
-    tried copy pays its transient-retry loop and one read) and recomputes
-    only when {e all} copies are corrupt — a corrupt checkpoint on one
-    replica does not doom its siblings. With all replica counts 1 this is
-    the unreplicated path, draw for draw.
+(** The fault engine's executor, reusable across runs ({!Sim.execute}
+    resets it): {!Sim.exec} with the checkpoint faults of [params], drawn
+    from [rng]. Replicated schedules run on one lane per copy; a
+    checkpointing task with [r] replicas writes [r] copies, each
+    independently corrupt, and a recovery read tries them in write order
+    and recomputes only when all are corrupt. With all replica counts 1
+    this is the unreplicated engine, draw for draw.
 
     @raise Invalid_argument if [p_ckpt_fail] is outside [\[0, 1\]],
     [p_rec_fail] outside [\[0, 1)] (a certain recovery failure would never
-    terminate), [max_failures < 0], [?source] is combined with a replicated
-    schedule, [?lanes] with an unreplicated one, or there are fewer lanes
-    than replicas. *)
+    terminate) or [max_failures < 0]. *)
+

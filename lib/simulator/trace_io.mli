@@ -9,7 +9,7 @@
       returned and (on failure) the downtime that followed. Replaying one
       against the {b same} schedule reproduces the original run bit for bit
       — for memoryless {!Sim.run}, countdown-based {!Sim.renewal_source} and
-      the failure process of {!Sim_faults.run} alike, because the engine
+      the failure process of {!Sim_faults} alike, because the engine
       sees the identical float at every decision point. Replaying against a
       schedule that makes different survive/fail decisions raises
       {!Divergence}: the recorded process is conditioned on the original

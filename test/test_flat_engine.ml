@@ -31,6 +31,11 @@ let oracle_prefix model g ~order flags upto =
   done;
   !acc
 
+(* a cold engine at a schedule's flags and replicas *)
+let of_schedule ~cost model g (s : Schedule.t) =
+  Flat_engine.create ~flags:s.checkpointed ~replicas:s.replicas
+    ~replica_cost:cost model g ~order:s.order
+
 (* a cold engine at the current flags of [e] *)
 let fresh model g ~order e =
   Flat_engine.create ~flags:(Flat_engine.flags e) model g ~order
@@ -64,22 +69,20 @@ let gen_scenario =
   in
   return (g, model_idx, ops)
 
+let print_op = function
+  | Flip v -> Printf.sprintf "flip %d" v
+  | Quiet_flip v -> Printf.sprintf "qflip %d" v
+  | Set_all f ->
+      Printf.sprintf "set %s"
+        (String.concat ""
+           (List.map (fun b -> if b then "1" else "0") (Array.to_list f)))
+  | Rollback -> "rollback"
+  | Commit -> "commit"
+  | Prefix i -> Printf.sprintf "prefix %d" i
+
 let print_scenario (g, model_idx, ops) =
   Format.asprintf "%a model#%d ops[%s]" Wfc_dag.Dag.pp_stats g model_idx
-    (String.concat "; "
-       (List.map
-          (function
-            | Flip v -> Printf.sprintf "flip %d" v
-            | Quiet_flip v -> Printf.sprintf "qflip %d" v
-            | Set_all f ->
-                Printf.sprintf "set %s"
-                  (String.concat ""
-                     (List.map (fun b -> if b then "1" else "0")
-                        (Array.to_list f)))
-            | Rollback -> "rollback"
-            | Commit -> "commit"
-            | Prefix i -> Printf.sprintf "prefix %d" i)
-          ops))
+    (String.concat "; " (List.map print_op ops))
 
 let apply flat = function
   | Flip v -> ignore (Flat_engine.flip flat v)
@@ -476,9 +479,10 @@ let test_flat_handle () =
   Alcotest.(check (array int)) "order" order (Flat_engine.order h)
 
 let test_replicated_handle () =
-  (* replicated schedules are scored per candidate by Replication.evaluate:
-     the replication heuristic and the replica-aware local search report
-     bitwise its value for the schedule they return *)
+  (* replicated schedules are scored on the kernel too: the replication
+     heuristic and the replica-aware local search report bitwise a fresh
+     engine's value for the schedule they return, and the recurrence's to
+     1e-12 *)
   let g =
     Builders.fork_join ~source_weight:3. ~middle_weights:[| 2.; 5.; 1. |]
       ~sink_weight:4.
@@ -490,7 +494,10 @@ let test_replicated_handle () =
   let cost = 0.3 in
   let same msg sched m =
     Alcotest.(check (float 0.)) msg
-      (Replication.expected_makespan ~cost model g sched) m
+      (Flat_engine.makespan (of_schedule ~cost model g sched))
+      m;
+    Wfc_test_util.check_close ~eps:1e-12 (msg ^ " vs recurrence")
+      (Replication.recurrence ~cost model g sched).Replication.makespan m
   in
   let o =
     Heuristics.run_replicated ~cost (Replication.Heavy 2) model g
@@ -515,6 +522,128 @@ let test_replicated_handle () =
   same "improve ~max_replicas" grown.Local_search.schedule
     grown.Local_search.makespan;
   same "initial" seed grown.Local_search.initial_makespan
+
+(* ---- replicated schedules ---- *)
+
+module P = Wfc_workflows.Pegasus
+
+(* a Pegasus workflow with random flags, replica counts in 1..4 on about a
+   quarter of the tasks, a surcharge in [0, 1] (0 one time in four) and an
+   MTBF between one mean task and about three hundred *)
+let gen_replicated_case =
+  let open QCheck2.Gen in
+  let* family = oneofl P.all in
+  let* n = int_range (P.min_size family) 300 in
+  let* seed = int_range 0 1000 in
+  let g =
+    Wfc_workflows.Cost_model.apply (Wfc_workflows.Cost_model.Proportional 0.1)
+      (P.generate family ~n ~seed)
+  in
+  let* flags = array_repeat n bool in
+  let* reps =
+    array_repeat n (frequency [ (3, return 1); (1, int_range 2 4) ])
+  in
+  let* cost = frequency [ (1, return 0.); (3, float_range 0. 1.) ] in
+  let* tasks = float_range 0. 2.5 in
+  let* downtime = float_range 0. 2. in
+  let mtbf = (10. ** tasks) *. Wfc_dag.Dag.total_weight g /. float_of_int n in
+  let model = FM.make ~lambda:(1. /. mtbf) ~downtime () in
+  let order = Wfc_dag.Dag.topological_order g in
+  return (g, model, cost, Schedule.make ~replicas:reps g ~order ~checkpointed:flags)
+
+let print_replicated_case (g, model, cost, s) =
+  Format.asprintf "%a %a cost=%g extra=%d" Wfc_dag.Dag.pp_stats g FM.pp model
+    cost (Schedule.extra_replicas s)
+
+let replicated_vs_recurrence =
+  Wfc_test_util.qtest ~count:40 "replicated kernel = recurrence within 1e-12"
+    gen_replicated_case print_replicated_case (fun (g, model, cost, s) ->
+      let e = of_schedule ~cost model g s in
+      let r = Replication.recurrence ~cost model g s in
+      let check what got want =
+        Array.iteri
+          (fun i x ->
+            if not (Wfc_test_util.close ~eps:1e-12 x want.(i)) then
+              Alcotest.failf "%s.(%d): kernel %.17g recurrence %.17g" what i x
+                want.(i))
+          got
+      in
+      check "makespan" [| Flat_engine.makespan e |] [| r.Replication.makespan |];
+      check "per_position" (Flat_engine.per_position e)
+        r.Replication.per_position;
+      check "fault_probability" (Flat_engine.fault_probability e)
+        r.Replication.fault_probability;
+      true)
+
+type rop = Op of op | Replicas of int * int
+
+let gen_replicated_scenario =
+  let open QCheck2.Gen in
+  let* g, model_idx, ops = gen_scenario in
+  let n = Wfc_dag.Dag.n_tasks g in
+  let* cost = oneofl [ 0.; 0.3; 1. ] in
+  let* reps =
+    list_size (int_range 1 12)
+      (map2 (fun v r -> Replicas (v, r)) (int_range 0 (n - 1)) (int_range 1 4))
+  in
+  let* ops = shuffle_l (List.map (fun o -> Op o) ops @ reps) in
+  return (g, model_idx, cost, ops)
+
+let print_replicated_scenario (g, model_idx, cost, ops) =
+  Format.asprintf "%a model#%d cost=%g ops[%s]" Wfc_dag.Dag.pp_stats g
+    model_idx cost
+    (String.concat "; "
+       (List.map
+          (function
+            | Replicas (v, r) -> Printf.sprintf "replicas %d %d" v r
+            | Op o -> print_op o)
+          ops))
+
+let replicated_interleavings =
+  Wfc_test_util.qtest ~count:300
+    "any set_replicas/flip/set_flags interleaving = fresh engine (bitwise)"
+    gen_replicated_scenario print_replicated_scenario
+    (fun (g, model_idx, cost, ops) ->
+      let model = List.nth Wfc_test_util.models model_idx in
+      let order = Wfc_dag.Dag.topological_order g in
+      let warm = Flat_engine.create ~replica_cost:cost model g ~order in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Replicas (v, r) -> Flat_engine.set_replicas warm v r
+          | Op o -> apply warm o);
+          let cold =
+            Flat_engine.create ~flags:(Flat_engine.flags warm)
+              ~replicas:(Flat_engine.replicas warm) ~replica_cost:cost model g
+              ~order
+          in
+          Flat_engine.per_position warm = Flat_engine.per_position cold
+          && Flat_engine.fault_probability warm
+             = Flat_engine.fault_probability cold
+          && Float.equal (Flat_engine.makespan warm) (Flat_engine.makespan cold))
+        ops)
+
+let all_ones_replicas =
+  Wfc_test_util.qtest ~count:200
+    "all-ones replicas = create without, bitwise"
+    (QCheck2.Gen.pair (Wfc_test_util.gen_dag_and_schedule ~max_n:9 ())
+       (QCheck2.Gen.float_range 0. 2.))
+    (fun (gs, cost) ->
+      Printf.sprintf "%s cost=%g" (Wfc_test_util.print_dag_schedule gs) cost)
+    (fun ((g, s), cost) ->
+      let order = s.Schedule.order and flags = s.Schedule.checkpointed in
+      List.for_all
+        (fun model ->
+          let plain = Flat_engine.create ~flags model g ~order in
+          let ones =
+            Flat_engine.create ~flags
+              ~replicas:(Array.make (Array.length order) 1)
+              ~replica_cost:cost model g ~order
+          in
+          Flat_engine.per_position plain = Flat_engine.per_position ones
+          && Flat_engine.fault_probability plain
+             = Flat_engine.fault_probability ones)
+        Wfc_test_util.models)
 
 (* ---- reported makespans ---- *)
 
@@ -744,6 +873,12 @@ let () =
           Alcotest.test_case "flat handle = kernel" `Quick test_flat_handle;
           Alcotest.test_case "replicated handle ops" `Quick
             test_replicated_handle;
+        ] );
+      ( "replicated",
+        [
+          replicated_vs_recurrence;
+          replicated_interleavings;
+          all_ones_replicas;
         ] );
       ( "reported",
         [

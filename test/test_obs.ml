@@ -367,10 +367,13 @@ let test_oracle_off_flat_paths () =
   let module Server = Wfc_serve.Server in
   let module Corpus = Wfc_corpus.Corpus in
   let module Driver = Wfc_resilience.Solver_driver in
+  (* both counted entries of the recurrence: the Evaluator oracle and
+     Replication.evaluate *)
   let oracle_calls f =
     Metrics.reset ();
     f ();
-    counter_at (Metrics.snapshot ()) "evaluator.evaluations"
+    let snap = Metrics.snapshot () in
+    counter_at snap "evaluator.evaluations" + counter_at snap "repl.evaluations"
   in
   (* no deadline, 200 nodes and 1000 nodes: the heuristic, local-search
      and exact tiers *)
@@ -393,7 +396,7 @@ let test_oracle_off_flat_paths () =
           [ Pr.Solve params; Pr.Simulate { params; runs = 20; mcseed = 1 } ])
       [ None; Some 0.01; Some 0.05 ]
   in
-  (* replicated cells are scored by Replication.evaluate, not the oracle *)
+  (* replicated cells are scored on the kernel too *)
   let sweep replication () =
     let cost = Wfc_workflows.Cost_model.Proportional 0.1 in
     match Corpus.load_dir ~cost "corpus" with
@@ -416,6 +419,19 @@ let test_oracle_off_flat_paths () =
     Alcotest.(check bool) "budget exhausted" true
       (r.Driver.tier <> Driver.Exact)
   in
+  let replicate () =
+    let g = genome 20 in
+    let o =
+      Heuristics.run fm g ~lin:Wfc_dag.Linearize.Depth_first
+        ~ckpt:Heuristics.Ckpt_weight
+    in
+    List.iter
+      (fun spec ->
+        let r = Heuristics.replicate ~cost:0.2 spec fm g o in
+        Alcotest.(check bool) "replicas placed" true
+          (Schedule.is_replicated r.Heuristics.schedule))
+      Wfc_core.Replication.[ Heavy 2; Budget 0.2 ]
+  in
   List.iter
     (fun (name, run) ->
       Alcotest.(check int) (name ^ ": no oracle call on flat") 0
@@ -424,6 +440,7 @@ let test_oracle_off_flat_paths () =
       ("server", serve);
       ("corpus sweep", sweep Wfc_core.Replication.No_replication);
       ("replicated corpus sweep", sweep (Wfc_core.Replication.Budget 0.2));
+      ("Heuristics.replicate", replicate);
       ("exhausted driver", exhausted);
     ];
   let g = genome 12 in

@@ -13,6 +13,7 @@ module D = Wfc_platform.Distribution
 module Rng = Wfc_platform.Rng
 module Sim = Wfc_simulator.Sim
 module SF = Wfc_simulator.Sim_faults
+module Faults = Wfc_test_util.Sim_faults_run
 module T = Wfc_simulator.Trace_io
 open Wfc_core
 
@@ -149,14 +150,14 @@ let prop_sim_faults_zero_faults =
         }
       in
       let faulty =
-        SF.run ~lanes:(lanes ()) ~rng:(Rng.create seed) params g s
+        Faults.run ~lanes:(lanes ()) ~rng:(Rng.create seed) params g s
       in
       let plain = Sim.run_with_lanes (lanes ()) g s in
-      faulty.SF.makespan = plain.Sim.makespan
-      && faulty.SF.failures = plain.Sim.failures
-      && faulty.SF.wasted = plain.Sim.wasted
-      && faulty.SF.corrupt_reads = 0
-      && faulty.SF.failed_recoveries = 0)
+      faulty.Faults.makespan = plain.Sim.makespan
+      && faulty.Faults.failures = plain.Sim.failures
+      && faulty.Faults.wasted = plain.Sim.wasted
+      && faulty.Faults.corrupt_reads = 0
+      && faulty.Faults.failed_recoveries = 0)
 
 (* ---- the per-attempt math ---- *)
 
@@ -280,18 +281,19 @@ let test_replication_counts () =
   let model = FM.make ~lambda:0.04 ~downtime:1. () in
   let sched = Schedule.no_checkpoints g ~order:[| 0; 1; 2; 3 |] in
   let none =
-    Heuristics.replication_counts Replication.No_replication model g ~sched
+    fst (Heuristics.replication_counts Replication.No_replication model g ~sched)
   in
   Alcotest.(check bool) "none = all ones" true (Array.for_all (( = ) 1) none);
   let heavy =
-    Heuristics.replication_counts (Replication.Heavy 2) model g ~sched
+    fst (Heuristics.replication_counts (Replication.Heavy 2) model g ~sched)
   in
   Alcotest.(check int) "heavy picks T1" 2 heavy.(1);
   Alcotest.(check int) "heavy picks T3" 2 heavy.(3);
   Alcotest.(check int) "heavy skips T0" 1 heavy.(0);
   let budget =
-    Heuristics.replication_counts ~cost:0.1 (Replication.Budget 0.5) model g
-      ~sched
+    fst
+      (Heuristics.replication_counts ~cost:0.1 (Replication.Budget 0.5) model
+         g ~sched)
   in
   (* the greedy spend never exceeds the budget: sum of extra work <= f * W *)
   let spent = ref 0. in
@@ -304,6 +306,30 @@ let test_replication_counts () =
     budget;
   Alcotest.(check bool) "budget respected" true
     (!spent <= (0.5 *. Wfc_dag.Dag.total_weight g) +. 1e-9)
+
+(* the kernel greedy buys what the recurrence-scored greedy bought, on
+   every instance whose decisions are wider apart than the two scorers'
+   last-ulp disagreement *)
+let prop_kernel_greedy =
+  Wfc_test_util.qtest ~count:150 "kernel greedy = recurrence greedy"
+    QCheck2.Gen.(
+      quad
+        (Wfc_test_util.gen_dag_and_schedule ~max_n:12 ())
+        (float_range 0.005 0.3) (float_range 0.05 1.) (float_range 0.1 1.))
+    (fun (gs, lambda, cost, fraction) ->
+      Printf.sprintf "%s lambda=%g cost=%g budget=%g"
+        (Wfc_test_util.print_dag_schedule gs) lambda cost fraction)
+    (fun ((g, sched), lambda, cost, fraction) ->
+      let model = FM.make ~lambda ~downtime:0.5 () in
+      let want, margin =
+        Wfc_test_util.Replication_reference.budget_counts ~cost ~fraction
+          model g ~sched
+      in
+      QCheck2.assume (margin > 1e-9);
+      fst
+        (Heuristics.replication_counts ~cost (Replication.Budget fraction)
+           model g ~sched)
+      = want)
 
 let test_local_search_replicated () =
   let g =
@@ -320,7 +346,8 @@ let test_local_search_replicated () =
   let r = Local_search.improve ~replica_cost:0.15 model g seed in
   Alcotest.(check bool) "never degrades" true
     (r.Local_search.makespan <= r.Local_search.initial_makespan);
-  (* the reported makespan is the replication-aware oracle's *)
+  (* the reported makespan is the kernel's, within 1e-9 of the
+     replication-aware oracle *)
   Wfc_test_util.check_close "oracle value" r.Local_search.makespan
     (Evaluator.expected_makespan ~replica_cost:0.15 model g
        r.Local_search.schedule)
@@ -358,5 +385,6 @@ let () =
             test_replication_counts;
           Alcotest.test_case "local search" `Quick
             test_local_search_replicated;
+          prop_kernel_greedy;
         ] );
     ]

@@ -3,6 +3,7 @@ module FM = Wfc_platform.Failure_model
 module Rng = Wfc_platform.Rng
 module Stats = Wfc_platform.Stats
 module SF = Wfc_simulator.Sim_faults
+module Faults = Wfc_test_util.Sim_faults_run
 module MC = Wfc_simulator.Monte_carlo
 
 let expect_invalid f =
@@ -13,7 +14,7 @@ let expect_invalid f =
 (* ---- bit-identical equivalence with the trusted engine ---- *)
 
 (* With all fault probabilities zero, constant downtime and exponential
-   failures, Sim_faults.run must make exactly the same draws as Sim.run and
+   failures, a fault-engine run must make exactly the same draws as Sim.run and
    return bit-identical results — the acceptance property of the issue. *)
 let prop_zero_faults_bit_identical =
   Wfc_test_util.qtest ~count:150 "zero faults = Sim.run, bit for bit"
@@ -29,15 +30,15 @@ let prop_zero_faults_bit_identical =
             Wfc_simulator.Sim.run ~rng:(Rng.create seed) model g s
           in
           let faulty =
-            SF.run ~rng:(Rng.create seed) (SF.nominal model) g s
+            Faults.run ~rng:(Rng.create seed) (SF.nominal model) g s
           in
           (* exact float equality: same stream, same arithmetic *)
-          reference.Wfc_simulator.Sim.makespan = faulty.SF.makespan
-          && reference.Wfc_simulator.Sim.failures = faulty.SF.failures
-          && reference.Wfc_simulator.Sim.wasted = faulty.SF.wasted
-          && faulty.SF.corrupt_reads = 0
-          && faulty.SF.failed_recoveries = 0
-          && not faulty.SF.truncated)
+          reference.Wfc_simulator.Sim.makespan = faulty.Faults.makespan
+          && reference.Wfc_simulator.Sim.failures = faulty.Faults.failures
+          && reference.Wfc_simulator.Sim.wasted = faulty.Faults.wasted
+          && faulty.Faults.corrupt_reads = 0
+          && faulty.Faults.failed_recoveries = 0
+          && not faulty.Faults.truncated)
         Wfc_test_util.models)
 
 (* ---- corruption makes things strictly worse ---- *)
@@ -145,9 +146,9 @@ let test_truncation_valve () =
       SF.max_failures = 50;
     }
   in
-  let out = SF.run ~rng:(Rng.create 3) params g s in
-  Alcotest.(check bool) "truncated" true out.SF.truncated;
-  Alcotest.(check int) "stopped at the cap" 50 out.SF.failures;
+  let out = Faults.run ~rng:(Rng.create 3) params g s in
+  Alcotest.(check bool) "truncated" true out.Faults.truncated;
+  Alcotest.(check int) "stopped at the cap" 50 out.Faults.failures;
   let est = MC.estimate_faults ~runs:20 ~seed:3 params g s in
   Alcotest.(check int) "all runs truncated" 20 est.MC.truncated_runs
 
@@ -176,7 +177,7 @@ let test_estimate_deterministic () =
 let test_validation () =
   let g, s = chain_schedule () in
   let nominal = SF.nominal (FM.make ~lambda:0.05 ()) in
-  let run params = ignore (SF.run ~rng:(Rng.create 1) params g s) in
+  let run params = ignore (Faults.run ~rng:(Rng.create 1) params g s) in
   expect_invalid (fun () -> run { nominal with SF.p_ckpt_fail = -0.1 });
   expect_invalid (fun () -> run { nominal with SF.p_ckpt_fail = 1.5 });
   expect_invalid (fun () -> run { nominal with SF.p_rec_fail = 1. });

@@ -3,6 +3,7 @@ module FM = Wfc_platform.Failure_model
 module Rng = Wfc_platform.Rng
 module Sim = Wfc_simulator.Sim
 module SF = Wfc_simulator.Sim_faults
+module Faults = Wfc_test_util.Sim_faults_run
 module ST = Wfc_simulator.Sim_trace
 module T = Wfc_simulator.Trace_io
 
@@ -104,12 +105,12 @@ let prop_sim_faults_source_replay =
       let rng = Rng.create seed in
       let r = T.recorder () in
       let src = T.recording_source r (SF.source_of_params ~rng params) in
-      let reference = SF.run ~source:src ~rng params g s in
+      let reference = Faults.run ~source:src ~rng params g s in
       let state = T.replay_source (T.recorded r) in
-      let replayed = SF.run ~source:state.T.source ~rng:(Rng.create seed) params g s in
-      reference.SF.makespan = replayed.SF.makespan
-      && reference.SF.failures = replayed.SF.failures
-      && reference.SF.wasted = replayed.SF.wasted)
+      let replayed = Faults.run ~source:state.T.source ~rng:(Rng.create seed) params g s in
+      reference.Faults.makespan = replayed.Faults.makespan
+      && reference.Faults.failures = replayed.Faults.failures
+      && reference.Faults.wasted = replayed.Faults.wasted)
 
 (* ---- crafted exact cases ---- *)
 

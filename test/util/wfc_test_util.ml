@@ -112,3 +112,11 @@ module Sim_reference = Sim_reference
 (* Robust selection on pre-drawn, replayed renewal traces, as an oracle for
    its live lanes. *)
 module Robust_reference = Robust_reference
+
+(* The replication budget greedy scored by the recurrence, as an oracle for
+   the one scored on the flat kernel. *)
+module Replication_reference = Replication_reference
+
+(* One fault-injected run on a fresh executor, as the fault engine's tests
+   drive it. *)
+module Sim_faults_run = Sim_faults_run
